@@ -38,7 +38,7 @@ from .metrics import (
     triangle_split_analysis,
 )
 from .pipeline import RunConfig, run_pipeline
-from .slopes import EstimatorParams, SlopeResult, eslope, expected_ratio, islope
+from .slopes import SlopeResult, eslope, islope, random_subset_ratio
 
 __all__ = [
     "Community",
@@ -46,7 +46,6 @@ __all__ = [
     "DetectParams",
     "DistributionSummary",
     "DomSetResult",
-    "EstimatorParams",
     "Graph",
     "NodeMetadata",
     "RunConfig",
@@ -65,7 +64,6 @@ __all__ = [
     "detect_communities",
     "edr",
     "eslope",
-    "expected_ratio",
     "greedy_eds",
     "greedy_ids",
     "idr",
@@ -78,6 +76,7 @@ __all__ = [
     "neighbors_out",
     "predict_keywords",
     "prediction_curve",
+    "random_subset_ratio",
     "run_pipeline",
     "summarize",
     "sweep_cut",

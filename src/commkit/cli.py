@@ -51,9 +51,6 @@ def _add_common(parser: argparse.ArgumentParser, need_communities: bool) -> None
     parser.add_argument("--epsilon", type=float, default=1e-4, help="PPR push tolerance")
     parser.add_argument("--min-size", type=int, default=5, help="smallest community kept")
     parser.add_argument("--max-size", type=int, default=200, help="largest community kept")
-    parser.add_argument("--samples", type=int, default=10_000, help="Monte Carlo sample count")
-    parser.add_argument("--enum-cap", type=int, default=100_000, help="max subsets to enumerate exactly")
-    parser.add_argument("--seed", type=int, default=0, help="global RNG seed")
     parser.add_argument("--bins", type=int, default=20, help="histogram bin count")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv", help="table format")
@@ -87,12 +84,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         epsilon=args.epsilon,
         min_size=args.min_size,
         max_size=args.max_size,
-        rng_seed=args.seed,
-    )
-    from .slopes import EstimatorParams
-
-    estimator = EstimatorParams(
-        enumeration_cap=args.enum_cap, samples=args.samples, rng_seed=args.seed
     )
     return RunConfig(
         graph_path=args.graph,
@@ -101,7 +92,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         k=args.k,
         p=args.p,
         detect=detect,
-        estimator=estimator,
         bins=args.bins,
         out_dir=args.out,
         fmt=args.format,

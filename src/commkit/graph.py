@@ -152,12 +152,25 @@ def load_graph(source: IO | str | Path, strict_directed: bool = False) -> Graph:
 
 
 def _iter_lines(source: IO | str | Path) -> Iterator[str]:
+    """Text lines of a path or stream; bytes that are not UTF-8 raise GraphParseError."""
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as handle:
-            yield from handle
+        # undecodable bytes become lone surrogates, caught below with their line number
+        with open(source, encoding="utf-8", errors="surrogateescape") as handle:
+            yield from _decoded(handle, source)
         return
-    for raw in source:
-        yield raw.decode() if isinstance(raw, bytes) else raw
+    yield from _decoded(source, "input")
+
+
+def _decoded(lines: Iterable[str | bytes], name: str | Path) -> Iterator[str]:
+    for line_number, raw in enumerate(lines, start=1):
+        try:
+            if isinstance(raw, bytes):
+                raw = raw.decode("utf-8")
+            elif not raw.isascii():
+                raw.encode("utf-8")
+        except UnicodeError:
+            raise GraphParseError(f"not valid UTF-8 in {name}", line_number) from None
+        yield raw
 
 
 def write_graph(graph: Graph, sink: IO) -> None:

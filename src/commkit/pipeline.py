@@ -31,7 +31,7 @@ from .metrics import (
     community_stats,
     triangle_split_analysis,
 )
-from .slopes import EstimatorParams, SlopeResult, eslope, islope
+from .slopes import SlopeResult, eslope, islope
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -48,7 +48,6 @@ class RunConfig:
     k: int = 5
     p: float = 0.8
     detect: DetectParams = field(default_factory=DetectParams)
-    estimator: EstimatorParams = field(default_factory=EstimatorParams)
     bins: int = 20
     out_dir: str = "out"
     fmt: str = "csv"
@@ -126,18 +125,15 @@ def _resolve_table(directory: Path, stem: str) -> Path:
 
 def load_inputs(config: RunConfig) -> tuple[Graph, list[Community], dict[str, NodeMetadata] | None]:
     """Load the graph and, when configured, communities and metadata."""
-    with open(config.graph_path) as f:
-        graph = load_graph(f)
+    graph = load_graph(config.graph_path)
     communities: list[Community] = []
     if config.communities_path:
-        with open(config.communities_path) as f:
-            communities = load_communities(f, graph)
+        communities = load_communities(config.communities_path, graph)
     metadata = None
     if config.metadata_path:
         from .keywords import load_metadata
 
-        with open(config.metadata_path) as f:
-            metadata = load_metadata(f)
+        metadata = load_metadata(config.metadata_path)
     return graph, communities, metadata
 
 
@@ -212,17 +208,17 @@ def compute_slopes(
     config: RunConfig,
     bundles: list[DomsetBundle] | None = None,
 ) -> list[tuple[SlopeResult, SlopeResult]]:
+    """Slope pairs per community; without bundles only the p-mode sets are built."""
     if bundles is None:
-        bundles = compute_domsets(graph, communities, config)
+        p_sets = [(None, None)] * len(communities)
+    else:
+        p_sets = [(b.p_internal, b.p_external) for b in bundles]
 
-    def one(pair: tuple[Community, DomsetBundle]) -> tuple[SlopeResult, SlopeResult]:
-        c, bundle = pair
-        return (
-            islope(graph, c, p=config.p, params=config.estimator, domset=bundle.p_internal),
-            eslope(graph, c, p=config.p, params=config.estimator, domset=bundle.p_external),
-        )
+    def one(item: tuple[Community, tuple]) -> tuple[SlopeResult, SlopeResult]:
+        c, (ids, eds) = item
+        return islope(graph, c, p=config.p, domset=ids), eslope(graph, c, p=config.p, domset=eds)
 
-    return parallel_map(one, list(zip(communities, bundles)), config.workers)
+    return parallel_map(one, list(zip(communities, p_sets)), config.workers)
 
 
 def stage_slopes(
@@ -236,7 +232,6 @@ def stage_slopes(
     rows = []
     for internal, external in pairs:
         for s in (internal, external):
-            est = s.estimator
             rows.append(
                 [
                     s.community_id,
@@ -245,15 +240,14 @@ def stage_slopes(
                     s.observed_ratio,
                     s.expected_ratio,
                     s.slope,
-                    est.method if est else "",
-                    est.subset_count if est else "",
-                    est.standard_error if est else "",
+                    # every open row is exact; readers such as bench/check.py still key on the column
+                    "" if s.closed else "exact",
                     s.closed,
                 ]
             )
     write_table(
         out / "slopes",
-        ["community_id", "kind", "K", "observed", "expected", "slope", "estimator", "samples", "stderr", "closed"],
+        ["community_id", "kind", "K", "observed", "expected", "slope", "estimator", "closed"],
         rows,
         config.fmt,
     )
@@ -483,7 +477,6 @@ def read_slopes(directory: Path) -> list[tuple[SlopeResult, SlopeResult]]:
             observed_ratio=None if row["observed"] == "" else float(row["observed"]),
             expected_ratio=None if row["expected"] == "" else float(row["expected"]),
             slope=None if row["slope"] == "" else float(row["slope"]),
-            estimator=None,
             closed=closed,
         )
         if row["community_id"] not in by_community:

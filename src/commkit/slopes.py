@@ -1,43 +1,22 @@
 """Internal and external slopes: greedy ratio minus random-subset expectation.
 
-The expectation over all size-K subsets is enumerated exactly when the
-subset count is small enough, otherwise estimated by Monte Carlo with a
-per-community deterministic RNG stream.  The estimator provenance is kept
-in the result so substitutions stay auditable.
+The expectation over all size-K subsets has an exact closed form by
+linearity of expectation: a node is missed exactly when the subset avoids
+all of its dominators in the community, so each node contributes one
+binomial coefficient.  Numerator and denominator are integers and the only
+rounding is the final division.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-import random
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
-from .community import Community, boundary
-from .domsets import DomSetResult, edr, greedy_eds, greedy_ids, idr
+from .community import Community
+from .domsets import DomSetResult, greedy_eds, greedy_ids
 from .errors import ConfigError
 from .graph import Graph
-
-DEFAULT_ENUMERATION_CAP = 100_000
-DEFAULT_SAMPLES = 10_000
-
-
-@dataclass(frozen=True)
-class EstimatorParams:
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-    samples: int = DEFAULT_SAMPLES
-    rng_seed: int = 0
-
-
-@dataclass(frozen=True)
-class EstimatorRecord:
-    """How an expectation was obtained."""
-
-    method: str  # "exact" | "monte_carlo"
-    subset_count: int  # enumerated subsets, or sample count
-    rng_seed: int | None = None
-    standard_error: float | None = None
 
 
 @dataclass(frozen=True)
@@ -48,64 +27,40 @@ class SlopeResult:
     observed_ratio: float | None
     expected_ratio: float | None
     slope: float | None
-    estimator: EstimatorRecord | None
     closed: bool = False
 
 
-def _stream_seed(global_seed: int, community_id: str, kind: str, K: int) -> int:
-    """Deterministic per-(community, kind, K) RNG seed, stable across runs."""
-    digest = hashlib.sha256(f"{global_seed}:{community_id}:{kind}:{K}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+def random_subset_ratio(graph: Graph, community: Community, K: int, kind: str) -> float | None:
+    """Exact mean dominating ratio over all size-K subsets of the community.
 
-
-def expected_ratio(
-    graph: Graph,
-    community: Community,
-    K: int,
-    kind: str,
-    params: EstimatorParams = EstimatorParams(),
-) -> tuple[float | None, EstimatorRecord | None]:
-    """Mean dominating ratio over uniformly random size-K subsets.
-
-    Exact enumeration when C(|C|, K) fits under the cap, Monte Carlo with a
-    reported standard error otherwise.  External kind on a closed community
-    gives ``(None, None)``.
+    With ``c(a) = C(a, K)``, a member v is left uncovered by
+    ``c(|C| - 1 - |N(v) ∩ C|)`` of the ``C(|C|, K)`` subsets, and a boundary
+    node b unreached by ``c(|C| - |N(b) ∩ C|)``.  The cost is O(vol(C)).
+    External kind on a closed community gives ``None``.
     """
     if kind not in ("internal", "external"):
         raise ConfigError(f"kind must be internal or external, got {kind!r}")
     if not 1 <= K <= community.size:
         raise ConfigError(f"K must be in [1, |C|], got {K}")
-    if kind == "external" and not boundary(community):
-        return None, None
-
-    ratio = idr if kind == "internal" else edr
-    members = sorted(community.members)
-    total = math.comb(len(members), K)
-    if total <= params.enumeration_cap:
-        acc = 0.0
-        for subset in combinations(members, K):
-            acc += ratio(graph, subset, community)
-        return acc / total, EstimatorRecord(method="exact", subset_count=total)
-
-    rng = random.Random(_stream_seed(params.rng_seed, community.id, kind, K))
-    values = []
-    for _ in range(params.samples):
-        values.append(ratio(graph, rng.sample(members, K), community))
-    n = len(values)
-    mean = sum(values) / n
-    variance = sum((v - mean) ** 2 for v in values) / (n - 1) if n > 1 else 0.0
-    stderr = math.sqrt(variance / n)
-    record = EstimatorRecord(
-        method="monte_carlo", subset_count=n, rng_seed=params.rng_seed, standard_error=stderr
-    )
-    return mean, record
+    members = community.members
+    # |N(w) ∩ C| for every node w adjacent to the community
+    hits = Counter(w for v in members for w in graph.neighbors(v))
+    if kind == "internal":
+        dominators = [1 + hits[v] for v in members]
+    else:
+        dominators = [count for w, count in hits.items() if w not in members]
+        if not dominators:
+            return None
+    n = community.size
+    total = len(dominators) * math.comb(n, K)
+    missed = sum(math.comb(n - d, K) for d in dominators)
+    return (total - missed) / total
 
 
 def islope(
     graph: Graph,
     community: Community,
     p: float = 0.8,
-    params: EstimatorParams = EstimatorParams(),
     domset: DomSetResult | None = None,
 ) -> SlopeResult:
     """Internal slope: greedy p-IDS ratio minus the random-subset expectation.
@@ -117,11 +72,10 @@ def islope(
         domset = greedy_ids(graph, community, p=p)
     if domset.size == 0:
         # p=0 stops before the first pick; the empty subset is its own expectation
-        record = EstimatorRecord(method="exact", subset_count=1)
-        return SlopeResult(community.id, "internal", 0, 0.0, 0.0, 0.0, record)
+        return SlopeResult(community.id, "internal", 0, 0.0, 0.0, 0.0)
     K = domset.size
-    observed = idr(graph, domset.members, community)
-    expected, record = expected_ratio(graph, community, K, "internal", params)
+    observed = domset.achieved_ratio
+    expected = random_subset_ratio(graph, community, K, "internal")
     return SlopeResult(
         community_id=community.id,
         kind="internal",
@@ -129,7 +83,6 @@ def islope(
         observed_ratio=observed,
         expected_ratio=expected,
         slope=observed - expected,
-        estimator=record,
     )
 
 
@@ -137,7 +90,6 @@ def eslope(
     graph: Graph,
     community: Community,
     p: float = 0.8,
-    params: EstimatorParams = EstimatorParams(),
     domset: DomSetResult | None = None,
 ) -> SlopeResult:
     """External slope; closed communities give the sentinel result."""
@@ -151,15 +103,13 @@ def eslope(
             observed_ratio=None,
             expected_ratio=None,
             slope=None,
-            estimator=None,
             closed=True,
         )
     if domset.size == 0:
-        record = EstimatorRecord(method="exact", subset_count=1)
-        return SlopeResult(community.id, "external", 0, 0.0, 0.0, 0.0, record)
+        return SlopeResult(community.id, "external", 0, 0.0, 0.0, 0.0)
     K = domset.size
-    observed = edr(graph, domset.members, community)
-    expected, record = expected_ratio(graph, community, K, "external", params)
+    observed = domset.achieved_ratio
+    expected = random_subset_ratio(graph, community, K, "external")
     return SlopeResult(
         community_id=community.id,
         kind="external",
@@ -167,5 +117,4 @@ def eslope(
         observed_ratio=observed,
         expected_ratio=expected,
         slope=observed - expected,
-        estimator=record,
     )

@@ -18,7 +18,6 @@ import pytest
 
 from commkit import (
     Community,
-    EstimatorParams,
     Graph,
     RunConfig,
     clustering_coefficient,
@@ -26,13 +25,13 @@ from commkit import (
     detect_communities,
     edr,
     eslope,
-    expected_ratio,
     greedy_eds,
     greedy_ids,
     idr,
     islope,
     predict_keywords,
     prediction_curve,
+    random_subset_ratio,
     run_pipeline,
     summarize,
 )
@@ -226,35 +225,18 @@ def test_criterion_5_analytic_slopes():
 
 
 def test_criterion_6_estimator_consistency():
-    base = nx.gnp_random_graph(30, 0.2, seed=7)
-    g = Graph(
-        [(f"v{u}", f"v{v}") for u, v in base.edges],
-        extra_nodes=[f"v{i}" for i in range(30)],
-    )
-    rng = random.Random(99)
-    communities = [
-        Community(f"c{t}", frozenset(g.index(f"v{i}") for i in rng.sample(range(30), 15)), g)
-        for t in range(3)
-    ]
-
-    total = 0
-    within = 0
-    for community in communities:
-        for kind in ("internal", "external"):
-            exact, _ = expected_ratio(g, community, K=3, kind=kind)
-            if exact is None:
-                continue
-            for seed in range(20):
-                params = EstimatorParams(enumeration_cap=1, samples=10_000, rng_seed=seed)
-                estimate, record = expected_ratio(
-                    g, community, K=3, kind=kind, params=params
-                )
-                assert record.method == "monte_carlo"
-                total += 1
-                if abs(estimate - exact) <= 3 * record.standard_error:
-                    within += 1
-    ok = total > 0 and within / total >= 0.95
-    _report("6", "monte carlo vs exact", ok, f"{within}/{total} within 3 stderr")
+    worst = 0.0
+    checks = 0
+    for g, community in itertools.chain(_atlas_fixtures(), _random_fixtures()):
+        members = sorted(community.members)
+        for kind, ratio in (("internal", idr), ("external", edr)):
+            for K in range(1, community.size + 1):
+                closed_form = random_subset_ratio(g, community, K, kind)
+                brute = fmean(ratio(g, s, community) for s in itertools.combinations(members, K))
+                worst = max(worst, abs(closed_form - brute))
+                checks += 1
+    ok = checks > 10_000 and worst <= 1e-12
+    _report("6", "closed form vs enumeration", ok, f"{checks} expectations, max diff {worst:.2g}")
 
 
 # -- 7 ----------------------------------------------------------------------

@@ -84,6 +84,13 @@ def test_unknown_label_is_input_error(workdir, capsys):
     assert code == EXIT_INPUT
 
 
+def test_non_utf8_graph_is_input_error(workdir, capsys):
+    (workdir / "graph.edges").write_bytes(b"a b\n\xff\xfe c\n")
+    code = main(_args(workdir, "all", communities=False))
+    assert code == EXIT_INPUT
+    assert "line 2: not valid UTF-8" in capsys.readouterr().err
+
+
 def test_bad_parameter_is_config_error(workdir, capsys):
     code = main(_args(workdir, "all", "--p", "1.5"))
     assert code == EXIT_CONFIG

@@ -15,7 +15,7 @@ from commkit import (
 )
 from commkit.errors import ConfigError
 from commkit.metrics import CommunityStats
-from commkit.slopes import EstimatorRecord, SlopeResult
+from commkit.slopes import SlopeResult
 from commkit.domsets import DomSetResult
 from conftest import clique_graph, path_graph, star_graph, whole_community
 
@@ -175,7 +175,6 @@ def _domset(community_id, mode, criterion, ratio, size, closed=False):
 
 
 def _slope(community_id, kind, slope, closed=False):
-    record = None if closed else EstimatorRecord(method="exact", subset_count=1)
     return SlopeResult(
         community_id=community_id,
         kind=kind,
@@ -183,7 +182,6 @@ def _slope(community_id, kind, slope, closed=False):
         observed_ratio=None if closed else 1.0,
         expected_ratio=None if closed else 1.0 - slope,
         slope=None if closed else slope,
-        estimator=record,
         closed=closed,
     )
 

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import pytest
 
-from commkit import Community, EstimatorParams, Graph, eslope, expected_ratio, islope
+from commkit import Community, Graph, eslope, islope, random_subset_ratio
 from commkit.errors import ConfigError
 from conftest import clique_graph, star_graph, whole_community
 
@@ -10,44 +11,39 @@ from conftest import clique_graph, star_graph, whole_community
 def test_expected_ratio_clique_k1_is_one():
     g = clique_graph(6)
     c = whole_community(g)
-    value, record = expected_ratio(g, c, K=1, kind="internal")
-    assert value == 1.0
-    assert record.method == "exact"
-    assert record.subset_count == 6
+    assert random_subset_ratio(g, c, K=1, kind="internal") == 1.0
 
 
 def test_expected_ratio_star10_k1():
     # hub singleton dominates everything, each of 9 leaves covers 2 of 10
     g = star_graph(9)
     c = whole_community(g)
-    value, record = expected_ratio(g, c, K=1, kind="internal")
+    value = random_subset_ratio(g, c, K=1, kind="internal")
     assert value == pytest.approx((1.0 + 9 * 0.2) / 10)
     assert value == pytest.approx(0.28)
-    assert record.method == "exact"
 
 
 def test_expected_ratio_full_size_subset_is_one():
     g = clique_graph(4)
     c = whole_community(g)
-    value, _ = expected_ratio(g, c, K=4, kind="internal")
-    assert value == 1.0
+    assert random_subset_ratio(g, c, K=4, kind="internal") == 1.0
 
 
 def test_expected_ratio_closed_external_sentinel():
     g = Graph([("a", "b"), ("x", "y")])
     c = Community("pair", frozenset({g.index("a"), g.index("b")}), g)
-    assert expected_ratio(g, c, K=1, kind="external") == (None, None)
+    assert random_subset_ratio(g, c, K=1, kind="external") is None
 
 
 def test_expected_ratio_input_validation():
     g = clique_graph(3)
     c = whole_community(g)
     with pytest.raises(ConfigError):
-        expected_ratio(g, c, K=0, kind="internal")
+        random_subset_ratio(g, c, K=0, kind="internal")
     with pytest.raises(ConfigError):
-        expected_ratio(g, c, K=4, kind="internal")
+        random_subset_ratio(g, c, K=4, kind="internal")
     with pytest.raises(ConfigError):
-        expected_ratio(g, c, K=1, kind="sideways")
+        random_subset_ratio(g, c, K=1, kind="sideways")
 
 
 def test_islope_clique_is_zero():
@@ -65,7 +61,6 @@ def test_islope_star10_exact():
     assert result.observed_ratio == 1.0
     assert result.expected_ratio == pytest.approx(0.28)
     assert result.slope == pytest.approx(0.72)
-    assert result.estimator.method == "exact"
 
 
 def test_islope_p_zero_is_defined():
@@ -106,38 +101,35 @@ def test_eslope_closed_community_sentinel():
     result = eslope(g, c, p=0.8)
     assert result.closed
     assert result.slope is None
-    assert result.estimator is None
 
 
-def test_monte_carlo_within_three_stderr_of_exact():
-    g = star_graph(11)
+def test_random_subset_ratio_star_every_K():
+    # a leaf is missed only when the subset avoids both the leaf and the hub
+    leaves = 9
+    n = leaves + 1
+    g = star_graph(leaves)
     c = whole_community(g)
-    exact, _ = expected_ratio(g, c, K=3, kind="internal")
-    params = EstimatorParams(enumeration_cap=1, samples=4000, rng_seed=7)
-    estimate, record = expected_ratio(g, c, K=3, kind="internal", params=params)
-    assert record.method == "monte_carlo"
-    assert record.standard_error > 0.0
-    assert abs(estimate - exact) <= 3 * record.standard_error
+    for K in range(1, n + 1):
+        missed = Fraction(leaves * math.comb(n - 2, K), n * math.comb(n, K))
+        assert random_subset_ratio(g, c, K, "internal") == float(1 - missed)
 
 
-def test_monte_carlo_is_deterministic_per_seed():
-    g = star_graph(11)
+def test_random_subset_ratio_clique_every_K_is_one():
+    g = clique_graph(7)
     c = whole_community(g)
-    params = EstimatorParams(enumeration_cap=1, samples=500, rng_seed=3)
-    assert expected_ratio(g, c, K=2, kind="internal", params=params) == expected_ratio(
-        g, c, K=2, kind="internal", params=params
-    )
+    for K in range(1, 8):
+        assert random_subset_ratio(g, c, K, "internal") == 1.0
 
 
-def test_rng_stream_seeds_are_distinct_per_coordinate():
-    from commkit.slopes import _stream_seed
-
-    base = _stream_seed(0, "c1", "internal", 3)
-    assert base == _stream_seed(0, "c1", "internal", 3)
-    assert base != _stream_seed(1, "c1", "internal", 3)
-    assert base != _stream_seed(0, "c2", "internal", 3)
-    assert base != _stream_seed(0, "c1", "external", 3)
-    assert base != _stream_seed(0, "c1", "internal", 4)
+def test_random_subset_ratio_gatekeeper_every_K():
+    # only m0 reaches outside, so a subset reaches the boundary iff it holds m0
+    n = 6
+    edges = [(f"m{i}", f"m{j}") for i in range(n) for j in range(i + 1, n)]
+    edges += [("m0", "x0"), ("m0", "x1")]
+    g = Graph(edges)
+    c = Community("gate", frozenset(g.index(f"m{i}") for i in range(n)), g)
+    for K in range(1, n + 1):
+        assert random_subset_ratio(g, c, K, "external") == float(Fraction(K, n))
 
 
 def test_slope_results_bounded():
