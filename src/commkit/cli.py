@@ -126,7 +126,7 @@ def _run(args: argparse.Namespace) -> int:
     elif args.command == "keywords":
         if metadata is None:
             raise ConfigError("keywords stage needs --metadata")
-        stage_keywords(graph, communities, metadata, config, out)
+        stage_keywords(communities, metadata, config, out)
     elif args.command == "report":
         stats = read_stats(out)
         bundles = read_domsets(out, graph)

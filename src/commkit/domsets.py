@@ -24,7 +24,7 @@ class DomSetResult:
     community_id: str
     mode: str  # "internal" | "external"
     criterion: str  # "k" | "p"
-    criterion_value: float
+    criterion_value: int | float  # k for "k", p for "p"
     members: frozenset[int]
     achieved_ratio: float | None  # None for a closed community in external mode
     steps: tuple[tuple[int, int], ...]  # (node, marginal gain) in pick order

@@ -162,15 +162,19 @@ def _iter_lines(source: IO | str | Path) -> Iterator[str]:
 
 
 def _decoded(lines: Iterable[str | bytes], name: str | Path) -> Iterator[str]:
-    for line_number, raw in enumerate(lines, start=1):
-        try:
+    # A text stream opened with strict decoding raises while iterating; it
+    # decodes whole chunks, so the line number is the first one not yet yielded.
+    yielded = 0
+    try:
+        for raw in lines:
             if isinstance(raw, bytes):
                 raw = raw.decode("utf-8")
             elif not raw.isascii():
                 raw.encode("utf-8")
-        except UnicodeError:
-            raise GraphParseError(f"not valid UTF-8 in {name}", line_number) from None
-        yield raw
+            yield raw
+            yielded += 1
+    except UnicodeError:
+        raise GraphParseError(f"not valid UTF-8 in {name}", yielded + 1) from None
 
 
 def write_graph(graph: Graph, sink: IO) -> None:

@@ -17,7 +17,7 @@ from typing import IO, Iterable
 from .community import Community
 from .domsets import DomSetResult, greedy_ids
 from .errors import ConfigError
-from .graph import Graph, _iter_lines
+from .graph import _iter_lines
 
 _TOKEN_RE = re.compile(r"[^0-9a-z]+")
 
@@ -182,24 +182,27 @@ def predict_keywords(
 
 
 def prediction_curve(
-    communities: Iterable[Community],
-    metadata: dict[str, NodeMetadata],
-    lengths: list[int],
-    p: float = 0.8,
+    scored: Iterable[tuple[list[KeywordCandidate], PredictionReport]], lengths: list[int]
 ) -> list[tuple[int, int]]:
     """Network-wide confirmed-paper counts per candidate-list prefix length.
 
-    A paper confirmed in several (overlapping) communities counts once.
+    ``scored`` pairs each community's candidate list with its predictions
+    for a prefix of at least ``max(lengths)`` keywords.  Predictions keep the
+    candidate order, so a paper is confirmed at length L iff the rank of its
+    first predicted keyword is below L.  A paper confirmed in several
+    (overlapping) communities counts once.
     """
     if lengths != sorted(lengths):
         raise ConfigError("lengths must be ascending")
-    communities = list(communities)
-    candidate_lists = [build_keyword_list(c, metadata, p=p) for c in communities]
-    curve: list[tuple[int, int]] = []
-    for length in lengths:
-        confirmed: set[str] = set()
-        for community, candidates in zip(communities, candidate_lists):
-            report = predict_keywords(community, metadata, length, candidates=candidates)
-            confirmed.update(pred.label for pred in report.predictions)
-        curve.append((length, len(confirmed)))
-    return curve
+    best_rank: dict[str, int] = {}
+    for candidates, report in scored:
+        if report.keyword_list_length < max(lengths, default=0):
+            raise ConfigError(
+                f"predictions for {report.community_id!r} cover {report.keyword_list_length} "
+                f"keywords, fewer than {max(lengths)}"
+            )
+        rank = {c.keyword: i for i, c in enumerate(candidates)}
+        for pred in report.predictions:
+            first = rank[pred.predicted[0]]
+            best_rank[pred.label] = min(first, best_rank.get(pred.label, first))
+    return [(length, sum(r < length for r in best_rank.values())) for length in lengths]

@@ -1,7 +1,9 @@
 """Pipeline stages and their file formats.
 
-Every stage is a pure function from loaded inputs to rows, plus a writer;
-the CLI wires them together.  Identical configuration must give
+Every stage is a pure function from loaded inputs to records, plus a
+writer; the CLI wires them together.  A record is written as one row of its
+scalar fields (see :func:`_columns`); only tables whose columns are not a
+record's fields name them by hand.  Identical configuration must give
 byte-identical artifacts, so nothing here records timestamps and floats
 are serialized with ``repr``.
 """
@@ -12,21 +14,29 @@ import csv
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from functools import reduce
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .community import Community, load_communities, write_communities
-from .detect import DetectedCommunity, DetectParams, detect_communities
+from .detect import DetectParams, detect_communities
 from .distributions import DistributionSummary, summarize
 from .domsets import DomSetResult, greedy_eds, greedy_ids
 from .errors import CommkitError, ConfigError
 from .graph import Graph, load_graph
-from .keywords import NodeMetadata, build_keyword_list, predict_keywords, prediction_curve
+from .keywords import (
+    NodeMetadata,
+    build_keyword_list,
+    load_metadata,
+    predict_keywords,
+    prediction_curve,
+)
 from .metrics import (
     CommunityStats,
     NetworkSummary,
+    TriangleSplit,
     aggregate_stats,
     community_stats,
     triangle_split_analysis,
@@ -104,19 +114,114 @@ def write_table(path: Path, header: list[str], rows: list[list[object]], fmt: st
 
 def read_table(path: Path) -> list[dict[str, str]]:
     """Read back a table written by :func:`write_table` (either format)."""
-    if path.suffix == ".json":
-        with path.open() as f:
-            return [{k: "" if v is None else str(v) for k, v in row.items()} for row in json.load(f)]
-    with path.open(newline="") as f:
-        return list(csv.DictReader(f))
+    try:
+        if path.suffix == ".json":
+            with path.open() as f:
+                rows = json.load(f)
+            if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+                raise ValueError("not a JSON array of objects")
+            return [{k: "" if v is None else str(v) for k, v in row.items()} for row in rows]
+        with path.open(newline="") as f:
+            return list(csv.DictReader(f))
+    except (csv.Error, ValueError) as err:  # ValueError covers JSON and UTF-8 decoding
+        raise CommkitError(f"{path}: {err}") from None
 
 
-def _resolve_table(directory: Path, stem: str) -> Path:
-    for suffix in (".csv", ".json"):
-        candidate = directory / f"{stem}{suffix}"
-        if candidate.exists():
-            return candidate
-    raise FileNotFoundError(f"missing stage output {stem}.csv/.json in {directory}")
+# ---------------------------------------------------------------------------
+# records as table rows
+
+
+def _columns(cls: type) -> list[tuple[str, tuple[str, ...]]]:
+    """(column, attribute path) per scalar field of a record class, in declaration
+    order; nested dataclasses are flattened as ``outer_inner``, tuples and sets left out."""
+    hints = get_type_hints(cls)
+    columns = []
+    for f in fields(cls):
+        hint = hints[f.name]
+        if is_dataclass(hint):
+            columns += [(f"{f.name}_{name}", (f.name, *path)) for name, path in _columns(hint)]
+        elif get_origin(hint) not in (tuple, frozenset):
+            columns.append((f.name, (f.name,)))
+    return columns
+
+
+def _write_records(path: Path, cls: type, records: Sequence[object], fmt: str) -> Path:
+    """Write one row per record, with the columns of :func:`_columns`."""
+    columns = _columns(cls)
+    rows = [[reduce(getattr, attrs, record) for _, attrs in columns] for record in records]
+    return write_table(path, [name for name, _ in columns], rows, fmt)
+
+
+def _parse(text: str, hint: object) -> object:
+    """A cell as the type ``hint`` names: str, int, float, bool, or a union of them and None."""
+    options = get_args(hint) or (hint,)
+    if text == "" and type(None) in options:
+        return None
+    for option in options:
+        if option is bool and text in ("true", "True", "false", "False"):
+            return text in ("true", "True")
+        if option in (int, float, str):
+            try:
+                return option(text)
+            except ValueError:
+                continue
+    raise ValueError(f"expected {getattr(hint, '__name__', hint)}, got {text!r}")
+
+
+def _read_records(
+    directory: Path,
+    stem: str,
+    cls: type[T],
+    renamed: dict[str, str] | None = None,
+    parsers: dict[str, Callable[[str], object]] | None = None,
+    **fixed: object,
+) -> list[T]:
+    """Rebuild one record per row of a stage table.
+
+    A field is read from the column of its name, or the one ``renamed``
+    gives, and parsed by its type hint or by ``parsers``.  Fields in
+    ``fixed`` are not stored and take the given value.  A missing or
+    malformed cell raises :class:`CommkitError` naming file, row and column.
+    """
+    paths = [directory / f"{stem}{suffix}" for suffix in (".csv", ".json")]
+    path = next((path for path in paths if path.exists()), None)
+    if path is None:
+        raise FileNotFoundError(f"missing stage output {stem}.csv/.json in {directory}")
+    renamed, parsers = renamed or {}, parsers or {}
+    hints = get_type_hints(cls)
+    stored = [f.name for f in fields(cls) if f.name not in fixed]
+    records = []
+    for number, row in enumerate(read_table(path), start=1):
+        values = dict(fixed)
+        for name in stored:
+            column = renamed.get(name, name)
+            text = row.get(column)
+            try:
+                if text is None:
+                    raise ValueError("missing")
+                values[name] = parsers[name](text) if name in parsers else _parse(text, hints[name])
+            except (ValueError, CommkitError) as err:
+                raise CommkitError(f"{path}: row {number}, column {column!r}: {err}") from None
+        records.append(cls(**values))
+    return records
+
+
+def _by_community(
+    records: list[T], part: Callable[[T], str], names: Sequence[str], stem: str
+) -> list[list[T]]:
+    """Records grouped per community, first-seen order, each group ordered by ``names``."""
+    groups: dict[str, dict[str, T]] = {}
+    for record in records:
+        groups.setdefault(record.community_id, {})[part(record)] = record
+    result = []
+    for community_id, parts in groups.items():
+        missing = [name for name in names if name not in parts]
+        if missing:
+            raise CommkitError(
+                f"{stem} output incomplete for community {community_id!r}: missing {missing[0]!r}"
+            )
+        result.append([parts[name] for name in names])
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -126,14 +231,8 @@ def _resolve_table(directory: Path, stem: str) -> Path:
 def load_inputs(config: RunConfig) -> tuple[Graph, list[Community], dict[str, NodeMetadata] | None]:
     """Load the graph and, when configured, communities and metadata."""
     graph = load_graph(config.graph_path)
-    communities: list[Community] = []
-    if config.communities_path:
-        communities = load_communities(config.communities_path, graph)
-    metadata = None
-    if config.metadata_path:
-        from .keywords import load_metadata
-
-        metadata = load_metadata(config.metadata_path)
+    communities = load_communities(config.communities_path, graph) if config.communities_path else []
+    metadata = load_metadata(config.metadata_path) if config.metadata_path else None
     return graph, communities, metadata
 
 
@@ -161,7 +260,9 @@ class DomsetBundle:
     p_external: DomSetResult
 
 
-def compute_domsets(graph: Graph, communities: list[Community], config: RunConfig) -> list[DomsetBundle]:
+def stage_domsets(
+    graph: Graph, communities: list[Community], config: RunConfig, out: Path
+) -> list[DomsetBundle]:
     def one(c: Community) -> DomsetBundle:
         return DomsetBundle(
             k_internal=greedy_ids(graph, c, k=config.k),
@@ -170,42 +271,26 @@ def compute_domsets(graph: Graph, communities: list[Community], config: RunConfi
             p_external=greedy_eds(graph, c, p=config.p),
         )
 
-    return parallel_map(one, communities, config.workers)
-
-
-def stage_domsets(
-    graph: Graph, communities: list[Community], config: RunConfig, out: Path
-) -> list[DomsetBundle]:
-    bundles = compute_domsets(graph, communities, config)
-    rows = []
-    for bundle in bundles:
-        for result in (bundle.k_internal, bundle.k_external, bundle.p_internal, bundle.p_external):
-            labels = sorted(graph.label(v) for v in result.members)
-            rows.append(
-                [
-                    result.community_id,
-                    result.mode,
-                    result.criterion,
-                    result.criterion_value,
-                    result.size,
-                    result.achieved_ratio,
-                    result.closed,
-                    ";".join(labels),
-                ]
-            )
+    bundles = parallel_map(one, communities, config.workers)
     write_table(
         out / "domsets",
         ["community_id", "mode", "criterion", "criterion_value", "set_size", "achieved_ratio", "closed", "members"],
-        rows,
+        [
+            [r.community_id, r.mode, r.criterion, r.criterion_value, r.size, r.achieved_ratio, r.closed]
+            + [";".join(sorted(graph.label(v) for v in r.members))]
+            for b in bundles
+            for r in (b.k_internal, b.k_external, b.p_internal, b.p_external)
+        ],
         config.fmt,
     )
     return bundles
 
 
-def compute_slopes(
+def stage_slopes(
     graph: Graph,
     communities: list[Community],
     config: RunConfig,
+    out: Path,
     bundles: list[DomsetBundle] | None = None,
 ) -> list[tuple[SlopeResult, SlopeResult]]:
     """Slope pairs per community; without bundles only the p-mode sets are built."""
@@ -218,119 +303,54 @@ def compute_slopes(
         c, (ids, eds) = item
         return islope(graph, c, p=config.p, domset=ids), eslope(graph, c, p=config.p, domset=eds)
 
-    return parallel_map(one, list(zip(communities, p_sets)), config.workers)
-
-
-def stage_slopes(
-    graph: Graph,
-    communities: list[Community],
-    config: RunConfig,
-    out: Path,
-    bundles: list[DomsetBundle] | None = None,
-) -> list[tuple[SlopeResult, SlopeResult]]:
-    pairs = compute_slopes(graph, communities, config, bundles)
-    rows = []
-    for internal, external in pairs:
-        for s in (internal, external):
-            rows.append(
-                [
-                    s.community_id,
-                    s.kind,
-                    s.K,
-                    s.observed_ratio,
-                    s.expected_ratio,
-                    s.slope,
-                    # every open row is exact; readers such as bench/check.py still key on the column
-                    "" if s.closed else "exact",
-                    s.closed,
-                ]
-            )
+    pairs = parallel_map(one, list(zip(communities, p_sets)), config.workers)
     write_table(
         out / "slopes",
         ["community_id", "kind", "K", "observed", "expected", "slope", "estimator", "closed"],
-        rows,
+        [
+            # every open row is exact; readers such as bench/check.py still key on the column
+            [s.community_id, s.kind, s.K, s.observed_ratio, s.expected_ratio, s.slope]
+            + ["" if s.closed else "exact", s.closed]
+            for pair in pairs
+            for s in pair
+        ],
         config.fmt,
     )
     return pairs
 
 
-def compute_stats(communities: list[Community], config: RunConfig) -> list[CommunityStats]:
-    return parallel_map(community_stats, communities, config.workers)
-
-
 def stage_metrics(communities: list[Community], config: RunConfig, out: Path) -> list[CommunityStats]:
-    stats = compute_stats(communities, config)
-    rows = [
-        [
-            s.community_id,
-            s.size,
-            s.apl,
-            s.diameter,
-            s.apl_penalized,
-            s.diameter_penalized,
-            s.ccc,
-            s.triangles,
-            s.connected_triples,
-            s.component_count,
-            s.boundary_size,
-        ]
-        for s in stats
-    ]
-    write_table(
-        out / "community_stats",
-        [
-            "community_id",
-            "size",
-            "apl",
-            "diameter",
-            "apl_penalized",
-            "diameter_penalized",
-            "ccc",
-            "triangles",
-            "connected_triples",
-            "component_count",
-            "boundary_size",
-        ],
-        rows,
-        config.fmt,
-    )
+    stats = parallel_map(community_stats, communities, config.workers)
+    _write_records(out / "community_stats", CommunityStats, stats, config.fmt)
     return stats
 
 
 def stage_keywords(
-    graph: Graph,
     communities: list[Community],
     metadata: dict[str, NodeMetadata],
     config: RunConfig,
     out: Path,
+    bundles: list[DomsetBundle] | None = None,
 ) -> None:
+    """Keyword predictions and curve; without bundles each p-IDS is built here."""
+    ids_sets = [None] * len(communities) if bundles is None else [b.p_internal for b in bundles]
     candidate_lists = parallel_map(
-        lambda c: build_keyword_list(c, metadata, p=config.p), communities, config.workers
+        lambda item: build_keyword_list(item[0], metadata, p=config.p, domset=item[1]),
+        list(zip(communities, ids_sets)),
+        config.workers,
     )
-    max_length = max(CURVE_LENGTHS)
+    scored = [
+        (candidates, predict_keywords(community, metadata, max(CURVE_LENGTHS), candidates=candidates))
+        for community, candidates in zip(communities, candidate_lists)
+        if candidates
+    ]
     with (out / "keyword_predictions.jsonl").open("w") as f:
-        for community, candidates in zip(communities, candidate_lists):
-            if not candidates:
-                continue
-            report = predict_keywords(community, metadata, max_length, candidates=candidates)
+        for _, report in scored:
             for pred in report.predictions:
-                json.dump(
-                    {
-                        "community_id": community.id,
-                        "label": pred.label,
-                        "predicted": list(pred.predicted),
-                        "matched_fields": list(pred.matched_fields),
-                    },
-                    f,
-                )
+                json.dump({"community_id": report.community_id, **asdict(pred)}, f)
                 f.write("\n")
-    curve = prediction_curve(communities, metadata, CURVE_LENGTHS, p=config.p)
-    write_table(
-        out / "keyword_curve",
-        ["keyword_number", "predicted_paper_number"],
-        [[i, count] for i, count in curve],
-        config.fmt,
-    )
+    curve = prediction_curve(scored, CURVE_LENGTHS)
+    write_table(out / "keyword_curve", ["keyword_number", "predicted_paper_number"], curve, config.fmt)
 
 
 def stage_report(
@@ -351,39 +371,9 @@ def stage_report(
         [s for s, _ in slope_pairs],
         [s for _, s in slope_pairs],
     )
-    write_table(
-        out / "summary",
-        list(asdict(summary)),
-        [list(asdict(summary).values())],
-        config.fmt,
-    )
-
+    _write_records(out / "summary", NetworkSummary, [summary], config.fmt)
     splits = [triangle_split_analysis(stats, t) for t in SPLIT_THRESHOLDS]
-    write_table(
-        out / "triangle_split",
-        [
-            "threshold",
-            "above_count",
-            "above_mean_triangles",
-            "above_empty",
-            "below_count",
-            "below_mean_triangles",
-            "below_empty",
-        ],
-        [
-            [
-                split.threshold,
-                split.above.count,
-                split.above.mean_triangles,
-                split.above.empty,
-                split.below.count,
-                split.below.mean_triangles,
-                split.below.empty,
-            ]
-            for split in splits
-        ],
-        config.fmt,
-    )
+    _write_records(out / "triangle_split", TriangleSplit, splits, config.fmt)
 
     variables: dict[str, list[float]] = {
         "islope": [s.slope for s, _ in slope_pairs],
@@ -397,30 +387,14 @@ def stage_report(
             continue
         dist = summarize(values, bin_count=config.bins, variable=name)
         summaries.append(dist)
-        _write_distribution(dist, config, out)
-    write_table(
-        out / "distributions_summary",
-        ["variable", "count", "mean", "std", "skewness", "excess_kurtosis", "ks_stat", "degenerate"],
-        [
-            [d.variable, d.count, d.mean, d.std, d.skewness, d.excess_kurtosis, d.ks_stat, d.degenerate]
-            for d in summaries
-        ],
-        config.fmt,
-    )
+        rows: list[list[object]] = [
+            ["histogram", b.lower, b.width, b.count, "", ""] for b in dist.histogram
+        ]
+        rows += [["cumulative", "", "", "", v, frac] for v, frac in dist.cumulative]
+        header = ["part", "bin_lower", "bin_width", "count", "value", "fraction_le"]
+        write_table(out / f"dist_{name}", header, rows, config.fmt)
+    _write_records(out / "distributions_summary", DistributionSummary, summaries, config.fmt)
     return summary
-
-
-def _write_distribution(dist: DistributionSummary, config: RunConfig, out: Path) -> None:
-    rows: list[list[object]] = [
-        ["histogram", b.lower, b.width, b.count, "", ""] for b in dist.histogram
-    ]
-    rows += [["cumulative", "", "", "", v, frac] for v, frac in dist.cumulative]
-    write_table(
-        out / f"dist_{dist.variable}",
-        ["part", "bin_lower", "bin_width", "count", "value", "fraction_le"],
-        rows,
-        config.fmt,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -428,81 +402,24 @@ def _write_distribution(dist: DistributionSummary, config: RunConfig, out: Path)
 
 
 def read_domsets(directory: Path, graph: Graph) -> list[DomsetBundle]:
-    rows = read_table(_resolve_table(directory, "domsets"))
-    by_community: dict[str, dict[str, DomSetResult]] = {}
-    for row in rows:
-        closed = row["closed"] in ("true", "True")
-        members = frozenset(
-            graph.index(label) for label in row["members"].split(";") if label
-        )
-        result = DomSetResult(
-            community_id=row["community_id"],
-            mode=row["mode"],
-            criterion=row["criterion"],
-            criterion_value=float(row["criterion_value"]),
-            members=members,
-            achieved_ratio=None if row["achieved_ratio"] == "" else float(row["achieved_ratio"]),
-            steps=(),
-            closed=closed,
-        )
-        by_community.setdefault(row["community_id"], {})[f"{row['criterion']}_{row['mode']}"] = result
-    bundles = []
-    for community_id, parts in by_community.items():
-        try:
-            bundles.append(
-                DomsetBundle(
-                    k_internal=parts["k_internal"],
-                    k_external=parts["k_external"],
-                    p_internal=parts["p_internal"],
-                    p_external=parts["p_external"],
-                )
-            )
-        except KeyError as missing:
-            raise CommkitError(
-                f"domsets output incomplete for community {community_id!r}: missing {missing}"
-            ) from None
-    return bundles
+    def members(text: str) -> frozenset[int]:
+        return frozenset(graph.index(label) for label in text.split(";") if label)
+
+    results = _read_records(directory, "domsets", DomSetResult, parsers={"members": members}, steps=())
+    parts = [f.name for f in fields(DomsetBundle)]
+    groups = _by_community(results, lambda r: f"{r.criterion}_{r.mode}", parts, "domsets")
+    return [DomsetBundle(*group) for group in groups]
 
 
 def read_slopes(directory: Path) -> list[tuple[SlopeResult, SlopeResult]]:
-    rows = read_table(_resolve_table(directory, "slopes"))
-    by_community: dict[str, dict[str, SlopeResult]] = {}
-    order: list[str] = []
-    for row in rows:
-        closed = row["closed"] in ("true", "True")
-        result = SlopeResult(
-            community_id=row["community_id"],
-            kind=row["kind"],
-            K=int(row["K"]),
-            observed_ratio=None if row["observed"] == "" else float(row["observed"]),
-            expected_ratio=None if row["expected"] == "" else float(row["expected"]),
-            slope=None if row["slope"] == "" else float(row["slope"]),
-            closed=closed,
-        )
-        if row["community_id"] not in by_community:
-            order.append(row["community_id"])
-        by_community.setdefault(row["community_id"], {})[row["kind"]] = result
-    return [(by_community[cid]["internal"], by_community[cid]["external"]) for cid in order]
+    renamed = {"observed_ratio": "observed", "expected_ratio": "expected"}
+    results = _read_records(directory, "slopes", SlopeResult, renamed=renamed)
+    pairs = _by_community(results, lambda s: s.kind, ("internal", "external"), "slopes")
+    return [(internal, external) for internal, external in pairs]
 
 
 def read_stats(directory: Path) -> list[CommunityStats]:
-    rows = read_table(_resolve_table(directory, "community_stats"))
-    return [
-        CommunityStats(
-            community_id=row["community_id"],
-            size=int(row["size"]),
-            apl=float(row["apl"]),
-            diameter=int(row["diameter"]),
-            apl_penalized=float(row["apl_penalized"]),
-            diameter_penalized=int(row["diameter_penalized"]),
-            ccc=float(row["ccc"]),
-            triangles=int(row["triangles"]),
-            connected_triples=int(row["connected_triples"]),
-            component_count=int(row["component_count"]),
-            boundary_size=int(row["boundary_size"]),
-        )
-        for row in rows
-    ]
+    return _read_records(directory, "community_stats", CommunityStats)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +460,7 @@ def run_pipeline(config: RunConfig) -> NetworkSummary | None:
     slope_pairs = stage_slopes(graph, communities, config, out, bundles)
     stats = stage_metrics(communities, config, out)
     if metadata is not None:
-        stage_keywords(graph, communities, metadata, config, out)
+        stage_keywords(communities, metadata, config, out, bundles)
     else:
         notes.append("no metadata; keyword stage skipped")
     summary = stage_report(graph, stats, bundles, slope_pairs, config, out)

@@ -20,6 +20,7 @@ from commkit import (
     Community,
     Graph,
     RunConfig,
+    build_keyword_list,
     clustering_coefficient,
     community_stats,
     detect_communities,
@@ -295,7 +296,9 @@ def test_criterion_8_keyword_oracle():
         "n06", "n07", "n08", "n14", "n15", "n16", "n18", "n19"
     } and report.skipped_paper_count == 1
 
-    curve = prediction_curve([community], metadata, list(range(1, 9)))
+    candidates = build_keyword_list(community, metadata)
+    longest = predict_keywords(community, metadata, 8, candidates=candidates)
+    curve = prediction_curve([(candidates, longest)], list(range(1, 9)))
     counts = [count for _, count in curve]
     monotone = counts == sorted(counts)
     saturates = counts[2:] == [counts[2]] * len(counts[2:])

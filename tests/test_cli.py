@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from commkit.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, main
+from conftest import DATA_DIR
 
 GRAPH = "\n".join(
     f"a{i} a{j}" for i in range(5) for j in range(i + 1, 5)
@@ -89,6 +90,72 @@ def test_non_utf8_graph_is_input_error(workdir, capsys):
     code = main(_args(workdir, "all", communities=False))
     assert code == EXIT_INPUT
     assert "line 2: not valid UTF-8" in capsys.readouterr().err
+
+
+def _staged_tables(workdir, fmt="csv"):
+    for stage in ("domsets", "slopes", "metrics"):
+        assert main(_args(workdir, stage, "--format", fmt)) == EXIT_OK
+    return workdir / "out"
+
+
+def test_bad_stage_table_cell_is_input_error(workdir, capsys):
+    out = _staged_tables(workdir)
+    lines = (out / "community_stats.csv").read_text().splitlines()
+    assert lines[0].split(",")[1] == "size"
+    cells = lines[2].split(",")
+    cells[1] = "abc"
+    lines[2] = ",".join(cells)
+    (out / "community_stats.csv").write_text("\n".join(lines) + "\n")
+    assert main(_args(workdir, "report")) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "community_stats.csv" in err and "row 2" in err and "'size'" in err
+
+
+def test_truncated_stage_table_row_is_input_error(workdir, capsys):
+    out = _staged_tables(workdir)
+    lines = (out / "slopes.csv").read_text().splitlines()
+    lines[1] = ",".join(lines[1].split(",")[:3])
+    (out / "slopes.csv").write_text("\n".join(lines) + "\n")
+    assert main(_args(workdir, "report")) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "slopes.csv" in err and "row 1" in err and "'observed'" in err
+
+
+def test_malformed_json_stage_table_is_input_error(workdir, capsys):
+    out = _staged_tables(workdir, "json")
+    (out / "slopes.json").write_text('[{"community_id": "left"')
+    assert main(_args(workdir, "report", "--format", "json")) == EXIT_INPUT
+    assert "slopes.json" in capsys.readouterr().err
+
+
+def test_missing_stage_table_is_input_error(workdir, capsys):
+    out = _staged_tables(workdir)
+    (out / "slopes.csv").unlink()
+    assert main(_args(workdir, "report")) == EXIT_INPUT
+    assert "missing stage output slopes" in capsys.readouterr().err
+
+
+def test_incomplete_domsets_table_is_input_error(workdir, capsys):
+    out = _staged_tables(workdir)
+    lines = (out / "domsets.csv").read_text().splitlines()
+    (out / "domsets.csv").write_text("\n".join(lines[:-1]) + "\n")
+    assert main(_args(workdir, "report")) == EXIT_INPUT
+    assert "domsets output incomplete for community 'right'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_staged_report_equals_all_on_football(tmp_path, fmt):
+    data = DATA_DIR / "football"
+    common = ["--graph", str(data / "football.edges"), "--communities", str(data / "football.conferences")]
+    common += ["--format", fmt]
+    assert main(["all", *common, "--out", str(tmp_path / "all")]) == EXIT_OK
+    for stage in ("domsets", "slopes", "metrics", "report"):
+        assert main([stage, *common, "--out", str(tmp_path / "staged")]) == EXIT_OK
+    staged = {path.name for path in (tmp_path / "staged").iterdir()} - {"manifest.json"}
+    # domsets, slopes, community_stats, summary, triangle_split, distributions_summary, four dist_*
+    assert len(staged) == 10
+    for name in sorted(staged):
+        assert (tmp_path / "staged" / name).read_bytes() == (tmp_path / "all" / name).read_bytes(), name
 
 
 def test_bad_parameter_is_config_error(workdir, capsys):

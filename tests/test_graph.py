@@ -55,6 +55,14 @@ def test_load_accepts_a_path(tmp_path):
     assert load_graph(str(target)).edge_count == 2
 
 
+def test_load_strict_text_stream_with_bad_bytes_is_parse_error(tmp_path):
+    target = tmp_path / "g.edges"
+    target.write_bytes(b"a b\n\xff\xfe c\n")
+    with open(target, encoding="utf-8") as stream:
+        with pytest.raises(GraphParseError):
+            load_graph(stream)
+
+
 def test_adjacency_is_symmetric_and_sorted():
     g = load_graph(io.StringIO("c a\na b\nb c\nd a\n"))
     for u in g.nodes():

@@ -194,26 +194,57 @@ def test_predict_requires_positive_prefix(fixture_community, fixture_metadata):
         predict_keywords(fixture_community, fixture_metadata, 0)
 
 
+def _curve(communities, metadata, lengths):
+    scored = []
+    for community in communities:
+        candidates = build_keyword_list(community, metadata, p=0.8)
+        report = predict_keywords(community, metadata, max(lengths), candidates=candidates)
+        scored.append((candidates, report))
+    return prediction_curve(scored, lengths)
+
+
 def test_prediction_curve_matches_oracle(fixture_community, fixture_metadata):
-    curve = prediction_curve([fixture_community], fixture_metadata, [1, 2, 3, 4, 10])
+    curve = _curve([fixture_community], fixture_metadata, [1, 2, 3, 4, 10])
     assert curve == [(1, 4), (2, 6), (3, 8), (4, 8), (10, 8)]
 
 
+def test_prediction_curve_equals_predictions_per_length(fixture_graph, fixture_metadata):
+    # overlapping communities whose candidate lists start with different keywords
+    a = Community("a", frozenset(fixture_graph.index(f"n{i:02d}") for i in range(1, 21)), fixture_graph)
+    b = Community("b", frozenset(fixture_graph.index(f"n{i:02d}") for i in range(3, 21)), fixture_graph)
+    lengths = [1, 2, 3, 4]
+    per_length = [
+        (length, len({p.label for c in (a, b) for p in predict_keywords(c, fixture_metadata, length).predictions}))
+        for length in lengths
+    ]
+    assert per_length[0] == (1, 6)
+    assert _curve([a, b], fixture_metadata, lengths) == per_length
+
+
 def test_prediction_curve_is_monotone(fixture_community, fixture_metadata):
-    curve = prediction_curve([fixture_community], fixture_metadata, list(range(1, 8)))
+    curve = _curve([fixture_community], fixture_metadata, list(range(1, 8)))
     counts = [count for _, count in curve]
     assert counts == sorted(counts)
 
 
 def test_prediction_curve_rejects_unsorted_lengths(fixture_community, fixture_metadata):
     with pytest.raises(ConfigError):
-        prediction_curve([fixture_community], fixture_metadata, [3, 1])
+        _curve([fixture_community], fixture_metadata, [3, 1])
+
+
+def test_prediction_curve_rejects_predictions_shorter_than_lengths(
+    fixture_community, fixture_metadata
+):
+    candidates = build_keyword_list(fixture_community, fixture_metadata, p=0.8)
+    report = predict_keywords(fixture_community, fixture_metadata, 2, candidates=candidates)
+    with pytest.raises(ConfigError):
+        prediction_curve([(candidates, report)], [1, 3])
 
 
 def test_prediction_curve_counts_overlapping_paper_once(fixture_graph, fixture_metadata):
     members = frozenset(fixture_graph.index(f"n{i:02d}") for i in range(1, 21))
     a = Community("a", members, fixture_graph)
     b = Community("b", members, fixture_graph)
-    single = prediction_curve([a], fixture_metadata, [3])
-    double = prediction_curve([a, b], fixture_metadata, [3])
+    single = _curve([a], fixture_metadata, [3])
+    double = _curve([a, b], fixture_metadata, [3])
     assert single == double

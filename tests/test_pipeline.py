@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -7,10 +8,7 @@ from commkit import RunConfig, run_pipeline
 from commkit.detect import DetectParams
 from commkit.errors import ConfigError
 from commkit.pipeline import (
-    DomsetBundle,
-    compute_domsets,
-    compute_slopes,
-    compute_stats,
+    load_inputs,
     parallel_map,
     read_domsets,
     read_slopes,
@@ -137,41 +135,47 @@ def test_manifest_has_no_timestamps_and_full_config(inputs):
 
 def test_stage_outputs_can_be_read_back(inputs):
     graph_path, communities_path, tmp_path = inputs
-    out = tmp_path / "out"
-    out.mkdir()
-    config = _config(graph_path, communities_path, out)
-    from commkit.pipeline import load_inputs
+    # the whole graph is a closed community: its external rows hold None
+    communities_path.write_text(TWO_CLIQUE_COMMUNITIES + "whole: a0 a1 a2 a3 a4 b0 b1 b2 b3 b4\n")
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        out.mkdir()
+        config = _config(graph_path, communities_path, out, fmt=fmt)
+        graph, communities, _ = load_inputs(config)
+        bundles = stage_domsets(graph, communities, config, out)
+        pairs = stage_slopes(graph, communities, config, out, bundles)
+        stats = stage_metrics(communities, config, out)
 
-    graph, communities, _ = load_inputs(config)
-    bundles = stage_domsets(graph, communities, config, out)
-    pairs = stage_slopes(graph, communities, config, out, bundles)
-    stats = stage_metrics(communities, config, out)
-
-    again_bundles = read_domsets(out, graph)
-    assert [b.k_internal.members for b in again_bundles] == [
-        b.k_internal.members for b in bundles
-    ]
-    again_pairs = read_slopes(out)
-    assert [(i.slope, e.slope) for i, e in again_pairs] == [
-        (i.slope, e.slope) for i, e in pairs
-    ]
-    assert read_stats(out) == stats
+        # every field comes back equal and of the same type; steps are never written
+        written = [replace(getattr(b, f.name), steps=()) for b in bundles for f in fields(b)]
+        again = [getattr(b, f.name) for b in read_domsets(out, graph) for f in fields(b)]
+        assert again == written, fmt
+        assert [[type(getattr(r, f.name)) for f in fields(r)] for r in again] == [
+            [type(getattr(r, f.name)) for f in fields(r)] for r in written
+        ], fmt
+        assert {type(r.criterion_value) for r in again if r.criterion == "k"} == {int}, fmt
+        assert pairs[-1][1].slope is None and bundles[-1].p_external.achieved_ratio is None
+        assert read_slopes(out) == pairs, fmt
+        assert read_stats(out) == stats, fmt
 
 
-def test_compute_helpers_are_worker_count_independent(inputs):
+def test_stages_are_worker_count_independent(inputs):
     graph_path, communities_path, tmp_path = inputs
     serial = _config(graph_path, communities_path, tmp_path / "s", workers=1)
     parallel = _config(graph_path, communities_path, tmp_path / "p", workers=4)
-    from commkit.pipeline import load_inputs
-
     graph, communities, _ = load_inputs(serial)
-    assert compute_domsets(graph, communities, serial) == compute_domsets(
-        graph, communities, parallel
-    )
-    assert compute_slopes(graph, communities, serial) == compute_slopes(
-        graph, communities, parallel
-    )
-    assert compute_stats(communities, serial) == compute_stats(communities, parallel)
+    results = []
+    for config in (serial, parallel):
+        out = Path(config.out_dir)
+        out.mkdir()
+        results.append(
+            (
+                stage_domsets(graph, communities, config, out),
+                stage_slopes(graph, communities, config, out),
+                stage_metrics(communities, config, out),
+            )
+        )
+    assert results[0] == results[1]
 
 
 def test_pipeline_missing_graph_raises(tmp_path):
