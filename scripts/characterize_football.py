@@ -35,19 +35,18 @@ def main() -> int:
     header = f"{'conference':<18} {'size':>4} {'idr5':>6} {'edr5':>6} {'apl':>6} {'diam':>4} {'ccc':>6}"
     print(header)
     print("-" * len(header))
-    for community in conferences:
-        stats = community_stats(community)
-        ids5 = greedy_ids(graph, community, k=5)
+    stats = [community_stats(c) for c in conferences]
+    ids5 = [greedy_ids(graph, c, k=5) for c in conferences]
+    for community, row, ids in zip(conferences, stats, ids5):
         eds5 = greedy_eds(graph, community, k=5)
         edr_text = f"{eds5.achieved_ratio:6.3f}" if not eds5.closed else "closed"
         print(
-            f"{community.id:<18} {stats.size:>4} {ids5.achieved_ratio:6.3f} {edr_text:>6} "
-            f"{stats.apl_penalized:6.3f} {stats.diameter_penalized:>4} {stats.ccc:6.3f}"
+            f"{community.id:<18} {row.size:>4} {ids.achieved_ratio:6.3f} {edr_text:>6} "
+            f"{row.apl_penalized:6.3f} {row.diameter_penalized:>4} {row.ccc:6.3f}"
         )
 
-    stats = [community_stats(c) for c in conferences]
     print(
-        f"\nmeans: idr5={fmean(greedy_ids(graph, c, k=5).achieved_ratio for c in conferences):.3f}"
+        f"\nmeans: idr5={fmean(r.achieved_ratio for r in ids5):.3f}"
         f" apl={fmean(s.apl_penalized for s in stats):.3f}"
         f" diam={fmean(s.diameter_penalized for s in stats):.3f}"
         f" ccc={fmean(s.ccc for s in stats):.3f}"

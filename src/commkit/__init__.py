@@ -32,8 +32,6 @@ from .metrics import (
     CommunityStats,
     aggregate_stats,
     clustering_coefficient,
-    community_apl,
-    community_diameter,
     community_stats,
     triangle_split_analysis,
 )
@@ -56,8 +54,6 @@ __all__ = [
     "boundary",
     "build_keyword_list",
     "clustering_coefficient",
-    "community_apl",
-    "community_diameter",
     "community_stats",
     "conductance",
     "count_triangles",

@@ -18,9 +18,7 @@ from .errors import CommkitError, ConfigError
 from .pipeline import (
     RunConfig,
     load_inputs,
-    read_domsets,
-    read_slopes,
-    read_stats,
+    read_report_inputs,
     run_pipeline,
     stage_detect,
     stage_domsets,
@@ -128,10 +126,7 @@ def _run(args: argparse.Namespace) -> int:
             raise ConfigError("keywords stage needs --metadata")
         stage_keywords(communities, metadata, config, out)
     elif args.command == "report":
-        stats = read_stats(out)
-        bundles = read_domsets(out, graph)
-        slope_pairs = read_slopes(out)
-        stage_report(graph, stats, bundles, slope_pairs, config, out)
+        stage_report(graph, *read_report_inputs(out, graph, communities), config, out)
     write_manifest(config, out, [f"stage {args.command} over {len(communities)} communities"])
     return EXIT_OK
 

@@ -3,11 +3,15 @@
 Community files have one community per line: ``id: label label ...``.
 The leading ``id:`` token is optional; missing ids are assigned ``c<line>``.
 Communities may overlap; nothing here assumes disjointness.
+Each community splits its members' neighbors into inside and outside once,
+on first use (``Community.adjacency``); boundary, greedy sets, slope
+expectations and the induced subgraph all read that one split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -34,6 +38,17 @@ class Community:
     @property
     def size(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def adjacency(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Member -> (inside neighbors, outside neighbors); all in index order."""
+        members, split = self.members, {}
+        for v in sorted(members):
+            inside, outside = [], []
+            for w in self.graph.neighbors(v):
+                (inside if w in members else outside).append(w)
+            split[v] = (tuple(inside), tuple(outside))
+        return split
 
     def member_labels(self) -> list[str]:
         return sorted(self.graph.label(m) for m in self.members)
@@ -67,27 +82,21 @@ def neighbors_out(graph: Graph, subset: Iterable[int], community: Community) -> 
 
 
 def boundary(community: Community) -> frozenset[int]:
-    """External neighborhood of the whole community (cached on first use)."""
-    cached = getattr(community, "_boundary", None)
-    if cached is None:
-        cached = frozenset(neighbors_out(community.graph, community.members, community))
-        object.__setattr__(community, "_boundary", cached)
-    return cached
+    """External neighborhood of the whole community."""
+    return frozenset(w for _, outside in community.adjacency.values() for w in outside)
 
 
 def induced_subgraph(community: Community) -> Graph:
     """Graph over the community's members with all intra-community edges.
 
     Labels are preserved; members without internal edges survive as
-    isolated nodes.
+    isolated nodes.  The cost is O(vol(C)).
     """
-    g = community.graph
-    edges = [
-        (g.label(u), g.label(v))
-        for u, v in g.edges()
-        if u in community.members and v in community.members
-    ]
-    return Graph(edges, extra_nodes=(g.label(m) for m in community.members))
+    label = community.graph.label
+    return Graph(
+        ((label(v), label(w)) for v, (inside, _) in community.adjacency.items() for w in inside if v < w),
+        extra_nodes=map(label, community.adjacency),
+    )
 
 
 def load_communities(source: IO | str | Path, graph: Graph) -> list[Community]:

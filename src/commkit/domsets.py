@@ -112,12 +112,8 @@ def greedy_ids(
 ) -> DomSetResult:
     """Greedy k- or p- internal dominating set of a community."""
     _check_criterion(k, p)
-    members = community.members
-    cover_of = {
-        v: frozenset({v} | {w for w in graph.neighbors(v) if w in members})
-        for v in members
-    }
-    chosen, steps, covered = _greedy_cover(community, members, cover_of, k, p)
+    cover_of = {v: frozenset((v, *inside)) for v, (inside, _) in community.adjacency.items()}
+    chosen, steps, covered = _greedy_cover(community, community.members, cover_of, k, p)
     return DomSetResult(
         community_id=community.id,
         mode="internal",
@@ -150,10 +146,7 @@ def greedy_eds(
             steps=(),
             closed=True,
         )
-    members = community.members
-    cover_of = {
-        v: frozenset(w for w in graph.neighbors(v) if w not in members) for v in members
-    }
+    cover_of = {v: frozenset(outside) for v, (_, outside) in community.adjacency.items()}
     chosen, steps, covered = _greedy_cover(community, full_boundary, cover_of, k, p)
     return DomSetResult(
         community_id=community.id,

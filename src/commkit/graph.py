@@ -205,7 +205,7 @@ def count_triangles(graph: Graph) -> tuple[int, int]:
     triples = sum(d * (d - 1) // 2 for d in map(graph.degree, graph.nodes()))
     adjacency_sets = [set(graph.neighbors(u)) for u in graph.nodes()]
     triangles = 0
-    for u, v in graph.edges():
-        # common neighbors above v avoid double counting
-        triangles += sum(1 for w in adjacency_sets[u] & adjacency_sets[v] if w > v)
+    for u, nbrs in enumerate(adjacency_sets):
+        # each edge u < v once; common neighbors above v avoid double counting
+        triangles += sum(1 for v in nbrs if v > u for w in nbrs & adjacency_sets[v] if w > v)
     return triangles, triples

@@ -61,21 +61,6 @@ def _pair_distances(sub: Graph) -> tuple[list[int], int, int]:
     return distances, unreachable, components
 
 
-def community_apl(community: Community) -> tuple[float, int]:
-    """Mean shortest-path length over reachable pairs, plus component count.
-
-    Singleton or edgeless communities give 0.
-    """
-    distances, _, components = _pair_distances(induced_subgraph(community))
-    return (fmean(distances) if distances else 0.0), components
-
-
-def community_diameter(community: Community) -> int:
-    """Longest shortest path over reachable pairs in the induced subgraph."""
-    distances, _, _ = _pair_distances(induced_subgraph(community))
-    return max(distances, default=0)
-
-
 def clustering_coefficient(graph: Graph) -> float:
     """Global transitivity: 3·triangles / connected triples (0 when no triples)."""
     triangles, triples = count_triangles(graph)

@@ -16,6 +16,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import reduce
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar, get_args, get_origin, get_type_hints
 
@@ -420,6 +421,25 @@ def read_slopes(directory: Path) -> list[tuple[SlopeResult, SlopeResult]]:
 
 def read_stats(directory: Path) -> list[CommunityStats]:
     return _read_records(directory, "community_stats", CommunityStats)
+
+
+def read_report_inputs(
+    directory: Path, graph: Graph, communities: list[Community]
+) -> tuple[list[CommunityStats], list[DomsetBundle], list[tuple[SlopeResult, SlopeResult]]]:
+    """The stage tables ``report`` combines, each listing exactly ``communities`` in order."""
+    stats, bundles, pairs = read_stats(directory), read_domsets(directory, graph), read_slopes(directory)
+    listed = {
+        "community_stats": stats,
+        "domsets": [b.k_internal for b in bundles],
+        "slopes": [s for s, _ in pairs],
+    }
+    for stem, records in listed.items():
+        ids = (r.community_id for r in records)
+        for found, wanted in zip_longest(ids, (c.id for c in communities), fillvalue="end of table"):
+            if found != wanted:
+                mismatch = f"expected {wanted!r}, found {found!r}"
+                raise CommkitError(f"{stem} output does not list the communities in order: {mismatch}")
+    return stats, bundles, pairs
 
 
 # ---------------------------------------------------------------------------

@@ -42,13 +42,12 @@ def random_subset_ratio(graph: Graph, community: Community, K: int, kind: str) -
         raise ConfigError(f"kind must be internal or external, got {kind!r}")
     if not 1 <= K <= community.size:
         raise ConfigError(f"K must be in [1, |C|], got {K}")
-    members = community.members
-    # |N(w) ∩ C| for every node w adjacent to the community
-    hits = Counter(w for v in members for w in graph.neighbors(v))
+    split = community.adjacency.values()
     if kind == "internal":
-        dominators = [1 + hits[v] for v in members]
+        dominators = [1 + len(inside) for inside, _ in split]
     else:
-        dominators = [count for w, count in hits.items() if w not in members]
+        # |N(b) ∩ C| for every boundary node b
+        dominators = list(Counter(w for _, outside in split for w in outside).values())
         if not dominators:
             return None
     n = community.size

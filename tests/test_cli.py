@@ -143,6 +143,26 @@ def test_incomplete_domsets_table_is_input_error(workdir, capsys):
     assert "domsets output incomplete for community 'right'" in capsys.readouterr().err
 
 
+def test_stage_table_missing_a_community_is_input_error(workdir, capsys):
+    out = _staged_tables(workdir)
+    lines = (out / "slopes.csv").read_text().splitlines()
+    kept = [line for line in lines if not line.startswith("right,")]
+    assert len(kept) == len(lines) - 2
+    (out / "slopes.csv").write_text("\n".join(kept) + "\n")
+    assert main(_args(workdir, "report")) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "slopes output" in err and "'right'" in err
+    assert not (out / "summary.csv").exists()
+
+
+def test_stage_tables_in_another_order_are_input_error(workdir, capsys):
+    out = _staged_tables(workdir)
+    (workdir / "communities.txt").write_text("right: b0 b1 b2 b3 b4\nleft: a0 a1 a2 a3 a4\n")
+    assert main(_args(workdir, "report")) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "community_stats output" in err and "expected 'right', found 'left'" in err
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_staged_report_equals_all_on_football(tmp_path, fmt):
     data = DATA_DIR / "football"

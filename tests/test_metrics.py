@@ -7,8 +7,6 @@ from commkit import (
     Graph,
     aggregate_stats,
     clustering_coefficient,
-    community_apl,
-    community_diameter,
     community_stats,
     induced_subgraph,
     triangle_split_analysis,
@@ -21,37 +19,33 @@ from conftest import clique_graph, path_graph, star_graph, whole_community
 
 
 def test_apl_path_of_three():
-    g = path_graph(3)
-    apl, components = community_apl(whole_community(g))
-    assert apl == pytest.approx(4 / 3)
-    assert components == 1
+    stats = community_stats(whole_community(path_graph(3)))
+    assert stats.apl == pytest.approx(4 / 3)
+    assert stats.component_count == 1
 
 
 def test_apl_clique_is_one():
-    g = clique_graph(5)
-    apl, _ = community_apl(whole_community(g))
-    assert apl == 1.0
+    assert community_stats(whole_community(clique_graph(5))).apl == 1.0
 
 
 def test_apl_singleton_is_zero():
     g = Graph([("a", "b")])
-    c = Community("one", frozenset({g.index("a")}), g)
-    assert community_apl(c) == (0.0, 1)
+    stats = community_stats(Community("one", frozenset({g.index("a")}), g))
+    assert (stats.apl, stats.component_count) == (0.0, 1)
 
 
 def test_apl_two_disjoint_edges():
     g = Graph([("a", "b"), ("c", "d")])
-    c = Community("both", frozenset(g.nodes()), g)
-    apl, components = community_apl(c)
-    assert apl == 1.0  # reachable pairs only
-    assert components == 2
+    stats = community_stats(Community("both", frozenset(g.nodes()), g))
+    assert stats.apl == 1.0  # reachable pairs only
+    assert stats.component_count == 2
 
 
 def test_diameter_cases():
-    assert community_diameter(whole_community(path_graph(4))) == 3
-    assert community_diameter(whole_community(clique_graph(5))) == 1
+    assert community_stats(whole_community(path_graph(4))).diameter == 3
+    assert community_stats(whole_community(clique_graph(5))).diameter == 1
     g = Graph([("a", "b")])
-    assert community_diameter(Community("one", frozenset({0}), g)) == 0
+    assert community_stats(Community("one", frozenset({0}), g)).diameter == 0
 
 
 def test_clustering_coefficient_cases():
