@@ -36,9 +36,9 @@ def main() -> int:
     print(header)
     print("-" * len(header))
     stats = [community_stats(c) for c in conferences]
-    ids5 = [greedy_ids(graph, c, k=5) for c in conferences]
+    ids5 = [greedy_ids(c, k=5) for c in conferences]
     for community, row, ids in zip(conferences, stats, ids5):
-        eds5 = greedy_eds(graph, community, k=5)
+        eds5 = greedy_eds(community, k=5)
         edr_text = f"{eds5.achieved_ratio:6.3f}" if not eds5.closed else "closed"
         print(
             f"{community.id:<18} {row.size:>4} {ids.achieved_ratio:6.3f} {edr_text:>6} "

@@ -20,7 +20,7 @@ from .community import (
 from .detect import DetectParams, approximate_ppr, conductance, detect_communities, sweep_cut
 from .distributions import DistributionSummary, summarize
 from .domsets import DomSetResult, edr, greedy_eds, greedy_ids, idr
-from .graph import Graph, bfs_distances, count_triangles, load_graph, write_graph
+from .graph import Graph, count_triangles, load_graph, write_graph
 from .keywords import (
     NodeMetadata,
     build_keyword_list,
@@ -50,7 +50,6 @@ __all__ = [
     "SlopeResult",
     "aggregate_stats",
     "approximate_ppr",
-    "bfs_distances",
     "boundary",
     "build_keyword_list",
     "clustering_coefficient",

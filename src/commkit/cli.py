@@ -118,7 +118,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "domsets":
         stage_domsets(graph, communities, config, out)
     elif args.command == "slopes":
-        stage_slopes(graph, communities, config, out)
+        stage_slopes(communities, config, out)
     elif args.command == "metrics":
         stage_metrics(communities, config, out)
     elif args.command == "keywords":

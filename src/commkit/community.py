@@ -5,7 +5,8 @@ The leading ``id:`` token is optional; missing ids are assigned ``c<line>``.
 Communities may overlap; nothing here assumes disjointness.
 Each community splits its members' neighbors into inside and outside once,
 on first use (``Community.adjacency``); boundary, greedy sets, slope
-expectations and the induced subgraph all read that one split.
+expectations, the per-community statistics and the induced subgraph all
+read that one split.
 """
 
 from __future__ import annotations

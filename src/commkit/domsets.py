@@ -107,9 +107,7 @@ def _greedy_cover(
     return chosen, steps, covered
 
 
-def greedy_ids(
-    graph: Graph, community: Community, k: int | None = None, p: float | None = None
-) -> DomSetResult:
+def greedy_ids(community: Community, k: int | None = None, p: float | None = None) -> DomSetResult:
     """Greedy k- or p- internal dominating set of a community."""
     _check_criterion(k, p)
     cover_of = {v: frozenset((v, *inside)) for v, (inside, _) in community.adjacency.items()}
@@ -125,9 +123,7 @@ def greedy_ids(
     )
 
 
-def greedy_eds(
-    graph: Graph, community: Community, k: int | None = None, p: float | None = None
-) -> DomSetResult:
+def greedy_eds(community: Community, k: int | None = None, p: float | None = None) -> DomSetResult:
     """Greedy k- or p- external dominating set of a community.
 
     Closed communities (empty boundary) give the sentinel result: empty set,

@@ -6,7 +6,6 @@ every query here is safe to call concurrently.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -111,18 +110,16 @@ class Graph:
         return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
 
 
-def load_graph(source: IO | str | Path, strict_directed: bool = False) -> Graph:
+def load_graph(source: IO | str | Path) -> Graph:
     """Parse a whitespace-separated edge list into a :class:`Graph`.
 
     ``source`` may be an open file object or a path.
 
     Lines starting with ``#`` and blank lines are ignored.  Self-loops are
     dropped, parallel and reversed duplicates are collapsed; the counts end
-    up in ``graph.load_report``.  With ``strict_directed`` a pair appearing
-    in both orientations is rejected instead of being merged.
+    up in ``graph.load_report``.
     """
     edges: set[tuple[str, str]] = set()
-    oriented: set[tuple[str, str]] = set()
     self_loops = 0
     duplicates = 0
     lines_read = 0
@@ -140,11 +137,8 @@ def load_graph(source: IO | str | Path, strict_directed: bool = False) -> Graph:
             continue
         key = (a, b) if a < b else (b, a)
         if key in edges:
-            if strict_directed and (a, b) not in oriented:
-                raise GraphParseError(f"edge {a} {b} also appears reversed", line_number)
             duplicates += 1
         edges.add(key)
-        oriented.add((a, b))
     if not edges:
         raise EmptyGraphError("edge list is empty")
     report = LoadReport(lines_read, self_loops, duplicates)
@@ -181,20 +175,6 @@ def write_graph(graph: Graph, sink: IO) -> None:
     """Write the graph back out as a label edge list (one edge per line)."""
     for u, v in graph.edges():
         sink.write(f"{graph.label(u)} {graph.label(v)}\n")
-
-
-def bfs_distances(graph: Graph, source: int) -> dict[int, int]:
-    """Hop counts from ``source``; unreachable nodes are absent."""
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in graph.neighbors(u):
-            if v not in dist:
-                dist[v] = du + 1
-                queue.append(v)
-    return dist
 
 
 def count_triangles(graph: Graph) -> tuple[int, int]:

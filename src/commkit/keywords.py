@@ -76,7 +76,7 @@ def build_keyword_list(
     two possible readings of "popularity" stay observable.
     """
     if domset is None:
-        domset = greedy_ids(community.graph, community, p=p)
+        domset = greedy_ids(community, p=p)
     graph = community.graph
     ids_labels = {graph.label(v) for v in domset.members}
 

@@ -1,7 +1,13 @@
 """Per-community and whole-network structural statistics.
 
-Distances are measured inside the induced subgraph only, so paths never
-leave the community.  Two distance conventions are reported side by side:
+Distances never leave the community: they are computed from each member's
+inside neighbors (``Community.adjacency``) as bitmasks over the members'
+local indices.  Each member's reach set starts as itself plus its inside
+neighbors; every round ORs it with its neighbors' reach sets from the
+round before, so after round d it holds exactly the members within d hops.
+Pairs first reached in round d are at distance d, the last round in which
+any set grew is the diameter, and the distinct final sets are the
+connected components.  Two distance conventions are reported side by side:
 
 * reachable-pairs: mean/max over pairs that are connected inside the
   community (``apl``, ``diameter``), with the component count surfaced;
@@ -10,7 +16,8 @@ leave the community.  Two distance conventions are reported side by side:
   ``diameter_penalized``.
 
 The penalized figures are what the aggregate summary reports, since
-disconnected communities otherwise look spuriously compact.
+disconnected communities otherwise look spuriously compact.  Means are
+integer sums divided once, so the only rounding is the final division.
 """
 
 from __future__ import annotations
@@ -18,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from statistics import fmean
 
-from .community import Community, boundary, induced_subgraph
+from .community import Community, boundary
+from .community import induced_subgraph  # noqa: F401  (bench/tests checks the tracer patches it here)
 from .domsets import DomSetResult
 from .errors import ConfigError
-from .graph import Graph, bfs_distances, count_triangles
+from .graph import Graph, count_triangles
 from .slopes import SlopeResult
 
 
@@ -40,27 +48,6 @@ class CommunityStats:
     boundary_size: int
 
 
-def _pair_distances(sub: Graph) -> tuple[list[int], int, int]:
-    """All-pairs BFS inside a small graph.
-
-    Returns (distances over reachable unordered pairs, number of unreachable
-    unordered pairs, component count).
-    """
-    n = sub.node_count
-    distances: list[int] = []
-    seen: set[int] = set()
-    components = 0
-    for u in range(n):
-        dist = bfs_distances(sub, u)
-        if u not in seen:
-            components += 1
-            seen.update(dist)
-        distances.extend(d for v, d in dist.items() if v > u)
-    reachable_pairs = len(distances)
-    unreachable = n * (n - 1) // 2 - reachable_pairs
-    return distances, unreachable, components
-
-
 def clustering_coefficient(graph: Graph) -> float:
     """Global transitivity: 3·triangles / connected triples (0 when no triples)."""
     triangles, triples = count_triangles(graph)
@@ -68,22 +55,50 @@ def clustering_coefficient(graph: Graph) -> float:
 
 
 def community_stats(community: Community) -> CommunityStats:
-    sub = induced_subgraph(community)
-    distances, unreachable, components = _pair_distances(sub)
-    triangles, triples = count_triangles(sub)
+    split = community.adjacency
+    local = {v: i for i, v in enumerate(split)}
+    nbrs = [[local[w] for w in inside] for inside, _ in split.values()]
+    masks = [sum(1 << j for j in js) for js in nbrs]
     n = community.size
-    penalized = distances + [n] * unreachable
+
+    # reach[i]: the members within `diameter` hops of member i; sums count ordered pairs
+    reach = [mask | 1 << i for i, mask in enumerate(masks)]
+    reached = sum(r.bit_count() for r in reach)
+    distance_sum = reached - n
+    diameter = 1 if distance_sum else 0
+    while True:
+        grown = []
+        for r, js in zip(reach, nbrs):
+            for j in js:
+                r |= reach[j]
+            grown.append(r)
+        total = sum(r.bit_count() for r in grown)
+        if total == reached:
+            break
+        diameter += 1
+        distance_sum += diameter * (total - reached)
+        reach, reached = grown, total
+
+    pairs = n * (n - 1) // 2
+    reachable = (reached - n) // 2
+    unreachable = pairs - reachable
+    distance_sum //= 2
+    # each inside edge i < j once; common neighbors above j avoid double counting
+    triangles = sum(
+        ((masks[i] & masks[j]) >> (j + 1)).bit_count() for i, js in enumerate(nbrs) for j in js if j > i
+    )
+    triples = sum(len(js) * (len(js) - 1) // 2 for js in nbrs)
     return CommunityStats(
         community_id=community.id,
         size=n,
-        apl=fmean(distances) if distances else 0.0,
-        diameter=max(distances, default=0),
-        apl_penalized=fmean(penalized) if penalized else 0.0,
-        diameter_penalized=max(penalized, default=0),
+        apl=distance_sum / reachable if reachable else 0.0,
+        diameter=diameter,
+        apl_penalized=(distance_sum + n * unreachable) / pairs if pairs else 0.0,
+        diameter_penalized=n if unreachable else diameter,
         ccc=3 * triangles / triples if triples > 0 else 0.0,
         triangles=triangles,
         connected_triples=triples,
-        component_count=components,
+        component_count=len(set(reach)),
         boundary_size=len(boundary(community)),
     )
 

@@ -266,10 +266,10 @@ def stage_domsets(
 ) -> list[DomsetBundle]:
     def one(c: Community) -> DomsetBundle:
         return DomsetBundle(
-            k_internal=greedy_ids(graph, c, k=config.k),
-            k_external=greedy_eds(graph, c, k=config.k),
-            p_internal=greedy_ids(graph, c, p=config.p),
-            p_external=greedy_eds(graph, c, p=config.p),
+            k_internal=greedy_ids(c, k=config.k),
+            k_external=greedy_eds(c, k=config.k),
+            p_internal=greedy_ids(c, p=config.p),
+            p_external=greedy_eds(c, p=config.p),
         )
 
     bundles = parallel_map(one, communities, config.workers)
@@ -288,7 +288,6 @@ def stage_domsets(
 
 
 def stage_slopes(
-    graph: Graph,
     communities: list[Community],
     config: RunConfig,
     out: Path,
@@ -302,7 +301,7 @@ def stage_slopes(
 
     def one(item: tuple[Community, tuple]) -> tuple[SlopeResult, SlopeResult]:
         c, (ids, eds) = item
-        return islope(graph, c, p=config.p, domset=ids), eslope(graph, c, p=config.p, domset=eds)
+        return islope(c, p=config.p, domset=ids), eslope(c, p=config.p, domset=eds)
 
     pairs = parallel_map(one, list(zip(communities, p_sets)), config.workers)
     write_table(
@@ -477,7 +476,7 @@ def run_pipeline(config: RunConfig) -> NetworkSummary | None:
         return None
 
     bundles = stage_domsets(graph, communities, config, out)
-    slope_pairs = stage_slopes(graph, communities, config, out, bundles)
+    slope_pairs = stage_slopes(communities, config, out, bundles)
     stats = stage_metrics(communities, config, out)
     if metadata is not None:
         stage_keywords(communities, metadata, config, out, bundles)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .community import Community
 from .domsets import DomSetResult, greedy_eds, greedy_ids
 from .errors import ConfigError
-from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,7 @@ class SlopeResult:
     closed: bool = False
 
 
-def random_subset_ratio(graph: Graph, community: Community, K: int, kind: str) -> float | None:
+def random_subset_ratio(community: Community, K: int, kind: str) -> float | None:
     """Exact mean dominating ratio over all size-K subsets of the community.
 
     With ``c(a) = C(a, K)``, a member v is left uncovered by
@@ -57,7 +56,6 @@ def random_subset_ratio(graph: Graph, community: Community, K: int, kind: str) -
 
 
 def islope(
-    graph: Graph,
     community: Community,
     p: float = 0.8,
     domset: DomSetResult | None = None,
@@ -68,13 +66,13 @@ def islope(
     be an internal p-mode result for the same community.
     """
     if domset is None:
-        domset = greedy_ids(graph, community, p=p)
+        domset = greedy_ids(community, p=p)
     if domset.size == 0:
         # p=0 stops before the first pick; the empty subset is its own expectation
         return SlopeResult(community.id, "internal", 0, 0.0, 0.0, 0.0)
     K = domset.size
     observed = domset.achieved_ratio
-    expected = random_subset_ratio(graph, community, K, "internal")
+    expected = random_subset_ratio(community, K, "internal")
     return SlopeResult(
         community_id=community.id,
         kind="internal",
@@ -86,14 +84,13 @@ def islope(
 
 
 def eslope(
-    graph: Graph,
     community: Community,
     p: float = 0.8,
     domset: DomSetResult | None = None,
 ) -> SlopeResult:
     """External slope; closed communities give the sentinel result."""
     if domset is None:
-        domset = greedy_eds(graph, community, p=p)
+        domset = greedy_eds(community, p=p)
     if domset.closed:
         return SlopeResult(
             community_id=community.id,
@@ -108,7 +105,7 @@ def eslope(
         return SlopeResult(community.id, "external", 0, 0.0, 0.0, 0.0)
     K = domset.size
     observed = domset.achieved_ratio
-    expected = random_subset_ratio(graph, community, K, "external")
+    expected = random_subset_ratio(community, K, "external")
     return SlopeResult(
         community_id=community.id,
         kind="external",

@@ -62,12 +62,10 @@ def test_criterion_1_network_clustering(football_graph):
 
 
 @pytest.fixture(scope="module")
-def conference_profile(football_graph, football_conferences):
+def conference_profile(football_conferences):
     start = time.perf_counter()
     stats = [community_stats(c) for c in football_conferences]
-    mean_idr = fmean(
-        greedy_ids(football_graph, c, k=5).achieved_ratio for c in football_conferences
-    )
+    mean_idr = fmean(greedy_ids(c, k=5).achieved_ratio for c in football_conferences)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"characterization took {elapsed:.2f}s"
     return stats, mean_idr
@@ -135,7 +133,7 @@ def _check_greedy_bound(g: Graph, community: Community) -> int:
     violations = 0
     for mode, run in (("internal", greedy_ids), ("external", greedy_eds)):
         for k in (1, 2, 3):
-            result = run(g, community, k=k)
+            result = run(community, k=k)
             if result.closed:
                 continue
             greedy = _coverage(g, result.members, community, mode)
@@ -202,11 +200,11 @@ def test_criterion_5_analytic_slopes():
     checks = []
 
     for n in (4, 6, 9):
-        result = islope(clique_graph(n), whole_community(clique_graph(n)), p=0.8)
+        result = islope(whole_community(clique_graph(n)), p=0.8)
         checks.append(result.slope == 0.0)
 
     star = star_graph(9)
-    result = islope(star, whole_community(star), p=0.8)
+    result = islope(whole_community(star), p=0.8)
     checks.append(result.K == 1)
     checks.append(abs(result.slope - 0.72) < 1e-12)
 
@@ -215,7 +213,7 @@ def test_criterion_5_analytic_slopes():
         edges += [("m0", "x0"), ("m0", "x1"), ("m0", "x2")]
         g = Graph(edges)
         community = Community("gate", frozenset(g.index(f"m{i}") for i in range(n)), g)
-        result = eslope(g, community, p=0.8)
+        result = eslope(community, p=0.8)
         checks.append(abs(result.slope - (1 - 1 / n)) < 1e-12)
 
     ok = all(checks)
@@ -232,7 +230,7 @@ def test_criterion_6_estimator_consistency():
         members = sorted(community.members)
         for kind, ratio in (("internal", idr), ("external", edr)):
             for K in range(1, community.size + 1):
-                closed_form = random_subset_ratio(g, community, K, kind)
+                closed_form = random_subset_ratio(community, K, kind)
                 brute = fmean(ratio(g, s, community) for s in itertools.combinations(members, K))
                 worst = max(worst, abs(closed_form - brute))
                 checks += 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -176,6 +177,64 @@ def test_staged_report_equals_all_on_football(tmp_path, fmt):
     assert len(staged) == 10
     for name in sorted(staged):
         assert (tmp_path / "staged" / name).read_bytes() == (tmp_path / "all" / name).read_bytes(), name
+
+
+# sha256 of every artifact but manifest.json (which records paths and the Python version)
+# of `commkit all` on the bundled football data; any change to an output shows here.
+CONFERENCES = ("--communities", str(DATA_DIR / "football" / "football.conferences"))
+GOLDEN_FOOTBALL = {
+    CONFERENCES: {
+        "community_stats.csv": "05dd77fcac4bd6404b356cfb7a31f8ca72749c9b1c04373b0c99c5c3bd6bcf53",
+        "dist_ccc.csv": "444a52b8a15a9ac965e478c815c4cd174c302d4d40d26f9241ca14ce7314917f",
+        "dist_eslope.csv": "2dd21086bd8fe20c05e5c29406b7ac13d8a8577c4289b73f03a3739c3ee70be6",
+        "dist_islope.csv": "c78a8e49570e593b8aaec08dc7fec1b2155aaa4179d386a82f8d7c9eff0166a1",
+        "dist_size.csv": "dc53fbb4736b3e9477940acb5c3a97bc446d8c98755ded4247070fed41e0ae79",
+        "distributions_summary.csv": "f6b23475415ec5861e9194daa88ea485634050e8b3a7c1b0b86aec97e3e3ed1f",
+        "domsets.csv": "66d94e14158a0129ac2f2548521a9f4e9c15258163075aa5be4bd6444b4afd68",
+        "slopes.csv": "4bd50e4eef1b446ca530fb394151155d510354849222bdbd659df676177013a4",
+        "summary.csv": "69e06ed637af0f46de241b946ed1dd275e9eea0ed9fd964ff343db88b98b37f4",
+        "triangle_split.csv": "e4aeb8d7d1f111ba485db255c0912a79ee233475f8c1a9a3cbb682eee6561cda",
+    },
+    (*CONFERENCES, "--format", "json"): {
+        "community_stats.json": "db7ea1649f21258d917d62a043c8822db105be3fb8bb6bde77fef24ef6d51170",
+        "dist_ccc.json": "9d46509e1e3354333e742b8c640c40feca7c82e9aabb60bd6913c7ef02f23c67",
+        "dist_eslope.json": "58ff9d0d7985ff4b5dc171dd045a236b30320e546107657c27e91bbe1a49d1bc",
+        "dist_islope.json": "0b22419fcc0aeba15706ee92a23f66efcc19fa078e2e6baee3555d31eae2cae4",
+        "dist_size.json": "64c2793cf2e5cf0adc186e360c92d168a21e3c1007f4f8f13618dc9e1936e925",
+        "distributions_summary.json": "6f63169894995c737a7599389e8c437b5fb9eee84d09984ef63adf0bc864a9d3",
+        "domsets.json": "7fbca40db049b7b3cb790291ff7b3f9c5114a2a8bbda67fc2867c0b8584f350b",
+        "slopes.json": "a70993934423a55e679d88e785b1b81358fd56d730f9bb6a64d72adfcda8cc2f",
+        "summary.json": "7690950f091eee614daab123f7ae5aa3f7b6189ed91e09bceaee3b650517f6f0",
+        "triangle_split.json": "3871091efe5637ab07b2e86318b705f87882dbeb5e51edc78c05d47faa3b2aed",
+    },
+    (): {
+        "communities.txt": "682def0d66542dc66753bfa599f49d711d256173b249bd7017430992f6f6cd82",
+        "communities_meta.csv": "81ab6eec512f79d25fdf7ac7b2acbf2241797d2c10136828ccdc3bcab40d3e4b",
+        "community_stats.csv": "a3e4e79bae6a5fb0d82c722407043d489644059e4ad505d0d3453b06348f38c2",
+        "dist_ccc.csv": "2b6cce9cb5b99f0290e0f3bbb7e5c82d16760341535cb491f5caac00c23f75e3",
+        "dist_eslope.csv": "cbc45528d7ca6eb98eb7c492cbbf8abe3b8c80f20baf259bd3cfeb339de75201",
+        "dist_islope.csv": "bd0e1dce863dab52a25fed4fad02f0c9924042343eebc1b2d62b722c413e3a8f",
+        "dist_size.csv": "6b38026dfcf310a737ab868933e572459086b301fdc1875152d3674c9ea0c460",
+        "distributions_summary.csv": "0540daa2e15f1476aa98157e9c1bfccd16a7c3e88397b4ffc9ed64539d4cf3a6",
+        "domsets.csv": "aa6ea30d60448d452d625b206b4e9389eb1e82e510ec3037767487455c51fdce",
+        "slopes.csv": "b9f0bacf3ef9abfcbde09c9a58ffd1c778783a2801c01a54e44fd0e88206dd42",
+        "summary.csv": "073ab8eff9264f84193d84a93e6496a852bc6b64eac5fac623f39fa13cf61efc",
+        "triangle_split.csv": "9a7d049156c17fd0f430b6ea83125622926bdf131288e41490ba90457ed641eb",
+    },
+}
+
+
+def test_football_artifacts_match_golden_digests(tmp_path):
+    graph = str(DATA_DIR / "football" / "football.edges")
+    for i, (extra, digests) in enumerate(GOLDEN_FOOTBALL.items()):
+        out = tmp_path / str(i)
+        assert main(["all", "--graph", graph, *extra, "--out", str(out)]) == EXIT_OK
+        produced = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.iterdir()
+            if path.name != "manifest.json"
+        }
+        assert produced == digests, extra
 
 
 def test_bad_parameter_is_config_error(workdir, capsys):

@@ -56,6 +56,16 @@ def test_community_stats_match_networkx(case):
     assert stats.boundary_size == len(nx.node_boundary(whole, member_labels))
     assert induced_subgraph(community) == Graph(sub.edges(), extra_nodes=member_labels)
 
+    n = len(member_labels)
+    lengths = dict(nx.all_pairs_shortest_path_length(sub))
+    reachable = [d for u in member_labels for v, d in lengths[u].items() if u < v]
+    unreachable = math.comb(n, 2) - len(reachable)
+    assert stats.apl == (sum(reachable) / len(reachable) if reachable else 0.0)
+    penalized_sum = sum(reachable) + n * unreachable
+    assert stats.apl_penalized == (penalized_sum / math.comb(n, 2) if n > 1 else 0.0)
+    assert stats.diameter_penalized == (n if unreachable else max(reachable, default=0))
+    assert stats.connected_triples == sum(d * (d - 1) // 2 for _, d in sub.degree())
+
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(graphs_with_communities())
@@ -74,10 +84,15 @@ def test_per_community_paths_never_scan_the_whole_graph(monkeypatch):
     def scan(self):
         raise AssertionError("per-community code scanned every edge of the graph")
 
+    def build(self, *args, **kwargs):
+        raise AssertionError("community_stats built a Graph")
+
     monkeypatch.setattr(Graph, "edges", scan)
-    stats = community_stats(community)
+    with monkeypatch.context() as patch:
+        patch.setattr(Graph, "__init__", build)
+        stats = community_stats(community)
     assert (stats.triangles, stats.boundary_size) == (10, 1)
-    assert greedy_ids(graph, community, k=1).achieved_ratio == 1.0
-    assert greedy_eds(graph, community, p=0.8).members == {graph.index("a0")}
-    assert random_subset_ratio(graph, community, 1, "internal") == 1.0
-    assert random_subset_ratio(graph, community, 1, "external") == pytest.approx(0.2)
+    assert greedy_ids(community, k=1).achieved_ratio == 1.0
+    assert greedy_eds(community, p=0.8).members == {graph.index("a0")}
+    assert random_subset_ratio(community, 1, "internal") == 1.0
+    assert random_subset_ratio(community, 1, "external") == pytest.approx(0.2)

@@ -46,7 +46,7 @@ def test_greedy_ids_path_k1_breaks_tie_low():
     # v1, v2, v3 all cover three nodes; lowest index wins
     g = path_graph(5)
     c = whole_community(g)
-    result = greedy_ids(g, c, k=1)
+    result = greedy_ids(c, k=1)
     assert result.members == _indices(g, "v1")
     assert result.achieved_ratio == pytest.approx(3 / 5)
 
@@ -55,13 +55,13 @@ def test_greedy_ids_path_exhaustive_singletons():
     g = path_graph(5)
     c = whole_community(g)
     best = max(idr(g, {v}, c) for v in c.members)
-    assert greedy_ids(g, c, k=1).achieved_ratio == pytest.approx(best)
+    assert greedy_ids(c, k=1).achieved_ratio == pytest.approx(best)
 
 
 def test_greedy_ids_star_p_mode_picks_hub():
     g = star_graph(4)
     c = whole_community(g)
-    result = greedy_ids(g, c, p=0.8)
+    result = greedy_ids(c, p=0.8)
     assert result.members == _indices(g, "hub")
     assert result.achieved_ratio == 1.0
     assert result.criterion == "p"
@@ -70,14 +70,14 @@ def test_greedy_ids_star_p_mode_picks_hub():
 def test_greedy_ids_k_clamps_to_community_size():
     g = clique_graph(3)
     c = whole_community(g)
-    result = greedy_ids(g, c, k=10)
+    result = greedy_ids(c, k=10)
     assert result.size == 3
 
 
 def test_greedy_ids_p_one_with_disconnected_members_terminates():
     g = Graph([("a", "b"), ("c", "d"), ("e", "f")])
     c = Community("all", frozenset(g.nodes()), g)
-    result = greedy_ids(g, c, p=1.0)
+    result = greedy_ids(c, p=1.0)
     assert result.achieved_ratio == 1.0
     assert result.size == 3  # one pick per component
 
@@ -86,11 +86,11 @@ def test_greedy_requires_exactly_one_criterion():
     g = clique_graph(3)
     c = whole_community(g)
     with pytest.raises(ConfigError):
-        greedy_ids(g, c)
+        greedy_ids(c)
     with pytest.raises(ConfigError):
-        greedy_ids(g, c, k=1, p=0.5)
+        greedy_ids(c, k=1, p=0.5)
     with pytest.raises(ConfigError):
-        greedy_ids(g, c, p=1.5)
+        greedy_ids(c, p=1.5)
 
 
 def test_greedy_eds_core_fixture_k1(core_graph, core_community):
@@ -98,7 +98,7 @@ def test_greedy_eds_core_fixture_k1(core_graph, core_community):
     best = max(
         (edr(core_graph, {v}, core_community), -v) for v in core_community.members
     )
-    result = greedy_eds(core_graph, core_community, k=1)
+    result = greedy_eds(core_community, k=1)
     assert result.members == _indices(core_graph, "v0")
     assert result.achieved_ratio == pytest.approx(best[0])
 
@@ -107,18 +107,18 @@ def test_greedy_eds_closed_community_sentinel():
     g = Graph([("a", "b"), ("c", "d")])
     c = Community("pair", _indices(g, "a", "b"), g)
     for kwargs in ({"k": 2}, {"p": 0.8}):
-        result = greedy_eds(g, c, **kwargs)
+        result = greedy_eds(c, **kwargs)
         assert result.closed
         assert result.members == frozenset()
         assert result.achieved_ratio is None
 
 
 def test_achieved_ratio_matches_recomputation(core_graph, core_community):
-    internal = greedy_ids(core_graph, core_community, k=2)
+    internal = greedy_ids(core_community, k=2)
     assert internal.achieved_ratio == pytest.approx(
         idr(core_graph, internal.members, core_community)
     )
-    external = greedy_eds(core_graph, core_community, k=2)
+    external = greedy_eds(core_community, k=2)
     assert external.achieved_ratio == pytest.approx(
         edr(core_graph, external.members, core_community)
     )
@@ -148,7 +148,7 @@ def test_greedy_steps_monotone_and_gains_nonincreasing():
         if built is None:
             continue
         g, c = built
-        for result in (greedy_ids(g, c, p=1.0), greedy_eds(g, c, p=1.0)):
+        for result in (greedy_ids(c, p=1.0), greedy_eds(c, p=1.0)):
             if result.closed:
                 continue
             gains = [gain for _, gain in result.steps]
@@ -172,9 +172,9 @@ def test_p_size_at_most_k_size_when_k_suffices():
         if built is None:
             continue
         g, c = built
-        k_result = greedy_ids(g, c, k=3)
+        k_result = greedy_ids(c, k=3)
         if k_result.achieved_ratio >= 0.8:
-            assert greedy_ids(g, c, p=0.8).size <= k_result.size
+            assert greedy_ids(c, p=0.8).size <= k_result.size
         checked += 1
 
 
@@ -194,7 +194,7 @@ def test_ratios_invariant_under_relabeling():
     subset2 = frozenset(g2.index(mapping[g.label(m)]) for m in subset)
     assert idr(g, subset, c) == idr(g2, subset2, c2)
     assert edr(g, subset, c) == edr(g2, subset2, c2)
-    assert greedy_ids(g, c, p=0.8).achieved_ratio == greedy_ids(g2, c2, p=0.8).achieved_ratio
+    assert greedy_ids(c, p=0.8).achieved_ratio == greedy_ids(c2, p=0.8).achieved_ratio
 
 
 def _coverage(g: Graph, subset, c: Community, mode: str) -> int:
@@ -221,7 +221,7 @@ def test_greedy_beats_two_thirds_of_optimum_small_sample():
         g, c = built
         for mode, run in (("internal", greedy_ids), ("external", greedy_eds)):
             for k in (1, 2):
-                result = run(g, c, k=k)
+                result = run(c, k=k)
                 if result.closed:
                     continue
                 greedy_cover = _coverage(g, result.members, c, mode)

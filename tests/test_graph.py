@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from commkit import Graph, bfs_distances, count_triangles, load_graph, write_graph
+from commkit import Graph, count_triangles, load_graph, write_graph
 from commkit.errors import EmptyGraphError, GraphParseError, UnknownLabelError
-from conftest import clique_graph, path_graph, star_graph
+from conftest import clique_graph, star_graph
 
 
 def test_load_drops_self_loops_and_duplicates():
@@ -28,11 +28,6 @@ def test_load_reversed_duplicate_is_collapsed():
     g = load_graph(io.StringIO("a b\nb a\n"))
     assert g.edge_count == 1
     assert g.load_report.duplicate_edges_collapsed == 1
-
-
-def test_load_strict_directed_rejects_reversed_pair():
-    with pytest.raises(GraphParseError):
-        load_graph(io.StringIO("a b\nb a\n"), strict_directed=True)
 
 
 def test_load_malformed_line_reports_line_number():
@@ -109,41 +104,6 @@ def test_extra_nodes_survive_without_edges():
     g = Graph([("a", "b")], extra_nodes=["c"])
     assert g.node_count == 3
     assert g.degree(g.index("c")) == 0
-
-
-def test_bfs_distances_path():
-    g = path_graph(3)
-    dist = bfs_distances(g, g.index("v0"))
-    assert dist == {g.index("v0"): 0, g.index("v1"): 1, g.index("v2"): 2}
-
-
-def test_bfs_distances_omits_unreachable():
-    g = Graph([("a", "b"), ("c", "d")])
-    dist = bfs_distances(g, g.index("a"))
-    assert g.index("c") not in dist
-    assert g.index("d") not in dist
-
-
-def test_bfs_distances_clique():
-    g = clique_graph(4)
-    dist = bfs_distances(g, 0)
-    assert all(d <= 1 for d in dist.values())
-
-
-def test_bfs_triangle_inequality():
-    rng = random.Random(11)
-    g = Graph(
-        [
-            (f"v{i}", f"v{j}")
-            for i in range(10)
-            for j in range(i + 1, 10)
-            if rng.random() < 0.3
-        ]
-    )
-    tables = {u: bfs_distances(g, u) for u in g.nodes()}
-    for u, v, w in itertools.permutations(g.nodes(), 3):
-        if v in tables[u] and w in tables[v]:
-            assert tables[u].get(w, float("inf")) <= tables[u][v] + tables[v][w]
 
 
 def _brute_force_triangles(g: Graph) -> int:

@@ -8,7 +8,6 @@ from commkit import (
     aggregate_stats,
     clustering_coefficient,
     community_stats,
-    induced_subgraph,
     triangle_split_analysis,
 )
 from commkit.errors import ConfigError
@@ -103,10 +102,11 @@ def test_stats_invariants_on_random_communities():
 
 
 def test_transitivity_of_induced_whole_graph_matches():
-    g = clique_graph(4)
-    assert clustering_coefficient(induced_subgraph(whole_community(g))) == pytest.approx(
-        clustering_coefficient(g)
-    )
+    rng = random.Random(5)
+    labels = [f"v{i}" for i in range(12)]
+    sparse = Graph([(a, b) for i, a in enumerate(labels) for b in labels[i + 1 :] if rng.random() < 0.3])
+    for g in (clique_graph(4), star_graph(5), path_graph(4), sparse):
+        assert community_stats(whole_community(g)).ccc == clustering_coefficient(g)
 
 
 def _stats(community_id, ccc, triangles, apl=1.0, size=5):

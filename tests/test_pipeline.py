@@ -143,7 +143,7 @@ def test_stage_outputs_can_be_read_back(inputs):
         config = _config(graph_path, communities_path, out, fmt=fmt)
         graph, communities, _ = load_inputs(config)
         bundles = stage_domsets(graph, communities, config, out)
-        pairs = stage_slopes(graph, communities, config, out, bundles)
+        pairs = stage_slopes(communities, config, out, bundles)
         stats = stage_metrics(communities, config, out)
 
         # every field comes back equal and of the same type; steps are never written
@@ -171,7 +171,7 @@ def test_stages_are_worker_count_independent(inputs):
         results.append(
             (
                 stage_domsets(graph, communities, config, out),
-                stage_slopes(graph, communities, config, out),
+                stage_slopes(communities, config, out),
                 stage_metrics(communities, config, out),
             )
         )

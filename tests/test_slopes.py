@@ -11,14 +11,14 @@ from conftest import clique_graph, star_graph, whole_community
 def test_expected_ratio_clique_k1_is_one():
     g = clique_graph(6)
     c = whole_community(g)
-    assert random_subset_ratio(g, c, K=1, kind="internal") == 1.0
+    assert random_subset_ratio(c, K=1, kind="internal") == 1.0
 
 
 def test_expected_ratio_star10_k1():
     # hub singleton dominates everything, each of 9 leaves covers 2 of 10
     g = star_graph(9)
     c = whole_community(g)
-    value = random_subset_ratio(g, c, K=1, kind="internal")
+    value = random_subset_ratio(c, K=1, kind="internal")
     assert value == pytest.approx((1.0 + 9 * 0.2) / 10)
     assert value == pytest.approx(0.28)
 
@@ -26,37 +26,37 @@ def test_expected_ratio_star10_k1():
 def test_expected_ratio_full_size_subset_is_one():
     g = clique_graph(4)
     c = whole_community(g)
-    assert random_subset_ratio(g, c, K=4, kind="internal") == 1.0
+    assert random_subset_ratio(c, K=4, kind="internal") == 1.0
 
 
 def test_expected_ratio_closed_external_sentinel():
     g = Graph([("a", "b"), ("x", "y")])
     c = Community("pair", frozenset({g.index("a"), g.index("b")}), g)
-    assert random_subset_ratio(g, c, K=1, kind="external") is None
+    assert random_subset_ratio(c, K=1, kind="external") is None
 
 
 def test_expected_ratio_input_validation():
     g = clique_graph(3)
     c = whole_community(g)
     with pytest.raises(ConfigError):
-        random_subset_ratio(g, c, K=0, kind="internal")
+        random_subset_ratio(c, K=0, kind="internal")
     with pytest.raises(ConfigError):
-        random_subset_ratio(g, c, K=4, kind="internal")
+        random_subset_ratio(c, K=4, kind="internal")
     with pytest.raises(ConfigError):
-        random_subset_ratio(g, c, K=1, kind="sideways")
+        random_subset_ratio(c, K=1, kind="sideways")
 
 
 def test_islope_clique_is_zero():
     for n in (3, 5, 8):
         g = clique_graph(n)
-        result = islope(g, whole_community(g), p=0.8)
+        result = islope(whole_community(g), p=0.8)
         assert result.slope == 0.0
         assert result.K == 1
 
 
 def test_islope_star10_exact():
     g = star_graph(9)
-    result = islope(g, whole_community(g), p=0.8)
+    result = islope(whole_community(g), p=0.8)
     assert result.K == 1
     assert result.observed_ratio == 1.0
     assert result.expected_ratio == pytest.approx(0.28)
@@ -65,7 +65,7 @@ def test_islope_star10_exact():
 
 def test_islope_p_zero_is_defined():
     g = clique_graph(4)
-    result = islope(g, whole_community(g), p=0.0)
+    result = islope(whole_community(g), p=0.0)
     assert result.K == 0
     assert result.slope == 0.0
 
@@ -77,7 +77,7 @@ def test_eslope_single_gatekeeper():
     edges += [("m0", "x0"), ("m0", "x1")]
     g = Graph(edges)
     c = Community("gate", frozenset(g.index(f"m{i}") for i in range(n)), g)
-    result = eslope(g, c, p=0.8)
+    result = eslope(c, p=0.8)
     assert result.K == 1
     assert result.observed_ratio == 1.0
     assert result.slope == pytest.approx(1 - 1 / n)
@@ -90,7 +90,7 @@ def test_eslope_symmetric_boundary_is_zero():
     edges += [(f"m{i}", f"x{i}") for i in range(4)]
     g = Graph(edges)
     c = Community("ring", frozenset(g.index(f"m{i}") for i in range(4)), g)
-    result = eslope(g, c, p=0.5)
+    result = eslope(c, p=0.5)
     assert result.K == 2
     assert result.slope == pytest.approx(0.0)
 
@@ -98,7 +98,7 @@ def test_eslope_symmetric_boundary_is_zero():
 def test_eslope_closed_community_sentinel():
     g = Graph([("a", "b"), ("x", "y")])
     c = Community("pair", frozenset({g.index("a"), g.index("b")}), g)
-    result = eslope(g, c, p=0.8)
+    result = eslope(c, p=0.8)
     assert result.closed
     assert result.slope is None
 
@@ -111,14 +111,14 @@ def test_random_subset_ratio_star_every_K():
     c = whole_community(g)
     for K in range(1, n + 1):
         missed = Fraction(leaves * math.comb(n - 2, K), n * math.comb(n, K))
-        assert random_subset_ratio(g, c, K, "internal") == float(1 - missed)
+        assert random_subset_ratio(c, K, "internal") == float(1 - missed)
 
 
 def test_random_subset_ratio_clique_every_K_is_one():
     g = clique_graph(7)
     c = whole_community(g)
     for K in range(1, 8):
-        assert random_subset_ratio(g, c, K, "internal") == 1.0
+        assert random_subset_ratio(c, K, "internal") == 1.0
 
 
 def test_random_subset_ratio_gatekeeper_every_K():
@@ -129,12 +129,12 @@ def test_random_subset_ratio_gatekeeper_every_K():
     g = Graph(edges)
     c = Community("gate", frozenset(g.index(f"m{i}") for i in range(n)), g)
     for K in range(1, n + 1):
-        assert random_subset_ratio(g, c, K, "external") == float(Fraction(K, n))
+        assert random_subset_ratio(c, K, "external") == float(Fraction(K, n))
 
 
 def test_slope_results_bounded():
     g = star_graph(9)
-    result = islope(g, whole_community(g), p=0.8)
+    result = islope(whole_community(g), p=0.8)
     assert 0.0 <= result.observed_ratio <= 1.0
     assert 0.0 <= result.expected_ratio <= 1.0
     assert -1.0 < result.slope < 1.0
@@ -147,7 +147,7 @@ def test_slope_invariant_under_relabeling():
     mapping = {"a": "q", "b": "n", "c": "z", "d": "m", "x": "w"}
     g2 = Graph([(mapping[u], mapping[v]) for u, v in edges])
     c2 = Community("c", frozenset(g2.index(mapping[l]) for l in "abcd"), g2)
-    r1, r2 = islope(g1, c1, p=0.8), islope(g2, c2, p=0.8)
+    r1, r2 = islope(c1, p=0.8), islope(c2, p=0.8)
     assert (r1.K, r1.observed_ratio, r1.expected_ratio, r1.slope) == (
         r2.K,
         r2.observed_ratio,
