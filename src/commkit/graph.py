@@ -29,7 +29,7 @@ class Graph:
     its external label and ``index(label)`` resolves the other direction.
     """
 
-    __slots__ = ("_adjacency", "_labels", "_label_index", "_num_edges", "load_report")
+    __slots__ = ("_adjacency", "_degrees", "_labels", "_label_index", "_num_edges", "load_report")
 
     def __init__(
         self,
@@ -50,7 +50,8 @@ class Graph:
         self._adjacency: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(index[w] for w in adjacency[label])) for label in labels
         )
-        self._num_edges = sum(len(nbrs) for nbrs in self._adjacency) // 2
+        self._degrees: tuple[int, ...] = tuple(map(len, self._adjacency))
+        self._num_edges = sum(self._degrees) // 2
         self.load_report = load_report
 
     @property
@@ -64,6 +65,16 @@ class Graph:
     @property
     def labels(self) -> tuple[str, ...]:
         return self._labels
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """``adjacency[u]``: the sorted neighbors of ``u``, for loops that index it directly."""
+        return self._adjacency
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        """``degrees[u] == degree(u)``, computed once."""
+        return self._degrees
 
     def label(self, node: int) -> str:
         return self._labels[node]
@@ -81,7 +92,7 @@ class Graph:
         return self._adjacency[node]
 
     def degree(self, node: int) -> int:
-        return len(self._adjacency[node])
+        return self._degrees[node]
 
     def has_edge(self, u: int, v: int) -> bool:
         a, b = self._adjacency[u], self._adjacency[v]

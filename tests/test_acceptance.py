@@ -37,7 +37,7 @@ from commkit import (
     summarize,
 )
 from commkit.detect import DetectParams
-from conftest import DATA_DIR, clique_graph, star_graph, two_clique_graph, whole_community
+from graphs import DATA_DIR, clique_graph, star_graph, two_clique_graph, whole_community
 from test_keywords import FIXTURE_EDGES, FIXTURE_METADATA
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from commkit.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, main
-from conftest import DATA_DIR
+from graphs import DATA_DIR
 
 GRAPH = "\n".join(
     f"a{i} a{j}" for i in range(5) for j in range(i + 1, 5)
@@ -241,6 +241,13 @@ def test_bad_parameter_is_config_error(workdir, capsys):
     code = main(_args(workdir, "all", "--p", "1.5"))
     assert code == EXIT_CONFIG
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_epsilon_is_config_error(workdir, capsys, value):
+    code = main(_args(workdir, "detect", "--epsilon", value, communities=False))
+    assert code == EXIT_CONFIG
+    assert "epsilon" in capsys.readouterr().err
 
 
 def test_keywords_without_metadata_is_config_error(workdir):

@@ -19,7 +19,7 @@ from commkit import (
     neighbors_out,
     random_subset_ratio,
 )
-from conftest import two_clique_graph
+from graphs import two_clique_graph
 
 
 @st.composite

@@ -3,7 +3,7 @@ import pytest
 from commkit import Graph, approximate_ppr, conductance, detect_communities, sweep_cut
 from commkit.detect import DetectParams
 from commkit.errors import ConfigError
-from conftest import clique_graph, two_clique_graph
+from graphs import clique_graph, two_clique_graph
 
 
 def test_params_validation():
@@ -13,6 +13,9 @@ def test_params_validation():
         DetectParams(alpha=1.0)
     with pytest.raises(ConfigError):
         DetectParams(epsilon=0.0)
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError):
+            DetectParams(epsilon=float(value))
     with pytest.raises(ConfigError):
         DetectParams(min_size=5, max_size=4)
     with pytest.raises(ConfigError):

@@ -5,7 +5,7 @@ import pytest
 
 from commkit import Community, Graph, edr, greedy_eds, greedy_ids, idr
 from commkit.errors import ConfigError
-from conftest import clique_graph, path_graph, star_graph, whole_community
+from graphs import clique_graph, path_graph, star_graph, whole_community
 
 
 def _indices(graph, *labels):

@@ -6,7 +6,7 @@ import pytest
 
 from commkit import Graph, count_triangles, load_graph, write_graph
 from commkit.errors import EmptyGraphError, GraphParseError, UnknownLabelError
-from conftest import clique_graph, star_graph
+from graphs import clique_graph, star_graph
 
 
 def test_load_drops_self_loops_and_duplicates():
@@ -64,6 +64,8 @@ def test_adjacency_is_symmetric_and_sorted():
         assert g.neighbors(u) == tuple(sorted(g.neighbors(u)))
         for v in g.neighbors(u):
             assert u in g.neighbors(v)
+    assert g.adjacency == tuple(map(g.neighbors, g.nodes()))
+    assert g.degrees == tuple(len(g.neighbors(u)) for u in g.nodes())
 
 
 def test_label_index_bijection():

@@ -14,7 +14,7 @@ from commkit.errors import ConfigError
 from commkit.metrics import CommunityStats
 from commkit.slopes import SlopeResult
 from commkit.domsets import DomSetResult
-from conftest import clique_graph, path_graph, star_graph, whole_community
+from graphs import clique_graph, path_graph, star_graph, whole_community
 
 
 def test_apl_path_of_three():

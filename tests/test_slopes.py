@@ -5,7 +5,7 @@ import pytest
 
 from commkit import Community, Graph, eslope, islope, random_subset_ratio
 from commkit.errors import ConfigError
-from conftest import clique_graph, star_graph, whole_community
+from graphs import clique_graph, star_graph, whole_community
 
 
 def test_expected_ratio_clique_k1_is_one():
