@@ -1,10 +1,18 @@
 """Command-line interface.
 
 Subcommands mirror the pipeline stages so each can be rerun on prior
-outputs: detect, domsets, slopes, metrics, keywords, report, all.
+outputs: detect, domsets, slopes, metrics, keywords, report, all.  Each
+runs through :func:`commkit.pipeline.run_stage` and reads the tables that
+earlier subcommands wrote to the same --out in the same --format: slopes
+and keywords read domsets; report reads community_stats, domsets and
+slopes; detect, domsets and metrics read none.  So run detect (unless
+--communities is given), then domsets, then the rest; ``all`` runs them
+in that order.
 
 Exit codes: 0 success, 1 input error, 2 configuration error, 3 internal
-invariant failure.
+invariant failure.  Input errors include a missing or malformed stage
+table, one that does not list the --communities ids in order, a domsets
+table built with another --k or --p, and a community id used twice.
 """
 
 from __future__ import annotations
@@ -15,19 +23,7 @@ from pathlib import Path
 
 from .detect import DetectParams
 from .errors import CommkitError, ConfigError
-from .pipeline import (
-    RunConfig,
-    load_inputs,
-    read_report_inputs,
-    run_pipeline,
-    stage_detect,
-    stage_domsets,
-    stage_keywords,
-    stage_metrics,
-    stage_report,
-    stage_slopes,
-    write_manifest,
-)
+from .pipeline import STAGES, RunConfig, load_inputs, run_pipeline, run_stage, write_manifest
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -62,17 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
         "slopes, keyword prediction, and distance/clustering statistics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, need_communities in (
-        ("detect", False),
-        ("domsets", True),
-        ("slopes", True),
-        ("metrics", True),
-        ("keywords", True),
-        ("report", True),
-        ("all", False),
-    ):
-        stage = sub.add_parser(name)
-        _add_common(stage, need_communities)
+    for name in (*STAGES, "all"):
+        _add_common(sub.add_parser(name), need_communities=name not in ("detect", "all"))
     return parser
 
 
@@ -109,25 +96,12 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     graph, communities, metadata = load_inputs(config)
+    records = run_stage(args.command, graph, communities, metadata, config, out)
+    note = f"stage {args.command} over {len(communities)} communities"
     if args.command == "detect":
-        detected = stage_detect(graph, config, out)
-        write_manifest(config, out, [f"detected {len(detected)} communities"])
-        print(f"detected {len(detected)} communities -> {out / 'communities.txt'}")
-        return EXIT_OK
-
-    if args.command == "domsets":
-        stage_domsets(graph, communities, config, out)
-    elif args.command == "slopes":
-        stage_slopes(communities, config, out)
-    elif args.command == "metrics":
-        stage_metrics(communities, config, out)
-    elif args.command == "keywords":
-        if metadata is None:
-            raise ConfigError("keywords stage needs --metadata")
-        stage_keywords(communities, metadata, config, out)
-    elif args.command == "report":
-        stage_report(graph, *read_report_inputs(out, graph, communities), config, out)
-    write_manifest(config, out, [f"stage {args.command} over {len(communities)} communities"])
+        note = f"detected {len(records)} communities"
+        print(f"{note} -> {out / 'communities.txt'}")
+    write_manifest(config, out, [note])
     return EXIT_OK
 
 

@@ -2,6 +2,7 @@
 
 Community files have one community per line: ``id: label label ...``.
 The leading ``id:`` token is optional; missing ids are assigned ``c<line>``.
+Ids are unique within a file.
 Communities may overlap; nothing here assumes disjointness.
 Each community splits its members' neighbors into inside and outside once,
 on first use (``Community.adjacency``); boundary, greedy sets, slope
@@ -103,6 +104,7 @@ def induced_subgraph(community: Community) -> Graph:
 def load_communities(source: IO | str | Path, graph: Graph) -> list[Community]:
     """Read communities from a file or path, resolving labels against ``graph``."""
     communities: list[Community] = []
+    first_line: dict[str, int] = {}
     for line_number, raw in enumerate(_iter_lines(source), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -111,6 +113,9 @@ def load_communities(source: IO | str | Path, graph: Graph) -> list[Community]:
         if ":" in line:
             head, _, rest = line.partition(":")
             community_id, line = head.strip(), rest
+        first = first_line.setdefault(community_id, line_number)
+        if first != line_number:
+            raise CommunityFileError(f"line {line_number}: community id {community_id!r} repeats line {first}")
         labels = line.split()
         if not labels:
             raise CommunityFileError(f"line {line_number}: community {community_id!r} is empty")

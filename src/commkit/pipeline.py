@@ -1,11 +1,12 @@
 """Pipeline stages and their file formats.
 
 Every stage is a pure function from loaded inputs to records, plus a
-writer; the CLI wires them together.  A record is written as one row of its
-scalar fields (see :func:`_columns`); only tables whose columns are not a
-record's fields name them by hand.  Identical configuration must give
-byte-identical artifacts, so nothing here records timestamps and floats
-are serialized with ``repr``.
+writer; :func:`run_stage` feeds each stage the tables earlier stages
+wrote, for ``all`` and the staged subcommands alike.  A record is written
+as one row of its scalar fields (see :func:`_columns`); only tables whose
+columns are not a record's fields name them by hand.  Identical
+configuration must give byte-identical artifacts, so nothing here records
+timestamps and floats are serialized with ``repr``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import reduce
 from itertools import zip_longest
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar, get_args, get_origin, get_type_hints
+from typing import Callable, Iterable, Sequence, TypeVar, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .community import Community, load_communities, write_communities
@@ -170,8 +171,7 @@ def _parse(text: str, hint: object) -> object:
 
 
 def _read_records(
-    directory: Path,
-    stem: str,
+    path: Path,
     cls: type[T],
     renamed: dict[str, str] | None = None,
     parsers: dict[str, Callable[[str], object]] | None = None,
@@ -181,13 +181,12 @@ def _read_records(
 
     A field is read from the column of its name, or the one ``renamed``
     gives, and parsed by its type hint or by ``parsers``.  Fields in
-    ``fixed`` are not stored and take the given value.  A missing or
-    malformed cell raises :class:`CommkitError` naming file, row and column.
+    ``fixed`` are not stored and take the given value.  A missing table
+    raises :class:`FileNotFoundError`; a missing or malformed cell raises
+    :class:`CommkitError` naming file, row and column.
     """
-    paths = [directory / f"{stem}{suffix}" for suffix in (".csv", ".json")]
-    path = next((path for path in paths if path.exists()), None)
-    if path is None:
-        raise FileNotFoundError(f"missing stage output {stem}.csv/.json in {directory}")
+    if not path.exists():
+        raise FileNotFoundError(f"missing stage output {path.name} in {path.parent}")
     renamed, parsers = renamed or {}, parsers or {}
     hints = get_type_hints(cls)
     stored = [f.name for f in fields(cls) if f.name not in fixed]
@@ -207,10 +206,18 @@ def _read_records(
     return records
 
 
+def _in_order(ids: Iterable[str], communities: list[Community], path: Path) -> None:
+    """Raise unless ``ids`` are exactly the ids of ``communities``, in order."""
+    for found, wanted in zip_longest(ids, (c.id for c in communities), fillvalue="end of table"):
+        if found != wanted:
+            mismatch = f"expected {wanted!r}, found {found!r}"
+            raise CommkitError(f"{path.stem} output does not list the communities in order: {mismatch}")
+
+
 def _by_community(
-    records: list[T], part: Callable[[T], str], names: Sequence[str], stem: str
+    records: list[T], part: Callable[[T], str], names: Sequence[str], communities: list[Community], path: Path
 ) -> list[list[T]]:
-    """Records grouped per community, first-seen order, each group ordered by ``names``."""
+    """Records grouped per community, in the order of ``communities``, each group ordered by ``names``."""
     groups: dict[str, dict[str, T]] = {}
     for record in records:
         groups.setdefault(record.community_id, {})[part(record)] = record
@@ -219,9 +226,10 @@ def _by_community(
         missing = [name for name in names if name not in parts]
         if missing:
             raise CommkitError(
-                f"{stem} output incomplete for community {community_id!r}: missing {missing[0]!r}"
+                f"{path.stem} output incomplete for community {community_id!r}: missing {missing[0]!r}"
             )
         result.append([parts[name] for name in names])
+    _in_order(groups, communities, path)
     return result
 
 
@@ -288,22 +296,15 @@ def stage_domsets(
 
 
 def stage_slopes(
-    communities: list[Community],
-    config: RunConfig,
-    out: Path,
-    bundles: list[DomsetBundle] | None = None,
+    communities: list[Community], bundles: list[DomsetBundle], config: RunConfig, out: Path
 ) -> list[tuple[SlopeResult, SlopeResult]]:
-    """Slope pairs per community; without bundles only the p-mode sets are built."""
-    if bundles is None:
-        p_sets = [(None, None)] * len(communities)
-    else:
-        p_sets = [(b.p_internal, b.p_external) for b in bundles]
+    """Slope pairs per community, from its p-mode internal and external sets."""
 
-    def one(item: tuple[Community, tuple]) -> tuple[SlopeResult, SlopeResult]:
-        c, (ids, eds) = item
-        return islope(c, p=config.p, domset=ids), eslope(c, p=config.p, domset=eds)
+    def one(item: tuple[Community, DomsetBundle]) -> tuple[SlopeResult, SlopeResult]:
+        c, b = item
+        return islope(c, p=config.p, domset=b.p_internal), eslope(c, p=config.p, domset=b.p_external)
 
-    pairs = parallel_map(one, list(zip(communities, p_sets)), config.workers)
+    pairs = parallel_map(one, list(zip(communities, bundles)), config.workers)
     write_table(
         out / "slopes",
         ["community_id", "kind", "K", "observed", "expected", "slope", "estimator", "closed"],
@@ -326,17 +327,13 @@ def stage_metrics(communities: list[Community], config: RunConfig, out: Path) ->
 
 
 def stage_keywords(
-    communities: list[Community],
-    metadata: dict[str, NodeMetadata],
-    config: RunConfig,
-    out: Path,
-    bundles: list[DomsetBundle] | None = None,
+    communities: list[Community], metadata: dict[str, NodeMetadata], bundles: list[DomsetBundle],
+    config: RunConfig, out: Path,
 ) -> None:
-    """Keyword predictions and curve; without bundles each p-IDS is built here."""
-    ids_sets = [None] * len(communities) if bundles is None else [b.p_internal for b in bundles]
+    """Keyword predictions and curve, each community's candidates listed by its p-IDS."""
     candidate_lists = parallel_map(
-        lambda item: build_keyword_list(item[0], metadata, p=config.p, domset=item[1]),
-        list(zip(communities, ids_sets)),
+        lambda item: build_keyword_list(item[0], metadata, p=config.p, domset=item[1].p_internal),
+        list(zip(communities, bundles)),
         config.workers,
     )
     scored = [
@@ -398,51 +395,75 @@ def stage_report(
 
 
 # ---------------------------------------------------------------------------
-# stage-output readers (report can run on prior outputs alone)
+# stage-output readers: each table must list exactly ``communities``, in order
 
 
-def read_domsets(directory: Path, graph: Graph) -> list[DomsetBundle]:
+def read_domsets(
+    graph: Graph, communities: list[Community], config: RunConfig, out: Path
+) -> list[DomsetBundle]:
+    """The four greedy sets per community, built with the configured k and p."""
+
     def members(text: str) -> frozenset[int]:
         return frozenset(graph.index(label) for label in text.split(";") if label)
 
-    results = _read_records(directory, "domsets", DomSetResult, parsers={"members": members}, steps=())
+    path = out / f"domsets.{config.fmt}"
+    results = _read_records(path, DomSetResult, parsers={"members": members}, steps=())
+    for number, r in enumerate(results, start=1):
+        wanted = config.k if r.criterion == "k" else config.p
+        if r.criterion_value != wanted:
+            built = f"sets built with {r.criterion}={r.criterion_value!r}"
+            raise CommkitError(f"{path}: row {number}: {built}, but --{r.criterion} is {wanted!r}")
     parts = [f.name for f in fields(DomsetBundle)]
-    groups = _by_community(results, lambda r: f"{r.criterion}_{r.mode}", parts, "domsets")
+    groups = _by_community(results, lambda r: f"{r.criterion}_{r.mode}", parts, communities, path)
     return [DomsetBundle(*group) for group in groups]
 
 
-def read_slopes(directory: Path) -> list[tuple[SlopeResult, SlopeResult]]:
+def read_slopes(
+    communities: list[Community], config: RunConfig, out: Path
+) -> list[tuple[SlopeResult, SlopeResult]]:
+    path = out / f"slopes.{config.fmt}"
     renamed = {"observed_ratio": "observed", "expected_ratio": "expected"}
-    results = _read_records(directory, "slopes", SlopeResult, renamed=renamed)
-    pairs = _by_community(results, lambda s: s.kind, ("internal", "external"), "slopes")
-    return [(internal, external) for internal, external in pairs]
+    results = _read_records(path, SlopeResult, renamed=renamed)
+    pairs = _by_community(results, lambda s: s.kind, ("internal", "external"), communities, path)
+    return [tuple(pair) for pair in pairs]
 
 
-def read_stats(directory: Path) -> list[CommunityStats]:
-    return _read_records(directory, "community_stats", CommunityStats)
-
-
-def read_report_inputs(
-    directory: Path, graph: Graph, communities: list[Community]
-) -> tuple[list[CommunityStats], list[DomsetBundle], list[tuple[SlopeResult, SlopeResult]]]:
-    """The stage tables ``report`` combines, each listing exactly ``communities`` in order."""
-    stats, bundles, pairs = read_stats(directory), read_domsets(directory, graph), read_slopes(directory)
-    listed = {
-        "community_stats": stats,
-        "domsets": [b.k_internal for b in bundles],
-        "slopes": [s for s, _ in pairs],
-    }
-    for stem, records in listed.items():
-        ids = (r.community_id for r in records)
-        for found, wanted in zip_longest(ids, (c.id for c in communities), fillvalue="end of table"):
-            if found != wanted:
-                mismatch = f"expected {wanted!r}, found {found!r}"
-                raise CommkitError(f"{stem} output does not list the communities in order: {mismatch}")
-    return stats, bundles, pairs
+def read_stats(communities: list[Community], config: RunConfig, out: Path) -> list[CommunityStats]:
+    path = out / f"community_stats.{config.fmt}"
+    stats = _read_records(path, CommunityStats)
+    _in_order((s.community_id for s in stats), communities, path)
+    return stats
 
 
 # ---------------------------------------------------------------------------
 # orchestration
+
+STAGES = ("detect", "domsets", "slopes", "metrics", "keywords", "report")
+
+
+def run_stage(
+    command: str, graph: Graph, communities: list[Community], metadata: dict[str, NodeMetadata] | None,
+    config: RunConfig, out: Path,
+) -> object:
+    """Run one of :data:`STAGES` over ``communities``, on the tables in ``out``; returns its records."""
+    if command == "detect":
+        return stage_detect(graph, config, out)
+    if command == "domsets":
+        return stage_domsets(graph, communities, config, out)
+    if command == "slopes":
+        return stage_slopes(communities, read_domsets(graph, communities, config, out), config, out)
+    if command == "metrics":
+        return stage_metrics(communities, config, out)
+    if command == "keywords":
+        if metadata is None:
+            raise ConfigError("keywords stage needs --metadata")
+        bundles = read_domsets(graph, communities, config, out)
+        return stage_keywords(communities, metadata, bundles, config, out)
+    if command == "report":
+        stats = read_stats(communities, config, out)
+        bundles = read_domsets(graph, communities, config, out)
+        return stage_report(graph, stats, bundles, read_slopes(communities, config, out), config, out)
+    raise ValueError(f"unknown stage {command!r}")
 
 
 def write_manifest(config: RunConfig, out: Path, notes: list[str]) -> None:
@@ -459,29 +480,24 @@ def write_manifest(config: RunConfig, out: Path, notes: list[str]) -> None:
 
 
 def run_pipeline(config: RunConfig) -> NetworkSummary | None:
-    """Run every stage in order; returns the summary (None without communities)."""
+    """Load or detect the communities, then run every later stage; returns the summary or None."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    notes: list[str] = []
-
     graph, communities, metadata = load_inputs(config)
     if config.communities_path:
-        notes.append(f"communities from {config.communities_path}")
+        notes = [f"communities from {config.communities_path}"]
     else:
-        communities = stage_detect(graph, config, out)
-        notes.append(f"detected {len(communities)} communities")
+        communities = run_stage("detect", graph, communities, metadata, config, out)
+        notes = [f"detected {len(communities)} communities"]
     if not communities:
         notes.append("no communities; characterization skipped")
         write_manifest(config, out, notes)
         return None
 
-    bundles = stage_domsets(graph, communities, config, out)
-    slope_pairs = stage_slopes(communities, config, out, bundles)
-    stats = stage_metrics(communities, config, out)
-    if metadata is not None:
-        stage_keywords(communities, metadata, config, out, bundles)
-    else:
+    if metadata is None:
         notes.append("no metadata; keyword stage skipped")
-    summary = stage_report(graph, stats, bundles, slope_pairs, config, out)
+    for command in STAGES[1:]:
+        if command != "keywords" or metadata is not None:
+            summary = run_stage(command, graph, communities, metadata, config, out)
     write_manifest(config, out, notes)
     return summary

@@ -23,6 +23,18 @@ def workdir(tmp_path):
     return tmp_path
 
 
+def _metadata(workdir):
+    """A metadata file on which both cliques predict keywords."""
+    lines = []
+    for prefix, topic in (("a", "spin glasses"), ("b", "neural networks")):
+        lines.append(f"{prefix}0\tCore paper on {topic}\toverview\t{topic}; review")
+        for i in range(1, 5):
+            lines.append(f"{prefix}{i}\tNotes on {topic}\tdetails\t")
+    path = workdir / "meta.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def _args(workdir, command, *extra, communities=True):
     args = [command, "--graph", str(workdir / "graph.edges")]
     if communities:
@@ -129,11 +141,42 @@ def test_malformed_json_stage_table_is_input_error(workdir, capsys):
     assert "slopes.json" in capsys.readouterr().err
 
 
-def test_missing_stage_table_is_input_error(workdir, capsys):
+@pytest.mark.parametrize(
+    "command, removed",
+    [("report", "slopes"), ("slopes", "domsets"), ("keywords", "domsets")],
+    ids=["report", "slopes", "keywords"],
+)
+def test_missing_stage_table_is_input_error(workdir, capsys, command, removed):
     out = _staged_tables(workdir)
-    (out / "slopes.csv").unlink()
-    assert main(_args(workdir, "report")) == EXIT_INPUT
-    assert "missing stage output slopes" in capsys.readouterr().err
+    (out / f"{removed}.csv").unlink()
+    assert main(_args(workdir, command, "--metadata", str(_metadata(workdir)))) == EXIT_INPUT
+    assert f"missing stage output {removed}" in capsys.readouterr().err
+
+
+def test_stage_tables_are_read_in_the_run_format(workdir, capsys):
+    _staged_tables(workdir, "csv")
+    assert main(_args(workdir, "report", "--format", "json")) == EXIT_INPUT
+    assert "missing stage output community_stats.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, built, default", [("--k", "3", "5"), ("--p", "0.5", "0.8")])
+def test_domsets_built_with_another_k_or_p_is_input_error(workdir, capsys, flag, built, default):
+    for stage in ("domsets", "slopes", "metrics"):
+        assert main(_args(workdir, stage, flag, built)) == EXIT_OK
+    for stage in ("slopes", "report"):
+        assert main(_args(workdir, stage)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        name = flag.lstrip("-")
+        assert "domsets.csv" in err and f"{name}={built}" in err and f"{flag} is {default}" in err, err
+    assert not (workdir / "out" / "summary.csv").exists()
+
+
+def test_repeated_community_id_is_input_error(workdir, capsys):
+    (workdir / "communities.txt").write_text(COMMUNITIES + "left: b0 b1 b2\n")
+    for command in ("all", "domsets"):
+        assert main(_args(workdir, command)) == EXIT_INPUT
+        assert "line 3: community id 'left' repeats line 1" in capsys.readouterr().err
+    assert not (workdir / "out" / "domsets.csv").exists()
 
 
 def test_incomplete_domsets_table_is_input_error(workdir, capsys):
@@ -177,6 +220,23 @@ def test_staged_report_equals_all_on_football(tmp_path, fmt):
     assert len(staged) == 10
     for name in sorted(staged):
         assert (tmp_path / "staged" / name).read_bytes() == (tmp_path / "all" / name).read_bytes(), name
+
+
+def test_staged_chain_equals_all_with_detection_and_keywords(workdir):
+    common = ["--graph", str(workdir / "graph.edges"), "--metadata", str(_metadata(workdir))]
+    common += ["--min-size", "3", "--max-size", "10"]
+    assert main(["all", *common, "--out", str(workdir / "all")]) == EXIT_OK
+    staged = workdir / "staged"
+    for stage in ("detect", "domsets", "slopes", "metrics", "keywords", "report"):
+        given = [] if stage == "detect" else ["--communities", str(staged / "communities.txt")]
+        assert main([stage, *common, *given, "--out", str(staged)]) == EXIT_OK
+    names = {path.name for path in staged.iterdir()} - {"manifest.json"}
+    assert names == {path.name for path in (workdir / "all").iterdir()} - {"manifest.json"}
+    assert {"communities.txt", "keyword_predictions.jsonl", "keyword_curve.csv"} <= names
+    assert (staged / "communities.txt").read_text().count("\n") == 2
+    assert (staged / "keyword_predictions.jsonl").read_text().count("\n") >= 2
+    for name in sorted(names):
+        assert (staged / name).read_bytes() == (workdir / "all" / name).read_bytes(), name
 
 
 # sha256 of every artifact but manifest.json (which records paths and the Python version)

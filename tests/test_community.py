@@ -122,6 +122,22 @@ def test_load_communities_empty_line_after_id():
         load_communities(io.StringIO("lonely:\n"), g)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the same explicit id twice
+        ("x: a b\nx: c d\n", "line 2: community id 'x' repeats line 1"),
+        # an explicit id equal to a later line's default c<line>
+        ("# header\nc3: a b\nc d\n", "line 3: community id 'c3' repeats line 2"),
+    ],
+    ids=["explicit", "default"],
+)
+def test_load_communities_rejects_repeated_ids(text, message):
+    g = Graph([("a", "b"), ("b", "c"), ("c", "d")])
+    with pytest.raises(CommunityFileError, match=message):
+        load_communities(io.StringIO(text), g)
+
+
 def test_load_communities_accepts_path(tmp_path):
     g = Graph([("a", "b")])
     target = tmp_path / "comms.txt"

@@ -143,20 +143,23 @@ def test_stage_outputs_can_be_read_back(inputs):
         config = _config(graph_path, communities_path, out, fmt=fmt)
         graph, communities, _ = load_inputs(config)
         bundles = stage_domsets(graph, communities, config, out)
-        pairs = stage_slopes(communities, config, out, bundles)
+        pairs = stage_slopes(communities, bundles, config, out)
         stats = stage_metrics(communities, config, out)
 
         # every field comes back equal and of the same type; steps are never written
         written = [replace(getattr(b, f.name), steps=()) for b in bundles for f in fields(b)]
-        again = [getattr(b, f.name) for b in read_domsets(out, graph) for f in fields(b)]
+        read_back = read_domsets(graph, communities, config, out)
+        again = [getattr(b, f.name) for b in read_back for f in fields(b)]
         assert again == written, fmt
         assert [[type(getattr(r, f.name)) for f in fields(r)] for r in again] == [
             [type(getattr(r, f.name)) for f in fields(r)] for r in written
         ], fmt
         assert {type(r.criterion_value) for r in again if r.criterion == "k"} == {int}, fmt
         assert pairs[-1][1].slope is None and bundles[-1].p_external.achieved_ratio is None
-        assert read_slopes(out) == pairs, fmt
-        assert read_stats(out) == stats, fmt
+        assert read_slopes(communities, config, out) == pairs, fmt
+        assert read_stats(communities, config, out) == stats, fmt
+        # the slopes of the sets read back are the slopes of the sets built
+        assert stage_slopes(communities, read_back, config, out) == pairs, fmt
 
 
 def test_stages_are_worker_count_independent(inputs):
@@ -168,10 +171,11 @@ def test_stages_are_worker_count_independent(inputs):
     for config in (serial, parallel):
         out = Path(config.out_dir)
         out.mkdir()
+        bundles = stage_domsets(graph, communities, config, out)
         results.append(
             (
-                stage_domsets(graph, communities, config, out),
-                stage_slopes(communities, config, out),
+                bundles,
+                stage_slopes(communities, bundles, config, out),
                 stage_metrics(communities, config, out),
             )
         )
