@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .detect import DetectParams
 from .errors import CommkitError, ConfigError
-from .pipeline import STAGES, RunConfig, load_inputs, run_pipeline, run_stage, write_manifest
+from .pipeline import NO_COMMUNITIES, STAGES, RunConfig, load_inputs, run_pipeline, run_stage, write_manifest
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -97,7 +97,7 @@ def _run(args: argparse.Namespace) -> int:
 
     graph, communities, metadata = load_inputs(config)
     records = run_stage(args.command, graph, communities, metadata, config, out)
-    note = f"stage {args.command} over {len(communities)} communities"
+    note = f"stage {args.command} over {len(communities)} communities" if communities else NO_COMMUNITIES
     if args.command == "detect":
         note = f"detected {len(records)} communities"
         print(f"{note} -> {out / 'communities.txt'}")

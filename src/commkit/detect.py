@@ -1,17 +1,18 @@
 """Local community detection: PPR push plus conductance sweep.
 
-Each seed gets an approximate personalized-PageRank vector (push method
-with degree-normalized residual threshold), which is swept in score/degree
-order for the prefix of minimum conductance.  Candidates are filtered by
-size and deduplicated by Jaccard overlap, keeping the lower-conductance
-one.  Detection is deliberately pluggable: every downstream stage also
-accepts externally supplied community files.
+Every node is a seed.  Each seed gets an approximate personalized-PageRank
+vector (push method with degree-normalized residual threshold), which is
+swept in score/degree order for the prefix of minimum conductance.
+Candidates are filtered by size and deduplicated best-first by
+conductance: a candidate whose Jaccard overlap with a kept community
+exceeds :data:`OVERLAP_JACCARD_MAX` (0.5) is dropped.  Detection is
+deliberately pluggable: every downstream stage also accepts externally
+supplied community files.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,17 +22,15 @@ from .errors import ConfigError
 from .graph import Graph
 
 
+OVERLAP_JACCARD_MAX = 0.5
+
+
 @dataclass(frozen=True)
 class DetectParams:
     alpha: float = 0.15
     epsilon: float = 1e-4
-    seed_strategy: str = "all-nodes"  # "all-nodes" | "random-sample" | "provided"
-    sample_size: int = 0  # for random-sample
-    seeds: tuple[int, ...] = ()  # for provided
     min_size: int = 5
     max_size: int = 200
-    overlap_jaccard_max: float = 0.5
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -42,12 +41,6 @@ class DetectParams:
             raise ConfigError(
                 f"need 1 <= min_size <= max_size, got [{self.min_size}, {self.max_size}]"
             )
-        if not 0.0 <= self.overlap_jaccard_max <= 1.0:
-            raise ConfigError(
-                f"overlap_jaccard_max must be in [0, 1], got {self.overlap_jaccard_max}"
-            )
-        if self.seed_strategy not in ("all-nodes", "random-sample", "provided"):
-            raise ConfigError(f"unknown seed strategy {self.seed_strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -222,25 +215,13 @@ class DetectedCommunity:
 
 
 def detect_communities(graph: Graph, params: DetectParams) -> list[DetectedCommunity]:
-    """Run PPR + sweep from every seed, filter by size, deduplicate by overlap.
+    """Run PPR + sweep from every node, filter by size, deduplicate by overlap.
 
     Pure function of (graph, params): candidates are collected per seed and
-    reduced in a fixed order, so worker scheduling cannot change the output.
+    reduced in a fixed order.
     """
-    if params.seed_strategy == "all-nodes":
-        seeds: Sequence[int] = range(graph.node_count)
-    elif params.seed_strategy == "random-sample":
-        rng = random.Random(params.rng_seed)
-        count = min(params.sample_size, graph.node_count)
-        seeds = sorted(rng.sample(range(graph.node_count), count))
-    else:
-        seeds = params.seeds
-        for s in seeds:
-            if not 0 <= s < graph.node_count:
-                raise ConfigError(f"provided seed {s} out of range")
-
     candidates: list[tuple[float, int, tuple[int, ...], SweepResult, int]] = []
-    for seed in seeds:
+    for seed in range(graph.node_count):
         ppr = approximate_ppr(graph, seed, params.alpha, params.epsilon)
         if not ppr.scores:
             continue
@@ -257,9 +238,7 @@ def detect_communities(graph: Graph, params: DetectParams) -> list[DetectedCommu
     kept: list[tuple[frozenset[int], SweepResult, int]] = []
     for _, _, key, sweep, seed in candidates:
         members = sweep.members
-        if any(_jaccard(members, other) > params.overlap_jaccard_max for other, _, _ in kept):
-            continue
-        if any(members == other for other, _, _ in kept):
+        if any(_jaccard(members, other) > OVERLAP_JACCARD_MAX for other, _, _ in kept):
             continue
         kept.append((members, sweep, seed))
 

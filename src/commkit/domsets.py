@@ -34,6 +34,14 @@ class DomSetResult:
     def size(self) -> int:
         return len(self.members)
 
+    def check_for(self, community: Community, mode: str) -> None:
+        """Raise :class:`ConfigError` unless this is the ``mode`` set of ``community``."""
+        if (self.mode, self.community_id) != (mode, community.id):
+            raise ConfigError(
+                f"expected the {mode} set of community {community.id!r}, "
+                f"got the {self.mode} set of community {self.community_id!r}"
+            )
+
 
 def idr(graph: Graph, subset: Iterable[int], community: Community) -> float:
     """Fraction of the community covered by the subset and its internal neighbors."""
@@ -68,29 +76,30 @@ def _check_criterion(k: int | None, p: float | None) -> None:
         raise ConfigError(f"p must be in [0, 1], got {p}")
 
 
-def _greedy_cover(
+def _greedy(
     community: Community,
+    mode: str,
     universe: frozenset[int],
     cover_of: dict[int, frozenset[int]],
     k: int | None,
     p: float | None,
-) -> tuple[list[int], list[tuple[int, int]], set[int]]:
+) -> DomSetResult:
     """Greedy maximum coverage over ``universe``; ties go to the lowest index.
 
     In k-mode exactly ``min(k, |C|)`` picks are made; in p-mode picking stops
     as soon as coverage/|universe| reaches p.  Zero-gain picks are allowed so
-    k-mode always reaches its size.
+    k-mode always reaches its size.  An empty universe (a closed community in
+    external mode) gives the sentinel result: empty set, ``closed=True``,
+    ratio ``None``.
     """
+    _check_criterion(k, p)
     candidates = sorted(community.members)
     chosen: list[int] = []
     steps: list[tuple[int, int]] = []
     covered: set[int] = set()
     target = min(k, community.size) if k is not None else community.size
-
-    for _ in range(target):
-        if p is not None and universe and len(covered) / len(universe) >= p:
-            break
-        if p is not None and not universe:
+    for _ in range(target if universe else 0):
+        if p is not None and len(covered) / len(universe) >= p:
             break
         best, best_gain = None, -1
         for v in candidates:
@@ -104,52 +113,25 @@ def _greedy_cover(
         chosen.append(best)
         steps.append((best, best_gain))
         covered |= cover_of[best]
-    return chosen, steps, covered
+    return DomSetResult(
+        community_id=community.id,
+        mode=mode,
+        criterion="k" if k is not None else "p",
+        criterion_value=k if k is not None else p,
+        members=frozenset(chosen),
+        achieved_ratio=len(covered) / len(universe) if universe else None,
+        steps=tuple(steps),
+        closed=not universe,
+    )
 
 
 def greedy_ids(community: Community, k: int | None = None, p: float | None = None) -> DomSetResult:
     """Greedy k- or p- internal dominating set of a community."""
-    _check_criterion(k, p)
     cover_of = {v: frozenset((v, *inside)) for v, (inside, _) in community.adjacency.items()}
-    chosen, steps, covered = _greedy_cover(community, community.members, cover_of, k, p)
-    return DomSetResult(
-        community_id=community.id,
-        mode="internal",
-        criterion="k" if k is not None else "p",
-        criterion_value=k if k is not None else p,
-        members=frozenset(chosen),
-        achieved_ratio=len(covered) / community.size,
-        steps=tuple(steps),
-    )
+    return _greedy(community, "internal", community.members, cover_of, k, p)
 
 
 def greedy_eds(community: Community, k: int | None = None, p: float | None = None) -> DomSetResult:
-    """Greedy k- or p- external dominating set of a community.
-
-    Closed communities (empty boundary) give the sentinel result: empty set,
-    ``closed=True``, ratio ``None``.
-    """
-    _check_criterion(k, p)
-    full_boundary = boundary(community)
-    if not full_boundary:
-        return DomSetResult(
-            community_id=community.id,
-            mode="external",
-            criterion="k" if k is not None else "p",
-            criterion_value=k if k is not None else p,
-            members=frozenset(),
-            achieved_ratio=None,
-            steps=(),
-            closed=True,
-        )
+    """Greedy k- or p- external dominating set; a closed community gives the sentinel."""
     cover_of = {v: frozenset(outside) for v, (_, outside) in community.adjacency.items()}
-    chosen, steps, covered = _greedy_cover(community, full_boundary, cover_of, k, p)
-    return DomSetResult(
-        community_id=community.id,
-        mode="external",
-        criterion="k" if k is not None else "p",
-        criterion_value=k if k is not None else p,
-        members=frozenset(chosen),
-        achieved_ratio=len(covered) / len(full_boundary),
-        steps=tuple(steps),
-    )
+    return _greedy(community, "external", boundary(community), cover_of, k, p)

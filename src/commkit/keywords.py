@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from .community import Community
-from .domsets import DomSetResult, greedy_ids
+from .domsets import DomSetResult
 from .errors import ConfigError
 from .graph import _iter_lines
 
@@ -65,18 +65,16 @@ class KeywordCandidate:
 
 
 def build_keyword_list(
-    community: Community,
-    metadata: dict[str, NodeMetadata],
-    p: float = 0.8,
-    domset: DomSetResult | None = None,
+    community: Community, metadata: dict[str, NodeMetadata], domset: DomSetResult
 ) -> list[KeywordCandidate]:
-    """Keywords listed by the p-IDS, ordered by community-wide popularity.
+    """Keywords listed by the community's internal set ``domset`` (its p-IDS
+    in the pipeline), ordered by community-wide popularity.
 
     Ties break lexicographically.  Both popularity counts are kept so the
-    two possible readings of "popularity" stay observable.
+    two possible readings of "popularity" stay observable.  A set of
+    another mode or community raises :class:`ConfigError`.
     """
-    if domset is None:
-        domset = greedy_ids(community, p=p)
+    domset.check_for(community, "internal")
     graph = community.graph
     ids_labels = {graph.label(v) for v in domset.members}
 
@@ -134,18 +132,16 @@ def predict_keywords(
     community: Community,
     metadata: dict[str, NodeMetadata],
     prefix_length: int,
-    candidates: list[KeywordCandidate] | None = None,
-    p: float = 0.8,
+    candidates: list[KeywordCandidate],
 ) -> PredictionReport:
-    """Confirm the first ``prefix_length`` candidate keywords against each
-    unlabeled community paper's title and abstract.
+    """Confirm the first ``prefix_length`` of the community's ``candidates``
+    (from :func:`build_keyword_list`) against each unlabeled community
+    paper's title and abstract.
 
     Papers whose authors listed keywords are never assigned predictions.
     """
     if prefix_length < 1:
         raise ConfigError(f"prefix_length must be >= 1, got {prefix_length}")
-    if candidates is None:
-        candidates = build_keyword_list(community, metadata, p=p)
     prefix = candidates[:prefix_length]
     keyword_tokens = [(c.keyword, tokenize(c.keyword)) for c in prefix]
 

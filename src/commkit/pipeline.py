@@ -302,7 +302,7 @@ def stage_slopes(
 
     def one(item: tuple[Community, DomsetBundle]) -> tuple[SlopeResult, SlopeResult]:
         c, b = item
-        return islope(c, p=config.p, domset=b.p_internal), eslope(c, p=config.p, domset=b.p_external)
+        return islope(c, b.p_internal), eslope(c, b.p_external)
 
     pairs = parallel_map(one, list(zip(communities, bundles)), config.workers)
     write_table(
@@ -332,12 +332,12 @@ def stage_keywords(
 ) -> None:
     """Keyword predictions and curve, each community's candidates listed by its p-IDS."""
     candidate_lists = parallel_map(
-        lambda item: build_keyword_list(item[0], metadata, p=config.p, domset=item[1].p_internal),
+        lambda item: build_keyword_list(item[0], metadata, item[1].p_internal),
         list(zip(communities, bundles)),
         config.workers,
     )
     scored = [
-        (candidates, predict_keywords(community, metadata, max(CURVE_LENGTHS), candidates=candidates))
+        (candidates, predict_keywords(community, metadata, max(CURVE_LENGTHS), candidates))
         for community, candidates in zip(communities, candidate_lists)
         if candidates
     ]
@@ -439,15 +439,23 @@ def read_stats(communities: list[Community], config: RunConfig, out: Path) -> li
 # orchestration
 
 STAGES = ("detect", "domsets", "slopes", "metrics", "keywords", "report")
+NO_COMMUNITIES = "no communities; characterization skipped"
 
 
 def run_stage(
     command: str, graph: Graph, communities: list[Community], metadata: dict[str, NodeMetadata] | None,
     config: RunConfig, out: Path,
 ) -> object:
-    """Run one of :data:`STAGES` over ``communities``, on the tables in ``out``; returns its records."""
+    """Run one of :data:`STAGES` over ``communities``, on the tables in ``out``; returns its records.
+
+    Every stage but detect writes nothing and returns None when there are no communities.
+    """
     if command == "detect":
         return stage_detect(graph, config, out)
+    if command == "keywords" and metadata is None:
+        raise ConfigError("keywords stage needs --metadata")
+    if not communities:
+        return None
     if command == "domsets":
         return stage_domsets(graph, communities, config, out)
     if command == "slopes":
@@ -455,8 +463,6 @@ def run_stage(
     if command == "metrics":
         return stage_metrics(communities, config, out)
     if command == "keywords":
-        if metadata is None:
-            raise ConfigError("keywords stage needs --metadata")
         bundles = read_domsets(graph, communities, config, out)
         return stage_keywords(communities, metadata, bundles, config, out)
     if command == "report":
@@ -490,11 +496,8 @@ def run_pipeline(config: RunConfig) -> NetworkSummary | None:
         communities = run_stage("detect", graph, communities, metadata, config, out)
         notes = [f"detected {len(communities)} communities"]
     if not communities:
-        notes.append("no communities; characterization skipped")
-        write_manifest(config, out, notes)
-        return None
-
-    if metadata is None:
+        notes.append(NO_COMMUNITIES)
+    elif metadata is None:
         notes.append("no metadata; keyword stage skipped")
     for command in STAGES[1:]:
         if command != "keywords" or metadata is not None:

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .community import Community
-from .domsets import DomSetResult, greedy_eds, greedy_ids
+from .domsets import DomSetResult
 from .errors import ConfigError
 
 
@@ -55,62 +55,27 @@ def random_subset_ratio(community: Community, K: int, kind: str) -> float | None
     return (total - missed) / total
 
 
-def islope(
-    community: Community,
-    p: float = 0.8,
-    domset: DomSetResult | None = None,
-) -> SlopeResult:
-    """Internal slope: greedy p-IDS ratio minus the random-subset expectation.
+def islope(community: Community, domset: DomSetResult) -> SlopeResult:
+    """Internal slope: the ratio of the community's greedy internal set
+    ``domset`` (its p-IDS in the pipeline) minus the random-subset expectation."""
+    return _slope(community, domset, "internal")
 
-    A precomputed greedy set can be passed in to avoid recomputation; it must
-    be an internal p-mode result for the same community.
-    """
-    if domset is None:
-        domset = greedy_ids(community, p=p)
+
+def eslope(community: Community, domset: DomSetResult) -> SlopeResult:
+    """External slope from the community's greedy external set; closed
+    communities give the sentinel result."""
+    return _slope(community, domset, "external")
+
+
+def _slope(community: Community, domset: DomSetResult, kind: str) -> SlopeResult:
+    """Slope of ``kind`` from the community's ``kind`` set; a set of
+    another mode or community raises :class:`ConfigError`."""
+    domset.check_for(community, kind)
+    if domset.closed:
+        return SlopeResult(community.id, kind, 0, None, None, None, closed=True)
     if domset.size == 0:
         # p=0 stops before the first pick; the empty subset is its own expectation
-        return SlopeResult(community.id, "internal", 0, 0.0, 0.0, 0.0)
-    K = domset.size
+        return SlopeResult(community.id, kind, 0, 0.0, 0.0, 0.0)
     observed = domset.achieved_ratio
-    expected = random_subset_ratio(community, K, "internal")
-    return SlopeResult(
-        community_id=community.id,
-        kind="internal",
-        K=K,
-        observed_ratio=observed,
-        expected_ratio=expected,
-        slope=observed - expected,
-    )
-
-
-def eslope(
-    community: Community,
-    p: float = 0.8,
-    domset: DomSetResult | None = None,
-) -> SlopeResult:
-    """External slope; closed communities give the sentinel result."""
-    if domset is None:
-        domset = greedy_eds(community, p=p)
-    if domset.closed:
-        return SlopeResult(
-            community_id=community.id,
-            kind="external",
-            K=0,
-            observed_ratio=None,
-            expected_ratio=None,
-            slope=None,
-            closed=True,
-        )
-    if domset.size == 0:
-        return SlopeResult(community.id, "external", 0, 0.0, 0.0, 0.0)
-    K = domset.size
-    observed = domset.achieved_ratio
-    expected = random_subset_ratio(community, K, "external")
-    return SlopeResult(
-        community_id=community.id,
-        kind="external",
-        K=K,
-        observed_ratio=observed,
-        expected_ratio=expected,
-        slope=observed - expected,
-    )
+    expected = random_subset_ratio(community, domset.size, kind)
+    return SlopeResult(community.id, kind, domset.size, observed, expected, observed - expected)

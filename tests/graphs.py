@@ -6,7 +6,7 @@ can import them by a name no other test directory uses.
 
 from pathlib import Path
 
-from commkit import Community, Graph
+from commkit import Community, DomSetResult, Graph, greedy_ids
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -54,3 +54,8 @@ def clique_graph(n: int) -> Graph:
 
 def whole_community(graph: Graph, community_id: str = "all") -> Community:
     return Community(community_id, frozenset(graph.nodes()), graph)
+
+
+def p_ids(community: Community, p: float = 0.8) -> DomSetResult:
+    """The community's greedy p-internal dominating set, as the pipeline builds it."""
+    return greedy_ids(community, p=p)

@@ -20,7 +20,6 @@ from commkit import (
     Community,
     Graph,
     RunConfig,
-    build_keyword_list,
     clustering_coefficient,
     community_stats,
     detect_communities,
@@ -37,8 +36,8 @@ from commkit import (
     summarize,
 )
 from commkit.detect import DetectParams
-from graphs import DATA_DIR, clique_graph, star_graph, two_clique_graph, whole_community
-from test_keywords import FIXTURE_EDGES, FIXTURE_METADATA
+from graphs import DATA_DIR, clique_graph, p_ids, star_graph, two_clique_graph, whole_community
+from test_keywords import FIXTURE_EDGES, FIXTURE_METADATA, candidates_of
 
 
 def _report(criterion: str, name: str, passed: bool, detail: str) -> None:
@@ -200,11 +199,12 @@ def test_criterion_5_analytic_slopes():
     checks = []
 
     for n in (4, 6, 9):
-        result = islope(whole_community(clique_graph(n)), p=0.8)
+        clique = whole_community(clique_graph(n))
+        result = islope(clique, p_ids(clique))
         checks.append(result.slope == 0.0)
 
-    star = star_graph(9)
-    result = islope(whole_community(star), p=0.8)
+    star = whole_community(star_graph(9))
+    result = islope(star, p_ids(star))
     checks.append(result.K == 1)
     checks.append(abs(result.slope - 0.72) < 1e-12)
 
@@ -213,7 +213,7 @@ def test_criterion_5_analytic_slopes():
         edges += [("m0", "x0"), ("m0", "x1"), ("m0", "x2")]
         g = Graph(edges)
         community = Community("gate", frozenset(g.index(f"m{i}") for i in range(n)), g)
-        result = eslope(community, p=0.8)
+        result = eslope(community, greedy_eds(community, p=0.8))
         checks.append(abs(result.slope - (1 - 1 / n)) < 1e-12)
 
     ok = all(checks)
@@ -284,18 +284,18 @@ def test_criterion_8_keyword_oracle():
     community = Community("hep", frozenset(g.index(f"n{i:02d}") for i in range(1, 21)), g)
     metadata = load_metadata(io.StringIO(FIXTURE_METADATA))
 
+    candidates = candidates_of(community, metadata)
     oracle = {1: 4, 2: 6, 3: 8}
     counts_ok = all(
-        predict_keywords(community, metadata, length).confirmed_paper_count == count
+        predict_keywords(community, metadata, length, candidates).confirmed_paper_count == count
         for length, count in oracle.items()
     )
-    report = predict_keywords(community, metadata, 3)
+    report = predict_keywords(community, metadata, 3, candidates)
     detail_ok = {p.label for p in report.predictions} == {
         "n06", "n07", "n08", "n14", "n15", "n16", "n18", "n19"
     } and report.skipped_paper_count == 1
 
-    candidates = build_keyword_list(community, metadata)
-    longest = predict_keywords(community, metadata, 8, candidates=candidates)
+    longest = predict_keywords(community, metadata, 8, candidates)
     curve = prediction_curve([(candidates, longest)], list(range(1, 9)))
     counts = [count for _, count in curve]
     monotone = counts == sorted(counts)

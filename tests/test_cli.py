@@ -1,10 +1,12 @@
 import hashlib
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 
-from commkit.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, main
+from commkit.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, _config_from_args, build_parser, main
+from commkit.detect import DetectParams
 from graphs import DATA_DIR
 
 GRAPH = "\n".join(
@@ -312,6 +314,29 @@ def test_non_finite_epsilon_is_config_error(workdir, capsys, value):
 
 def test_keywords_without_metadata_is_config_error(workdir):
     assert main(_args(workdir, "keywords")) == EXIT_CONFIG
+
+
+def test_every_detect_param_is_set_by_its_flag(workdir):
+    # a field without a flag would be an option that no run reaches
+    wanted = {f.name: f.default * 2 for f in fields(DetectParams)}
+    flags = [arg for name, value in wanted.items() for arg in (f"--{name.replace('_', '-')}", str(value))]
+    args = build_parser().parse_args(_args(workdir, "detect", *flags, communities=False))
+    assert asdict(_config_from_args(args).detect) == wanted
+
+
+@pytest.mark.parametrize("command", ["domsets", "slopes", "metrics", "keywords", "report"])
+def test_empty_community_file_is_skipped_like_all(workdir, command):
+    (workdir / "communities.txt").write_text("# nothing\n")
+    metadata = ["--metadata", str(_metadata(workdir))]
+    assert main(_args(workdir, "all", *metadata)) == EXIT_OK
+    notes = json.loads((workdir / "out" / "manifest.json").read_text())["notes"]
+    assert [p.name for p in (workdir / "out").iterdir()] == ["manifest.json"]
+
+    extra = metadata if command == "keywords" else []
+    assert main(_args(workdir, command, *extra, "--out", str(workdir / "staged"))) == EXIT_OK
+    assert [p.name for p in (workdir / "staged").iterdir()] == ["manifest.json"]
+    staged_notes = json.loads((workdir / "staged" / "manifest.json").read_text())["notes"]
+    assert staged_notes == notes[1:] == ["no communities; characterization skipped"]
 
 
 def test_json_format_outputs(workdir):

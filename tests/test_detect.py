@@ -18,10 +18,6 @@ def test_params_validation():
             DetectParams(epsilon=float(value))
     with pytest.raises(ConfigError):
         DetectParams(min_size=5, max_size=4)
-    with pytest.raises(ConfigError):
-        DetectParams(overlap_jaccard_max=1.5)
-    with pytest.raises(ConfigError):
-        DetectParams(seed_strategy="nonsense")
 
 
 def test_ppr_isolated_seed_keeps_all_mass():
@@ -153,24 +149,3 @@ def test_detect_empty_result_when_filters_exclude_everything():
     g = two_clique_graph()
     found = detect_communities(g, DetectParams(min_size=7, max_size=9))
     assert found == []
-
-
-def test_detect_random_sample_seeding_is_seeded():
-    g = two_clique_graph()
-    params = DetectParams(min_size=3, max_size=10, seed_strategy="random-sample", sample_size=4, rng_seed=9)
-    assert detect_communities(g, params) == detect_communities(g, params)
-
-
-def test_detect_provided_seeds():
-    g = two_clique_graph()
-    params = DetectParams(min_size=3, max_size=10, seed_strategy="provided", seeds=(g.index("a0"),))
-    found = detect_communities(g, params)
-    assert len(found) == 1
-    assert found[0].community.members == frozenset(g.index(f"a{i}") for i in range(5))
-
-
-def test_detect_provided_seed_out_of_range():
-    g = clique_graph(4)
-    params = DetectParams(min_size=1, max_size=4, seed_strategy="provided", seeds=(99,))
-    with pytest.raises(ConfigError):
-        detect_communities(g, params)

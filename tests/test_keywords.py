@@ -6,12 +6,14 @@ from commkit import (
     Community,
     Graph,
     build_keyword_list,
+    greedy_eds,
     load_metadata,
     predict_keywords,
     prediction_curve,
 )
 from commkit.errors import ConfigError
 from commkit.keywords import _contains_sequence, normalize_keyword, tokenize
+from graphs import p_ids
 
 # ---------------------------------------------------------------------------
 # 20-paper citation fixture.  Two hubs n01/n02 form the 0.8-IDS (n01 covers
@@ -77,6 +79,16 @@ def fixture_metadata():
     return load_metadata(io.StringIO(FIXTURE_METADATA))
 
 
+@pytest.fixture
+def fixture_candidates(fixture_community, fixture_metadata):
+    return candidates_of(fixture_community, fixture_metadata)
+
+
+def candidates_of(community, metadata):
+    """The candidate list the pipeline builds: keywords of the community's p-IDS."""
+    return build_keyword_list(community, metadata, p_ids(community))
+
+
 def test_normalize_keyword():
     assert normalize_keyword("  Gauge   Theory ") == "gauge theory"
     assert normalize_keyword("black-holes") == "black holes"
@@ -106,7 +118,7 @@ def test_load_metadata_tolerates_short_rows():
 
 
 def test_build_keyword_list_order(fixture_graph, fixture_community, fixture_metadata):
-    candidates = build_keyword_list(fixture_community, fixture_metadata, p=0.8)
+    candidates = candidates_of(fixture_community, fixture_metadata)
     assert [c.keyword for c in candidates] == [
         "black holes",
         "gauge theory",
@@ -124,31 +136,31 @@ def test_build_keyword_list_excludes_non_ids_keywords(
     fixture_community, fixture_metadata
 ):
     # n05 lists "cosmology" but no dominating-set member does
-    candidates = build_keyword_list(fixture_community, fixture_metadata, p=0.8)
+    candidates = candidates_of(fixture_community, fixture_metadata)
     assert "cosmology" not in [c.keyword for c in candidates]
 
 
 def test_build_keyword_list_empty_without_metadata(fixture_community):
-    assert build_keyword_list(fixture_community, {}, p=0.8) == []
+    assert candidates_of(fixture_community, {}) == []
 
 
 def test_tie_breaks_lexicographically():
     g = Graph([("hub", "a"), ("hub", "b")])
     c = Community("c", frozenset(g.nodes()), g)
     metadata = load_metadata(io.StringIO("hub\tT\tA\tzeta; alpha\n"))
-    candidates = build_keyword_list(c, metadata, p=0.8)
+    candidates = candidates_of(c, metadata)
     assert [x.keyword for x in candidates] == ["alpha", "zeta"]
 
 
-def test_predict_prefix_one(fixture_community, fixture_metadata):
-    report = predict_keywords(fixture_community, fixture_metadata, 1)
+def test_predict_prefix_one(fixture_community, fixture_metadata, fixture_candidates):
+    report = predict_keywords(fixture_community, fixture_metadata, 1, fixture_candidates)
     assert report.confirmed_paper_count == 4
     assert {p.label for p in report.predictions} == {"n06", "n14", "n15", "n18"}
     assert report.skipped_paper_count == 1
 
 
-def test_predict_prefix_two(fixture_community, fixture_metadata):
-    report = predict_keywords(fixture_community, fixture_metadata, 2)
+def test_predict_prefix_two(fixture_community, fixture_metadata, fixture_candidates):
+    report = predict_keywords(fixture_community, fixture_metadata, 2, fixture_candidates)
     assert {p.label for p in report.predictions} == {
         "n06",
         "n07",
@@ -159,8 +171,8 @@ def test_predict_prefix_two(fixture_community, fixture_metadata):
     }
 
 
-def test_predict_prefix_three_full_oracle(fixture_community, fixture_metadata):
-    report = predict_keywords(fixture_community, fixture_metadata, 3)
+def test_predict_prefix_three_full_oracle(fixture_community, fixture_metadata, fixture_candidates):
+    report = predict_keywords(fixture_community, fixture_metadata, 3, fixture_candidates)
     expected = {
         "n06": (("black holes",), ("title",)),
         "n07": (("gauge theory",), ("title",)),
@@ -177,28 +189,28 @@ def test_predict_prefix_three_full_oracle(fixture_community, fixture_metadata):
     assert report.skipped_paper_count == 1
 
 
-def test_labeled_papers_never_predicted(fixture_community, fixture_metadata):
+def test_labeled_papers_never_predicted(fixture_community, fixture_metadata, fixture_candidates):
     # n03's title matches "gauge theory" but its authors listed keywords
-    report = predict_keywords(fixture_community, fixture_metadata, 3)
+    report = predict_keywords(fixture_community, fixture_metadata, 3, fixture_candidates)
     assert "n03" not in {p.label for p in report.predictions}
 
 
-def test_predictions_only_from_candidate_prefix(fixture_community, fixture_metadata):
-    report = predict_keywords(fixture_community, fixture_metadata, 1)
+def test_predictions_only_from_candidate_prefix(fixture_community, fixture_metadata, fixture_candidates):
+    report = predict_keywords(fixture_community, fixture_metadata, 1, fixture_candidates)
     for prediction in report.predictions:
         assert set(prediction.predicted) <= {"black holes"}
 
 
-def test_predict_requires_positive_prefix(fixture_community, fixture_metadata):
+def test_predict_requires_positive_prefix(fixture_community, fixture_metadata, fixture_candidates):
     with pytest.raises(ConfigError):
-        predict_keywords(fixture_community, fixture_metadata, 0)
+        predict_keywords(fixture_community, fixture_metadata, 0, fixture_candidates)
 
 
 def _curve(communities, metadata, lengths):
     scored = []
     for community in communities:
-        candidates = build_keyword_list(community, metadata, p=0.8)
-        report = predict_keywords(community, metadata, max(lengths), candidates=candidates)
+        candidates = candidates_of(community, metadata)
+        report = predict_keywords(community, metadata, max(lengths), candidates)
         scored.append((candidates, report))
     return prediction_curve(scored, lengths)
 
@@ -213,8 +225,9 @@ def test_prediction_curve_equals_predictions_per_length(fixture_graph, fixture_m
     a = Community("a", frozenset(fixture_graph.index(f"n{i:02d}") for i in range(1, 21)), fixture_graph)
     b = Community("b", frozenset(fixture_graph.index(f"n{i:02d}") for i in range(3, 21)), fixture_graph)
     lengths = [1, 2, 3, 4]
+    candidates = {c: candidates_of(c, fixture_metadata) for c in (a, b)}
     per_length = [
-        (length, len({p.label for c in (a, b) for p in predict_keywords(c, fixture_metadata, length).predictions}))
+        (length, len({p.label for c in (a, b) for p in predict_keywords(c, fixture_metadata, length, candidates[c]).predictions}))
         for length in lengths
     ]
     assert per_length[0] == (1, 6)
@@ -235,8 +248,8 @@ def test_prediction_curve_rejects_unsorted_lengths(fixture_community, fixture_me
 def test_prediction_curve_rejects_predictions_shorter_than_lengths(
     fixture_community, fixture_metadata
 ):
-    candidates = build_keyword_list(fixture_community, fixture_metadata, p=0.8)
-    report = predict_keywords(fixture_community, fixture_metadata, 2, candidates=candidates)
+    candidates = candidates_of(fixture_community, fixture_metadata)
+    report = predict_keywords(fixture_community, fixture_metadata, 2, candidates)
     with pytest.raises(ConfigError):
         prediction_curve([(candidates, report)], [1, 3])
 
@@ -248,3 +261,11 @@ def test_prediction_curve_counts_overlapping_paper_once(fixture_graph, fixture_m
     single = _curve([a], fixture_metadata, [3])
     double = _curve([a, b], fixture_metadata, [3])
     assert single == double
+
+
+def test_build_keyword_list_rejects_a_set_of_another_mode_or_community(fixture_graph, fixture_community, fixture_metadata):
+    other = Community("other", fixture_community.members, fixture_graph)
+    with pytest.raises(ConfigError, match="internal set of community 'hep', got the external set of community 'hep'"):
+        build_keyword_list(fixture_community, fixture_metadata, greedy_eds(fixture_community, p=0.8))
+    with pytest.raises(ConfigError, match="internal set of community 'hep', got the internal set of community 'other'"):
+        build_keyword_list(fixture_community, fixture_metadata, p_ids(other))

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from commkit import Community, Graph, eslope, islope, random_subset_ratio
+from commkit import Community, Graph, eslope, greedy_eds, greedy_ids, islope, random_subset_ratio
 from commkit.errors import ConfigError
-from graphs import clique_graph, star_graph, whole_community
+from graphs import clique_graph, p_ids, star_graph, whole_community
 
 
 def test_expected_ratio_clique_k1_is_one():
@@ -48,15 +48,15 @@ def test_expected_ratio_input_validation():
 
 def test_islope_clique_is_zero():
     for n in (3, 5, 8):
-        g = clique_graph(n)
-        result = islope(whole_community(g), p=0.8)
+        c = whole_community(clique_graph(n))
+        result = islope(c, p_ids(c))
         assert result.slope == 0.0
         assert result.K == 1
 
 
 def test_islope_star10_exact():
-    g = star_graph(9)
-    result = islope(whole_community(g), p=0.8)
+    c = whole_community(star_graph(9))
+    result = islope(c, p_ids(c))
     assert result.K == 1
     assert result.observed_ratio == 1.0
     assert result.expected_ratio == pytest.approx(0.28)
@@ -64,8 +64,8 @@ def test_islope_star10_exact():
 
 
 def test_islope_p_zero_is_defined():
-    g = clique_graph(4)
-    result = islope(whole_community(g), p=0.0)
+    c = whole_community(clique_graph(4))
+    result = islope(c, p_ids(c, p=0.0))
     assert result.K == 0
     assert result.slope == 0.0
 
@@ -77,7 +77,7 @@ def test_eslope_single_gatekeeper():
     edges += [("m0", "x0"), ("m0", "x1")]
     g = Graph(edges)
     c = Community("gate", frozenset(g.index(f"m{i}") for i in range(n)), g)
-    result = eslope(c, p=0.8)
+    result = eslope(c, greedy_eds(c, p=0.8))
     assert result.K == 1
     assert result.observed_ratio == 1.0
     assert result.slope == pytest.approx(1 - 1 / n)
@@ -90,7 +90,7 @@ def test_eslope_symmetric_boundary_is_zero():
     edges += [(f"m{i}", f"x{i}") for i in range(4)]
     g = Graph(edges)
     c = Community("ring", frozenset(g.index(f"m{i}") for i in range(4)), g)
-    result = eslope(c, p=0.5)
+    result = eslope(c, greedy_eds(c, p=0.5))
     assert result.K == 2
     assert result.slope == pytest.approx(0.0)
 
@@ -98,7 +98,7 @@ def test_eslope_symmetric_boundary_is_zero():
 def test_eslope_closed_community_sentinel():
     g = Graph([("a", "b"), ("x", "y")])
     c = Community("pair", frozenset({g.index("a"), g.index("b")}), g)
-    result = eslope(c, p=0.8)
+    result = eslope(c, greedy_eds(c, p=0.8))
     assert result.closed
     assert result.slope is None
 
@@ -133,8 +133,8 @@ def test_random_subset_ratio_gatekeeper_every_K():
 
 
 def test_slope_results_bounded():
-    g = star_graph(9)
-    result = islope(whole_community(g), p=0.8)
+    c = whole_community(star_graph(9))
+    result = islope(c, p_ids(c))
     assert 0.0 <= result.observed_ratio <= 1.0
     assert 0.0 <= result.expected_ratio <= 1.0
     assert -1.0 < result.slope < 1.0
@@ -147,10 +147,23 @@ def test_slope_invariant_under_relabeling():
     mapping = {"a": "q", "b": "n", "c": "z", "d": "m", "x": "w"}
     g2 = Graph([(mapping[u], mapping[v]) for u, v in edges])
     c2 = Community("c", frozenset(g2.index(mapping[l]) for l in "abcd"), g2)
-    r1, r2 = islope(c1, p=0.8), islope(c2, p=0.8)
+    r1, r2 = islope(c1, p_ids(c1)), islope(c2, p_ids(c2))
     assert (r1.K, r1.observed_ratio, r1.expected_ratio, r1.slope) == (
         r2.K,
         r2.observed_ratio,
         r2.expected_ratio,
         r2.slope,
     )
+
+
+def test_slope_rejects_a_set_of_another_mode_or_community():
+    edges = [(f"m{i}", f"m{j}") for i in range(4) for j in range(i + 1, 4)] + [("m0", "x0")]
+    g = Graph(edges)
+    c = Community("gate", frozenset(g.index(f"m{i}") for i in range(4)), g)
+    other = Community("other", c.members, g)
+    with pytest.raises(ConfigError, match="internal set of community 'gate', got the external set"):
+        islope(c, greedy_eds(c, p=0.8))
+    with pytest.raises(ConfigError, match="external set of community 'gate', got the internal set"):
+        eslope(c, greedy_ids(c, p=0.8))
+    with pytest.raises(ConfigError, match="community 'gate', got the internal set of community 'other'"):
+        islope(c, p_ids(other))

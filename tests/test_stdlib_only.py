@@ -25,3 +25,24 @@ def test_library_is_stdlib_only():
         if name.partition(".")[0] not in sys.stdlib_module_names | {"commkit"}
     ]
     assert foreign == []
+
+
+def _unused_imports(path):
+    """Names a module imports but never references, except ``__future__`` and ``# noqa: F401`` lines."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "# noqa: F401" not in lines[node.lineno - 1]:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_library_has_no_unused_imports():
+    paths = [path for path in sorted(SOURCE.glob("*.py")) if path.name != "__init__.py"]
+    assert [entry for path in paths for entry in _unused_imports(path)] == []
