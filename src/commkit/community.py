@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from .errors import CommunityFileError
-from .graph import Graph, _iter_lines
+from .graph import Graph, _read_lines
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def load_communities(source: IO | str | Path, graph: Graph) -> list[Community]:
     """Read communities from a file or path, resolving labels against ``graph``."""
     communities: list[Community] = []
     first_line: dict[str, int] = {}
-    for line_number, raw in enumerate(_iter_lines(source), start=1):
+    for line_number, raw in enumerate(_read_lines(source), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -120,6 +120,10 @@ def load_communities(source: IO | str | Path, graph: Graph) -> list[Community]:
         if not labels:
             raise CommunityFileError(f"line {line_number}: community {community_id!r} is empty")
         members = frozenset(graph.index(label) for label in labels)
+        if len(members) != len(labels):
+            seen: set[str] = set()
+            repeated = next(label for label in labels if label in seen or seen.add(label))
+            raise CommunityFileError(f"line {line_number}: community {community_id!r} repeats label {repeated!r}")
         communities.append(Community(community_id, members, graph))
     return communities
 

@@ -17,7 +17,7 @@ from typing import IO, Iterable
 from .community import Community
 from .domsets import DomSetResult
 from .errors import ConfigError
-from .graph import _iter_lines
+from .graph import _read_lines
 
 _TOKEN_RE = re.compile(r"[^0-9a-z]+")
 
@@ -41,8 +41,7 @@ class NodeMetadata:
 def load_metadata(source: IO | str | Path) -> dict[str, NodeMetadata]:
     """Read tab-separated metadata records keyed by node label."""
     records: dict[str, NodeMetadata] = {}
-    for raw in _iter_lines(source):
-        line = raw.rstrip("\n")
+    for line in _read_lines(source):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")

@@ -181,6 +181,14 @@ def test_repeated_community_id_is_input_error(workdir, capsys):
     assert not (workdir / "out" / "domsets.csv").exists()
 
 
+def test_label_repeated_in_one_community_is_input_error(workdir, capsys):
+    (workdir / "communities.txt").write_text("left: a0 a1 a2 a1\nright: b0 b1 b2 b3 b4\n")
+    for command in ("all", "metrics"):
+        assert main(_args(workdir, command)) == EXIT_INPUT
+        assert "line 1: community 'left' repeats label 'a1'" in capsys.readouterr().err
+    assert not (workdir / "out" / "community_stats.csv").exists()
+
+
 def test_incomplete_domsets_table_is_input_error(workdir, capsys):
     out = _staged_tables(workdir)
     lines = (out / "domsets.csv").read_text().splitlines()
@@ -386,3 +394,88 @@ def test_repeat_runs_are_byte_identical(workdir):
     assert first.keys() == second.keys()
     for name in first:
         assert first[name] == second[name], name
+
+
+# ---------------------------------------------------------------------------
+# malformed and re-encoded inputs through ``commkit all``
+
+def _fuzz_inputs(workdir):
+    """The three inputs of ``all``, as bytes; a title holds a two-byte character."""
+    meta = _metadata(workdir).read_text().replace("Notes on", "Notes \u00e0 propos of")
+    return {"graph.edges": GRAPH.encode(), "communities.txt": COMMUNITIES.encode(), "meta.tsv": meta.encode()}
+
+
+def _run_all(directory, files, capsys):
+    """Write ``files`` into ``directory``, run ``all`` there; (exit code, stderr, artifacts)."""
+    directory.mkdir()
+    for name, data in files.items():
+        (directory / name).write_bytes(data)
+    out = directory / "out"
+    code = main(_args(directory, "all", "--metadata", str(directory / "meta.tsv")))
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "internal error" not in err, err
+    artifacts = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if code == EXIT_OK else {}
+    artifacts.pop("manifest.json", None)
+    return code, err, artifacts
+
+
+@pytest.mark.parametrize(
+    "encode",
+    [
+        lambda data: data.replace(b"\n", b"\r\n"),
+        lambda data: data.replace(b"\n", b"\r"),
+        lambda data: b"\xef\xbb\xbf" + data,
+        lambda data: b"\xef\xbb\xbf" + data.replace(b"\n", b"\r\n"),
+    ],
+    ids=["crlf", "cr", "bom", "bom-crlf"],
+)
+def test_re_encoded_inputs_give_identical_artifacts(tmp_path, capsys, encode):
+    files = _fuzz_inputs(tmp_path)
+    code, _, expected = _run_all(tmp_path / "plain", files, capsys)
+    assert code == EXIT_OK and "keyword_curve.csv" in expected
+    code, err, artifacts = _run_all(tmp_path / "encoded", {n: encode(d) for n, d in files.items()}, capsys)
+    assert code == EXIT_OK, err
+    assert artifacts == expected
+
+
+_MALFORMED = {
+    "graph line with one token": ("graph.edges", lambda d: d + b"a0\n"),
+    "graph line with three tokens": ("graph.edges", lambda d: d.replace(b"a0 a1\n", b"a0 a1 a2\n")),
+    "graph cut after a line's first label": ("graph.edges", lambda d: d[: -len(b"b0\n")]),
+    "graph not UTF-8": ("graph.edges", lambda d: d.replace(b"a0 b0", b"a0 b\xff0")),
+    "empty graph": ("graph.edges", lambda d: b"\xef\xbb\xbf# nothing\r\n"),
+    "community cut after its id": ("communities.txt", lambda d: d.replace(b" b0 b1 b2 b3 b4", b"")),
+    "community cut inside a label": ("communities.txt", lambda d: d[: d.index(b"b4") + 1]),
+    "label repeated in one community": ("communities.txt", lambda d: d.replace(b"a4", b"a4 a0")),
+    "repeated community id": ("communities.txt", lambda d: d.replace(b"right", b"left")),
+    "metadata cut inside a character": ("meta.tsv", lambda d: d[: d.index("\u00e0".encode()) + 1]),
+}
+
+
+@pytest.mark.parametrize("name", list(_MALFORMED))
+def test_malformed_inputs_exit_1_or_2(tmp_path, capsys, name):
+    files = _fuzz_inputs(tmp_path)
+    target, corrupt = _MALFORMED[name]
+    files[target] = corrupt(files[target])
+    code, err, _ = _run_all(tmp_path / "run", files, capsys)
+    assert code in (EXIT_INPUT, EXIT_CONFIG), (code, err)
+    assert err.startswith("error: ")
+
+
+def test_cut_and_blanked_inputs_never_fail_internally(tmp_path, capsys):
+    """Every input cut at every line end and inside every line, and every
+    metadata field emptied, exits 0, 1 or 2, never 3 and never with a traceback."""
+    files = _fuzz_inputs(tmp_path)
+    variants = []
+    for target, data in files.items():
+        for cut in range(0, len(data), 3):
+            variants.append({**files, target: data[:cut]})
+    lines = files["meta.tsv"].split(b"\n")
+    for row, line in enumerate(lines):
+        for column in range(line.count(b"\t") + 1):
+            fields = line.split(b"\t")
+            fields[column] = b""
+            variants.append({**files, "meta.tsv": b"\n".join(lines[:row] + [b"\t".join(fields)] + lines[row + 1 :])})
+    codes = {_run_all(tmp_path / str(i), variant, capsys)[0] for i, variant in enumerate(variants)}
+    assert codes <= {EXIT_OK, EXIT_INPUT, EXIT_CONFIG}
+    assert EXIT_OK in codes and EXIT_INPUT in codes

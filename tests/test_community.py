@@ -138,6 +138,24 @@ def test_load_communities_rejects_repeated_ids(text, message):
         load_communities(io.StringIO(text), g)
 
 
+def test_load_communities_rejects_a_label_repeated_in_one_line():
+    g = Graph([("a", "b"), ("b", "c"), ("c", "d")])
+    with pytest.raises(CommunityFileError, match="line 2: community 'x' repeats label 'a'"):
+        load_communities(io.StringIO("w: a b\nx: a b c a\n"), g)
+
+
+def test_load_communities_strips_a_byte_order_mark(tmp_path):
+    g = Graph([("a", "b"), ("b", "c"), ("c", "d")])
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(b"x: a b\r\nc d\r\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    expected = [(c.id, c.members) for c in load_communities(plain, g)]
+    assert [(c.id, c.members) for c in load_communities(marked, g)] == expected == [
+        ("x", frozenset({g.index("a"), g.index("b")})),
+        ("c2", frozenset({g.index("c"), g.index("d")})),
+    ]
+
+
 def test_load_communities_accepts_path(tmp_path):
     g = Graph([("a", "b")])
     target = tmp_path / "comms.txt"

@@ -2,10 +2,14 @@ import io
 import itertools
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commkit import Graph, count_triangles, load_graph, write_graph
 from commkit.errors import EmptyGraphError, GraphParseError, UnknownLabelError
+from commkit.graph import LoadReport
 from graphs import clique_graph, star_graph
 
 
@@ -54,8 +58,91 @@ def test_load_strict_text_stream_with_bad_bytes_is_parse_error(tmp_path):
     target = tmp_path / "g.edges"
     target.write_bytes(b"a b\n\xff\xfe c\n")
     with open(target, encoding="utf-8") as stream:
-        with pytest.raises(GraphParseError):
+        with pytest.raises(GraphParseError, match="line 2: not valid UTF-8"):
             load_graph(stream)
+
+
+def test_load_strips_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.edges", tmp_path / "marked.edges"
+    plain.write_bytes(b"a b\nb c\nc d\nd e\ne f\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    g = load_graph(marked)
+    assert g == load_graph(plain)
+    assert g.node_count == 6
+    assert g.load_report == load_graph(plain).load_report
+    # a text stream that kept the mark as a character loads the same way
+    assert load_graph(io.StringIO("\ufeffa b\nb c\n")).labels == ("a", "b", "c")
+
+
+def test_load_splits_lines_only_at_newline_characters():
+    # \x0c and \x85 are whitespace inside a line, never line ends
+    g = load_graph(io.StringIO("a\x0cb\nc\x85d\r\ne f\rg h"))
+    assert g.edge_count == 4
+    with pytest.raises(GraphParseError, match="line 1: expected 2 tokens, got 4"):
+        load_graph(io.StringIO("a b\u2028c d\n"))
+
+
+_LABELS = st.sampled_from(["a", "b", "c", "d", "e", "10", "9", "\u00e9t\u00e9"])
+_LINE_ENDS = ("\n", "\r\n", "\r")
+
+
+@st.composite
+def edge_list_lines(draw):
+    """Lines of an edge list: pairs (self-loops, repeats and reversals
+    likely on eight labels), comments and blank lines."""
+    line = st.one_of(
+        st.tuples(_LABELS, _LABELS).map(" ".join),
+        st.tuples(_LABELS, _LABELS).map(lambda pair: "\t{} \t {}  ".format(*pair)),
+        st.sampled_from(["# comment", "  #x y z", "", "   ", "\t"]),
+    )
+    return draw(st.lists(line, min_size=1, max_size=30))
+
+
+def _pairs(lines):
+    rows = [line.split() for line in lines]
+    return [tuple(row) for row in rows if row and not row[0].startswith("#")]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(edge_list_lines(), st.data())
+def test_load_matches_networkx_and_brute_force_counts(lines, data):
+    text = ""
+    for line in lines:
+        # an empty line after a lone \r would join the two ends into one \r\n
+        if not line and text.endswith("\r"):
+            line = " "
+        text += line + data.draw(st.sampled_from(_LINE_ENDS))
+    if data.draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    pairs = _pairs(lines)
+    edges = [(a, b) for a, b in pairs if a != b]
+    if not edges:
+        with pytest.raises(EmptyGraphError):
+            load_graph(io.BytesIO(text.encode()))
+        return
+    g = load_graph(io.BytesIO(text.encode()))
+    oracle = nx.Graph(edges)
+    assert set(g.labels) == set(oracle.nodes)
+    assert {frozenset((g.label(u), g.label(v))) for u, v in g.edges()} == set(map(frozenset, oracle.edges))
+    assert g.edge_count == oracle.number_of_edges()
+    assert g.load_report == LoadReport(
+        lines_read=len(pairs),
+        self_loops_dropped=len(pairs) - len(edges),
+        duplicate_edges_collapsed=len(edges) - len(set(map(frozenset, edges))),
+    )
+    assert g == Graph(pairs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(edge_list_lines(), st.data())
+def test_load_reports_the_line_of_a_bad_byte(lines, data):
+    k = data.draw(st.integers(1, len(lines)))
+    for end in _LINE_ENDS:
+        raw = [line.encode() for line in lines]
+        raw[k - 1] += b" \xff"
+        with pytest.raises(GraphParseError) as err:
+            load_graph(io.BytesIO(end.encode().join(raw)))
+        assert err.value.line_number == k, end
 
 
 def test_adjacency_is_symmetric_and_sorted():

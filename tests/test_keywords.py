@@ -117,6 +117,15 @@ def test_load_metadata_tolerates_short_rows():
     assert records["p1"].keywords == ()
 
 
+def test_load_metadata_strips_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+    plain.write_bytes(b"a\tT\tA\tfoo\nb\tU\tB\t\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    records = load_metadata(marked)
+    assert records == load_metadata(plain)
+    assert list(records) == ["a", "b"]
+
+
 def test_build_keyword_list_order(fixture_graph, fixture_community, fixture_metadata):
     candidates = candidates_of(fixture_community, fixture_metadata)
     assert [c.keyword for c in candidates] == [
