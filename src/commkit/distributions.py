@@ -35,6 +35,11 @@ class DistributionSummary:
     degenerate: bool = False
 
 
+def mean(values: Sequence[float]) -> float:
+    """Correctly rounded sum divided once by the count, so the order of the values is immaterial."""
+    return math.fsum(values) / len(values)
+
+
 def _normal_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
@@ -52,8 +57,8 @@ def summarize(values: Sequence[float], bin_count: int = 20, variable: str = "") 
         raise ConfigError(f"bin_count must be >= 1, got {bin_count}")
 
     data = sorted(float(v) for v in values)
-    mean = sum(data) / n
-    m2 = sum((v - mean) ** 2 for v in data) / n
+    mu = mean(data)
+    m2 = mean([(v - mu) ** 2 for v in data])
     std = math.sqrt(m2 * n / (n - 1))  # unbiased variance
 
     lo, hi = data[0], data[-1]
@@ -85,9 +90,9 @@ def summarize(values: Sequence[float], bin_count: int = 20, variable: str = "") 
         # standardize before raising to powers so tiny variances cannot
         # underflow the moment ratios
         sigma = math.sqrt(m2)
-        z = [(v - mean) / sigma for v in data]
-        g1 = sum(x**3 for x in z) / n
-        g2 = sum(x**4 for x in z) / n - 3.0
+        z = [(v - mu) / sigma for v in data]
+        g1 = mean([x**3 for x in z])
+        g2 = mean([x**4 for x in z]) - 3.0
         # adjusted Fisher-Pearson estimators
         skewness = math.sqrt(n * (n - 1)) / (n - 2) * g1 if n > 2 else g1
         if n > 3:
@@ -96,13 +101,13 @@ def summarize(values: Sequence[float], bin_count: int = 20, variable: str = "") 
             kurtosis = g2
         ks = 0.0
         for i, v in enumerate(data):
-            cdf = _normal_cdf((v - mean) / std)
+            cdf = _normal_cdf((v - mu) / std)
             ks = max(ks, abs((i + 1) / n - cdf), abs(cdf - i / n))
 
     return DistributionSummary(
         variable=variable,
         count=n,
-        mean=mean,
+        mean=mu,
         std=std,
         skewness=skewness,
         excess_kurtosis=kurtosis,

@@ -27,7 +27,6 @@ class DomSetResult:
     criterion_value: int | float  # k for "k", p for "p"
     members: frozenset[int]
     achieved_ratio: float | None  # None for a closed community in external mode
-    steps: tuple[tuple[int, int], ...]  # (node, marginal gain) in pick order
     closed: bool = False
 
     @property
@@ -95,7 +94,6 @@ def _greedy(
     _check_criterion(k, p)
     candidates = sorted(community.members)
     chosen: list[int] = []
-    steps: list[tuple[int, int]] = []
     covered: set[int] = set()
     target = min(k, community.size) if k is not None else community.size
     for _ in range(target if universe else 0):
@@ -111,7 +109,6 @@ def _greedy(
         if best is None:
             break
         chosen.append(best)
-        steps.append((best, best_gain))
         covered |= cover_of[best]
     return DomSetResult(
         community_id=community.id,
@@ -120,7 +117,6 @@ def _greedy(
         criterion_value=k if k is not None else p,
         members=frozenset(chosen),
         achieved_ratio=len(covered) / len(universe) if universe else None,
-        steps=tuple(steps),
         closed=not universe,
     )
 

@@ -16,7 +16,7 @@ from typing import IO, Iterable
 
 from .community import Community
 from .domsets import DomSetResult
-from .errors import ConfigError
+from .errors import CommkitError, ConfigError
 from .graph import _read_lines
 
 _TOKEN_RE = re.compile(r"[^0-9a-z]+")
@@ -39,14 +39,18 @@ class NodeMetadata:
 
 
 def load_metadata(source: IO | str | Path) -> dict[str, NodeMetadata]:
-    """Read tab-separated metadata records keyed by node label."""
+    """Read tab-separated metadata records keyed by node label; a repeated label is an error."""
     records: dict[str, NodeMetadata] = {}
-    for line in _read_lines(source):
+    first_line: dict[str, int] = {}
+    for line_number, line in enumerate(_read_lines(source), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
         parts += [""] * (4 - len(parts))
         label, title, abstract, kw_field = parts[0], parts[1], parts[2], parts[3]
+        first = first_line.setdefault(label, line_number)
+        if first != line_number:
+            raise CommkitError(f"line {line_number}: metadata label {label!r} repeats line {first}")
         keywords: list[str] = []
         for kw in kw_field.split(";"):
             norm = normalize_keyword(kw)

@@ -23,10 +23,10 @@ integer sums divided once, so the only rounding is the final division.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import fmean
 
 from .community import Community, boundary
 from .community import induced_subgraph  # noqa: F401  (bench/tests checks the tracer patches it here)
+from .distributions import mean
 from .domsets import DomSetResult
 from .errors import ConfigError
 from .graph import Graph, count_triangles
@@ -129,8 +129,8 @@ def triangle_split_analysis(
     below = [s.triangles for s in stats if s.ccc <= threshold]
     return TriangleSplit(
         threshold=threshold,
-        above=TriangleGroup(len(above), fmean(above) if above else 0.0, not above),
-        below=TriangleGroup(len(below), fmean(below) if below else 0.0, not below),
+        above=TriangleGroup(len(above), mean(above) if above else 0.0, not above),
+        below=TriangleGroup(len(below), mean(below) if below else 0.0, not below),
     )
 
 
@@ -178,16 +178,16 @@ def aggregate_stats(
     open_esl = [s.slope for s in external_slopes if not s.closed]
     return NetworkSummary(
         community_count=len(stats),
-        mean_idr=fmean(r.achieved_ratio for r in k_internal),
-        mean_edr=fmean(open_edr) if open_edr else None,
-        mean_ids_size=fmean(r.size for r in p_internal),
-        mean_eds_size=fmean(open_eds) if open_eds else None,
-        mean_islope=fmean(s.slope for s in internal_slopes),
-        mean_eslope=fmean(open_esl) if open_esl else None,
-        mean_apl=fmean(s.apl for s in stats),
-        mean_diameter=fmean(s.diameter for s in stats),
-        mean_apl_penalized=fmean(s.apl_penalized for s in stats),
-        mean_diameter_penalized=fmean(s.diameter_penalized for s in stats),
-        mean_ccc=fmean(s.ccc for s in stats),
+        mean_idr=mean([r.achieved_ratio for r in k_internal]),
+        mean_edr=mean(open_edr) if open_edr else None,
+        mean_ids_size=mean([r.size for r in p_internal]),
+        mean_eds_size=mean(open_eds) if open_eds else None,
+        mean_islope=mean([s.slope for s in internal_slopes]),
+        mean_eslope=mean(open_esl) if open_esl else None,
+        mean_apl=mean([s.apl for s in stats]),
+        mean_diameter=mean([s.diameter for s in stats]),
+        mean_apl_penalized=mean([s.apl_penalized for s in stats]),
+        mean_diameter_penalized=mean([s.diameter_penalized for s in stats]),
+        mean_ccc=mean([s.ccc for s in stats]),
         ncc=clustering_coefficient(graph),
     )

@@ -175,13 +175,12 @@ def _read_records(
     cls: type[T],
     renamed: dict[str, str] | None = None,
     parsers: dict[str, Callable[[str], object]] | None = None,
-    **fixed: object,
 ) -> list[T]:
     """Rebuild one record per row of a stage table.
 
-    A field is read from the column of its name, or the one ``renamed``
-    gives, and parsed by its type hint or by ``parsers``.  Fields in
-    ``fixed`` are not stored and take the given value.  A missing table
+    Every field is read from the column of its name, or the one ``renamed``
+    gives, and parsed by its type hint or by ``parsers``, so a record read
+    back equals the record that was written.  A missing table
     raises :class:`FileNotFoundError`; a missing or malformed cell raises
     :class:`CommkitError` naming file, row and column.
     """
@@ -189,11 +188,11 @@ def _read_records(
         raise FileNotFoundError(f"missing stage output {path.name} in {path.parent}")
     renamed, parsers = renamed or {}, parsers or {}
     hints = get_type_hints(cls)
-    stored = [f.name for f in fields(cls) if f.name not in fixed]
+    names = [f.name for f in fields(cls)]
     records = []
     for number, row in enumerate(read_table(path), start=1):
-        values = dict(fixed)
-        for name in stored:
+        values = {}
+        for name in names:
             column = renamed.get(name, name)
             text = row.get(column)
             try:
@@ -407,7 +406,7 @@ def read_domsets(
         return frozenset(graph.index(label) for label in text.split(";") if label)
 
     path = out / f"domsets.{config.fmt}"
-    results = _read_records(path, DomSetResult, parsers={"members": members}, steps=())
+    results = _read_records(path, DomSetResult, parsers={"members": members})
     for number, r in enumerate(results, start=1):
         wanted = config.k if r.criterion == "k" else config.p
         if r.criterion_value != wanted:

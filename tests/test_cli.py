@@ -7,6 +7,7 @@ import pytest
 
 from commkit.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, _config_from_args, build_parser, main
 from commkit.detect import DetectParams
+from commkit.pipeline import read_table
 from graphs import DATA_DIR
 
 GRAPH = "\n".join(
@@ -189,6 +190,15 @@ def test_label_repeated_in_one_community_is_input_error(workdir, capsys):
     assert not (workdir / "out" / "community_stats.csv").exists()
 
 
+def test_label_repeated_in_metadata_is_input_error(workdir, capsys):
+    path = _metadata(workdir)
+    path.write_text(path.read_text() + "a2\tAnother paper\tabstract\tspin glasses\n")
+    for command in ("all", "keywords"):
+        assert main(_args(workdir, command, "--metadata", str(path))) == EXIT_INPUT
+        assert "line 11: metadata label 'a2' repeats line 3" in capsys.readouterr().err
+    assert not (workdir / "out" / "keyword_predictions.jsonl").exists()
+
+
 def test_incomplete_domsets_table_is_input_error(workdir, capsys):
     out = _staged_tables(workdir)
     lines = (out / "domsets.csv").read_text().splitlines()
@@ -259,7 +269,7 @@ GOLDEN_FOOTBALL = {
         "dist_eslope.csv": "2dd21086bd8fe20c05e5c29406b7ac13d8a8577c4289b73f03a3739c3ee70be6",
         "dist_islope.csv": "c78a8e49570e593b8aaec08dc7fec1b2155aaa4179d386a82f8d7c9eff0166a1",
         "dist_size.csv": "dc53fbb4736b3e9477940acb5c3a97bc446d8c98755ded4247070fed41e0ae79",
-        "distributions_summary.csv": "f6b23475415ec5861e9194daa88ea485634050e8b3a7c1b0b86aec97e3e3ed1f",
+        "distributions_summary.csv": "f1a3b307c3bb7429f326552ff89a42df28dae038d1415700a4d1350deb058236",
         "domsets.csv": "66d94e14158a0129ac2f2548521a9f4e9c15258163075aa5be4bd6444b4afd68",
         "slopes.csv": "4bd50e4eef1b446ca530fb394151155d510354849222bdbd659df676177013a4",
         "summary.csv": "69e06ed637af0f46de241b946ed1dd275e9eea0ed9fd964ff343db88b98b37f4",
@@ -271,7 +281,7 @@ GOLDEN_FOOTBALL = {
         "dist_eslope.json": "58ff9d0d7985ff4b5dc171dd045a236b30320e546107657c27e91bbe1a49d1bc",
         "dist_islope.json": "0b22419fcc0aeba15706ee92a23f66efcc19fa078e2e6baee3555d31eae2cae4",
         "dist_size.json": "64c2793cf2e5cf0adc186e360c92d168a21e3c1007f4f8f13618dc9e1936e925",
-        "distributions_summary.json": "6f63169894995c737a7599389e8c437b5fb9eee84d09984ef63adf0bc864a9d3",
+        "distributions_summary.json": "2302eb36a11dc5be09f02eda5cdbd8464a22c3308ed58d0348baacdbe85d6512",
         "domsets.json": "7fbca40db049b7b3cb790291ff7b3f9c5114a2a8bbda67fc2867c0b8584f350b",
         "slopes.json": "a70993934423a55e679d88e785b1b81358fd56d730f9bb6a64d72adfcda8cc2f",
         "summary.json": "7690950f091eee614daab123f7ae5aa3f7b6189ed91e09bceaee3b650517f6f0",
@@ -285,7 +295,7 @@ GOLDEN_FOOTBALL = {
         "dist_eslope.csv": "cbc45528d7ca6eb98eb7c492cbbf8abe3b8c80f20baf259bd3cfeb339de75201",
         "dist_islope.csv": "bd0e1dce863dab52a25fed4fad02f0c9924042343eebc1b2d62b722c413e3a8f",
         "dist_size.csv": "6b38026dfcf310a737ab868933e572459086b301fdc1875152d3674c9ea0c460",
-        "distributions_summary.csv": "0540daa2e15f1476aa98157e9c1bfccd16a7c3e88397b4ffc9ed64539d4cf3a6",
+        "distributions_summary.csv": "ccc2c4974667c325d617c26e2ced97c5af158305e1ad9a8f83bb25e7a5ff3ecd",
         "domsets.csv": "aa6ea30d60448d452d625b206b4e9389eb1e82e510ec3037767487455c51fdce",
         "slopes.csv": "b9f0bacf3ef9abfcbde09c9a58ffd1c778783a2801c01a54e44fd0e88206dd42",
         "summary.csv": "073ab8eff9264f84193d84a93e6496a852bc6b64eac5fac623f39fa13cf61efc",
@@ -305,6 +315,18 @@ def test_football_artifacts_match_golden_digests(tmp_path):
             if path.name != "manifest.json"
         }
         assert produced == digests, extra
+
+
+def test_summary_and_distribution_means_agree(tmp_path):
+    # summary.csv and distributions_summary.csv average the same per-community values
+    graph = str(DATA_DIR / "football" / "football.edges")
+    for i, extra in enumerate(((), CONFERENCES)):
+        out = tmp_path / str(i)
+        assert main(["all", "--graph", graph, *extra, "--out", str(out)]) == EXIT_OK
+        [summary] = read_table(out / "summary.csv")
+        means = {row["variable"]: row["mean"] for row in read_table(out / "distributions_summary.csv")}
+        for variable in ("islope", "eslope", "ccc"):
+            assert means[variable] == summary[f"mean_{variable}"], (extra, variable)
 
 
 def test_bad_parameter_is_config_error(workdir, capsys):

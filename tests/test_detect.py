@@ -24,6 +24,7 @@ def test_ppr_isolated_seed_keeps_all_mass():
     g = Graph([("a", "b")], extra_nodes=["c"])
     vector = approximate_ppr(g, g.index("c"), alpha=0.15, epsilon=1e-4)
     assert vector.scores == {g.index("c"): 1.0}
+    assert vector.residual == [0.0] * g.node_count
 
 
 def test_ppr_support_stays_in_seed_component():
@@ -31,14 +32,16 @@ def test_ppr_support_stays_in_seed_component():
     vector = approximate_ppr(g, g.index("a"), alpha=0.15, epsilon=1e-4)
     component = {g.index(l) for l in ("a", "b", "c")}
     assert set(vector.scores) <= component
-    assert set(vector.residual) <= component
+    assert len(vector.residual) == g.node_count
+    assert {v for v, r in enumerate(vector.residual) if r != 0.0} <= component
 
 
 def test_ppr_residual_bound_holds():
     g = two_clique_graph()
     vector = approximate_ppr(g, g.index("a0"), alpha=0.15, epsilon=1e-4)
-    for v, r in vector.residual.items():
-        assert r < 1e-4 * g.degree(v)
+    assert len(vector.residual) == g.node_count
+    for v, r in enumerate(vector.residual):
+        assert 0.0 <= r < 1e-4 * g.degree(v)
 
 
 def test_ppr_k5_matches_power_iteration_oracle():

@@ -59,9 +59,9 @@ def test_push_invariant_against_dense_solve(case):
     vector = approximate_ppr(graph, seed, alpha, epsilon)
     n = graph.node_count
     indicator = [1.0 if v == seed else 0.0 for v in range(n)]
-    residual = [vector.residual.get(v, 0.0) for v in range(n)]
+    assert len(vector.residual) == n
     exact = dense_pagerank(graph, indicator, alpha)
-    pending = dense_pagerank(graph, residual, alpha)
+    pending = dense_pagerank(graph, vector.residual, alpha)
     for v in range(n):
         assert math.isclose(vector.scores.get(v, 0.0) + pending[v], exact[v], abs_tol=1e-9)
 
@@ -71,10 +71,11 @@ def test_push_invariant_against_dense_solve(case):
 def test_push_stops_below_the_residual_bound(case):
     graph, seed, alpha, epsilon = case
     vector = approximate_ppr(graph, seed, alpha, epsilon)
-    assert all(r > 0.0 for r in vector.residual.values())
-    for v, r in vector.residual.items():
-        assert r < epsilon * graph.degree(v)
-    assert math.isclose(sum(vector.scores.values()) + sum(vector.residual.values()), 1.0, abs_tol=1e-9)
+    # one entry per node; an untouched or isolated node holds exactly 0
+    assert len(vector.residual) == graph.node_count
+    for v, r in enumerate(vector.residual):
+        assert r == 0.0 or 0.0 < r < epsilon * graph.degree(v)
+    assert math.isclose(sum(vector.scores.values()) + sum(vector.residual), 1.0, abs_tol=1e-9)
 
 
 @st.composite

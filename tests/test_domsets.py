@@ -141,6 +141,7 @@ def _random_community(rng: random.Random):
 
 
 def test_greedy_steps_monotone_and_gains_nonincreasing():
+    # the k-mode sets for k = 1, 2, ... are the greedy pick order's prefixes
     rng = random.Random(17)
     checked = 0
     while checked < 30:
@@ -148,19 +149,26 @@ def test_greedy_steps_monotone_and_gains_nonincreasing():
         if built is None:
             continue
         g, c = built
-        for result in (greedy_ids(c, p=1.0), greedy_eds(c, p=1.0)):
-            if result.closed:
+        for greedy, ratio_fn, inside in ((greedy_ids, idr, True), (greedy_eds, edr, False)):
+            if greedy(c, k=1).closed:
                 continue
-            gains = [gain for _, gain in result.steps]
-            assert gains == sorted(gains, reverse=True)
-            prefix: set[int] = set()
+            previous: frozenset[int] = frozenset()
+            covered = 0
+            gains = []
             last_ratio = -1.0
-            ratio_fn = idr if result.mode == "internal" else edr
-            for node, _ in result.steps:
-                prefix.add(node)
-                ratio = ratio_fn(g, prefix, c)
+            for k in range(1, c.size + 1):
+                result = greedy(c, k=k)
+                assert previous <= result.members and len(result.members) == k
+                previous = result.members
+                reached = {v for u in previous for v in g.neighbors(u) if (v in c.members) == inside}
+                coverage = len(reached | previous) if inside else len(reached)
+                gains.append(coverage - covered)
+                covered = coverage
+                ratio = ratio_fn(g, previous, c)
+                assert ratio == result.achieved_ratio
                 assert ratio >= last_ratio
                 last_ratio = ratio
+            assert gains == sorted(gains, reverse=True)
         checked += 1
 
 

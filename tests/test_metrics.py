@@ -163,7 +163,6 @@ def _domset(community_id, mode, criterion, ratio, size, closed=False):
         criterion_value=5 if criterion == "k" else 0.8,
         members=frozenset(range(size)),
         achieved_ratio=None if closed else ratio,
-        steps=(),
         closed=closed,
     )
 
