@@ -33,10 +33,8 @@ class DetectParams:
     max_size: int = 200
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ConfigError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        _check_alpha(self.alpha)
+        _check_epsilon(self.epsilon)
         if self.min_size < 1 or self.max_size < self.min_size:
             raise ConfigError(
                 f"need 1 <= min_size <= max_size, got [{self.min_size}, {self.max_size}]"
@@ -51,54 +49,87 @@ class PPRVector:
     residual: list[float]
 
 
-def approximate_ppr(graph: Graph, seed: int, alpha: float, epsilon: float) -> PPRVector:
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ConfigError(f"epsilon must be finite and > 0, got {epsilon}")
+
+
+def ppr_thresholds(graph: Graph, epsilon: float) -> list[float]:
+    """Each node's push threshold ``epsilon * deg(v)``, indexed by node.
+
+    Every threshold of a node with an edge is positive, which the push's
+    queue relies on.  ``detect_communities`` builds this list once per run.
+    """
+    _check_epsilon(epsilon)
+    return [epsilon * d for d in graph.degrees]
+
+
+def approximate_ppr(graph: Graph, seed: int, alpha: float, thresholds: Sequence[float]) -> PPRVector:
     """Push-based approximate PPR from a single seed (ACL lazy push).
 
-    Terminates with ``r(v)/deg(v) < epsilon`` for every node.  An isolated
-    seed keeps all its mass.
+    ``thresholds`` is :func:`ppr_thresholds` of the graph, built once per
+    detection run; the push stops with ``r(v) < thresholds[v]`` for every
+    node.  An isolated seed keeps all its mass, and a seed that starts
+    below its threshold is never pushed.
 
-    Residuals live in a flat per-node list and queued flags in a bytearray;
-    both are filled afresh for every seed.  That O(n) fill runs at C speed:
-    on a 20k-node planted partition of degree 11 it is about 6% of a push.
-    ``residual`` is that list, indexed by node.
+    The queue holds no flags: a node is queued exactly when
+    ``r(v) >= thresholds[v]``.  Residuals only grow until their node is
+    popped, so a neighbor is enqueued when its residual crosses its
+    threshold (``old < t <= old + share``), and the popped node, which a
+    ``Graph`` never links to itself, goes back when the residual it keeps
+    is still at or above its own.  Every float operation is the one a
+    flagged queue comparing against ``epsilon * deg(v)`` makes, in the
+    same order, so scores and residuals agree with it to the bit.
+
+    Residuals live in a flat per-node list filled afresh for every seed
+    (an O(n) fill at C speed, about 6% of a push on a 20k-node planted
+    partition of degree 11); ``residual`` is that list, indexed by node.
     """
     if not 0 <= seed < graph.node_count:
         raise ConfigError(f"seed {seed} out of range")
-    degrees = graph.degrees
+    _check_alpha(alpha)
     n = graph.node_count
+    if len(thresholds) != n:
+        raise ConfigError(f"need one threshold per node ({n}), got {len(thresholds)}")
+    degrees = graph.degrees
     if degrees[seed] == 0:
         return PPRVector(scores={seed: 1.0}, residual=[0.0] * n)
+    if not thresholds[seed] > 0.0:
+        # a neighbor is enqueued only by crossing a positive threshold; with
+        # the seed's positive too, every push moves at least alpha times a
+        # positive threshold into the scores, so any list lets the push end
+        raise ConfigError(f"the seed's threshold must be > 0, got {thresholds[seed]}")
 
     adjacency = graph.adjacency
     p: dict[int, float] = {}
     p_get = p.get
     r = [0.0] * n
     r[seed] = 1.0
-    queued = bytearray(n)
-    queued[seed] = 1
+    if 1.0 < thresholds[seed]:
+        return PPRVector(scores=p, residual=r)
     queue = deque([seed])
     popleft = queue.popleft
     enqueue = queue.append
     while queue:
         u = popleft()
-        queued[u] = 0
         ru = r[u]
-        du = degrees[u]
-        if ru < epsilon * du:
-            continue
         p[u] = p_get(u, 0.0) + alpha * ru
         push = (1.0 - alpha) * ru / 2.0
         r[u] = push
-        share = push / du
+        share = push / degrees[u]
         for v in adjacency[u]:
-            rv = r[v] + share
+            old = r[v]
+            rv = old + share
             r[v] = rv
-            if not queued[v] and rv >= epsilon * degrees[v]:
+            if old < thresholds[v] <= rv:
                 enqueue(v)
-                queued[v] = 1
-        if r[u] >= epsilon * du and not queued[u]:
+        if push >= thresholds[u]:
             enqueue(u)
-            queued[u] = 1
     return PPRVector(scores=p, residual=r)
 
 
@@ -215,9 +246,10 @@ def detect_communities(graph: Graph, params: DetectParams) -> list[DetectedCommu
     Pure function of (graph, params): candidates are collected per seed and
     reduced in a fixed order.
     """
+    thresholds = ppr_thresholds(graph, params.epsilon)
     candidates: list[tuple[float, int, tuple[int, ...], SweepResult, int]] = []
     for seed in range(graph.node_count):
-        ppr = approximate_ppr(graph, seed, params.alpha, params.epsilon)
+        ppr = approximate_ppr(graph, seed, params.alpha, thresholds)
         if not ppr.scores:
             continue
         sweep = sweep_cut(graph, ppr.scores, max_prefix=params.max_size)

@@ -1,7 +1,7 @@
 import pytest
 
 from commkit import Graph, approximate_ppr, conductance, detect_communities, sweep_cut
-from commkit.detect import DetectParams
+from commkit.detect import DetectParams, ppr_thresholds
 from commkit.errors import ConfigError
 from graphs import clique_graph, two_clique_graph
 
@@ -22,14 +22,14 @@ def test_params_validation():
 
 def test_ppr_isolated_seed_keeps_all_mass():
     g = Graph([("a", "b")], extra_nodes=["c"])
-    vector = approximate_ppr(g, g.index("c"), alpha=0.15, epsilon=1e-4)
+    vector = approximate_ppr(g, g.index("c"), alpha=0.15, thresholds=ppr_thresholds(g, 1e-4))
     assert vector.scores == {g.index("c"): 1.0}
     assert vector.residual == [0.0] * g.node_count
 
 
 def test_ppr_support_stays_in_seed_component():
     g = Graph([("a", "b"), ("b", "c"), ("x", "y")])
-    vector = approximate_ppr(g, g.index("a"), alpha=0.15, epsilon=1e-4)
+    vector = approximate_ppr(g, g.index("a"), alpha=0.15, thresholds=ppr_thresholds(g, 1e-4))
     component = {g.index(l) for l in ("a", "b", "c")}
     assert set(vector.scores) <= component
     assert len(vector.residual) == g.node_count
@@ -38,7 +38,7 @@ def test_ppr_support_stays_in_seed_component():
 
 def test_ppr_residual_bound_holds():
     g = two_clique_graph()
-    vector = approximate_ppr(g, g.index("a0"), alpha=0.15, epsilon=1e-4)
+    vector = approximate_ppr(g, g.index("a0"), alpha=0.15, thresholds=ppr_thresholds(g, 1e-4))
     assert len(vector.residual) == g.node_count
     for v, r in enumerate(vector.residual):
         assert 0.0 <= r < 1e-4 * g.degree(v)
@@ -48,7 +48,7 @@ def test_ppr_k5_matches_power_iteration_oracle():
     # lazy-walk stationary solution on K5: seed 41/109, each other node 17/109
     g = clique_graph(5)
     seed = g.index("v0")
-    vector = approximate_ppr(g, seed, alpha=0.15, epsilon=1e-4)
+    vector = approximate_ppr(g, seed, alpha=0.15, thresholds=ppr_thresholds(g, 1e-4))
     # total pushed error is bounded by the residual volume: eps * vol(G)
     tolerance = 1e-4 * 2 * g.edge_count
     for v in g.nodes():
@@ -60,7 +60,52 @@ def test_ppr_k5_matches_power_iteration_oracle():
 def test_ppr_seed_out_of_range():
     g = clique_graph(3)
     with pytest.raises(ConfigError):
-        approximate_ppr(g, 99, alpha=0.15, epsilon=1e-4)
+        approximate_ppr(g, 99, alpha=0.15, thresholds=ppr_thresholds(g, 1e-4))
+
+
+def test_ppr_thresholds_are_epsilon_times_degree():
+    g = Graph([("a", "b"), ("b", "c")], extra_nodes=["d"])
+    assert ppr_thresholds(g, 0.25) == [0.25 * g.degree(v) for v in g.nodes()]
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1e-4, float("nan"), float("inf")])
+def test_ppr_thresholds_reject_bad_epsilon(epsilon):
+    # a zero or negative threshold would keep the push running forever
+    with pytest.raises(ConfigError) as caught:
+        ppr_thresholds(clique_graph(3), epsilon)
+    with pytest.raises(ConfigError) as params:
+        DetectParams(epsilon=epsilon)
+    assert str(caught.value) == str(params.value)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, 1.0, float("nan")])
+def test_ppr_rejects_alpha_outside_the_unit_interval(alpha):
+    g = clique_graph(3)
+    with pytest.raises(ConfigError) as caught:
+        approximate_ppr(g, 0, alpha, ppr_thresholds(g, 1e-4))
+    with pytest.raises(ConfigError) as params:
+        DetectParams(alpha=alpha)
+    assert str(caught.value) == str(params.value)
+
+
+def test_ppr_rejects_a_threshold_list_of_the_wrong_length():
+    g = clique_graph(3)
+    with pytest.raises(ConfigError, match="one threshold per node"):
+        approximate_ppr(g, 0, 0.15, ppr_thresholds(clique_graph(4), 1e-4))
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1e-4, float("nan")])
+def test_ppr_rejects_a_seed_threshold_that_is_not_positive(threshold):
+    # with a zero threshold the seed would re-enqueue itself forever
+    g = clique_graph(3)
+    with pytest.raises(ConfigError, match="seed's threshold"):
+        approximate_ppr(g, 0, 0.15, [threshold, 1e-4, 1e-4])
+
+
+def test_ppr_ends_on_a_list_with_non_positive_neighbor_thresholds():
+    g = clique_graph(3)
+    vector = approximate_ppr(g, 0, 0.15, [1e-4, 0.0, -1.0])
+    assert list(vector.scores) == [0]  # no neighbor crosses its threshold
 
 
 def test_conductance_two_clique_side():
@@ -76,7 +121,7 @@ def test_conductance_whole_graph_is_infinite():
 
 def test_sweep_cut_two_cliques_returns_seed_side():
     g = two_clique_graph()
-    vector = approximate_ppr(g, g.index("a1"), alpha=0.15, epsilon=1e-4)
+    vector = approximate_ppr(g, g.index("a1"), alpha=0.15, thresholds=ppr_thresholds(g, 1e-4))
     result = sweep_cut(g, vector.scores)
     assert result is not None
     assert result.members == frozenset(g.index(f"a{i}") for i in range(5))

@@ -1,4 +1,4 @@
-"""The push and the sweep on random small graphs against dense and brute-force oracles."""
+"""The push and the sweep on random small graphs against dense, brute-force and reference-push oracles."""
 
 import itertools
 import math
@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commkit import Graph, approximate_ppr, conductance, sweep_cut
+from commkit.detect import ppr_thresholds
+from test_detect_reference import bits, reference_approximate_ppr
 
 
 @st.composite
@@ -56,7 +58,7 @@ def dense_pagerank(graph: Graph, start: list[float], alpha: float) -> list[float
 def test_push_invariant_against_dense_solve(case):
     # p + pr(r) = pr(e_seed): what the push has not settled yet is still in r
     graph, seed, alpha, epsilon = case
-    vector = approximate_ppr(graph, seed, alpha, epsilon)
+    vector = approximate_ppr(graph, seed, alpha, ppr_thresholds(graph, epsilon))
     n = graph.node_count
     indicator = [1.0 if v == seed else 0.0 for v in range(n)]
     assert len(vector.residual) == n
@@ -70,12 +72,22 @@ def test_push_invariant_against_dense_solve(case):
 @given(push_cases())
 def test_push_stops_below_the_residual_bound(case):
     graph, seed, alpha, epsilon = case
-    vector = approximate_ppr(graph, seed, alpha, epsilon)
+    vector = approximate_ppr(graph, seed, alpha, ppr_thresholds(graph, epsilon))
     # one entry per node; an untouched or isolated node holds exactly 0
     assert len(vector.residual) == graph.node_count
     for v, r in enumerate(vector.residual):
         assert r == 0.0 or 0.0 < r < epsilon * graph.degree(v)
     assert math.isclose(sum(vector.scores.values()) + sum(vector.residual), 1.0, abs_tol=1e-9)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(push_cases())
+def test_push_matches_the_reference_push_bit_for_bit(case):
+    graph, seed, alpha, epsilon = case
+    vector = approximate_ppr(graph, seed, alpha, ppr_thresholds(graph, epsilon))
+    expected = reference_approximate_ppr(graph, seed, alpha, epsilon)
+    assert bits(vector.scores) == bits(expected.scores)
+    assert [r.hex() for r in vector.residual] == [r.hex() for r in expected.residual]
 
 
 @st.composite
@@ -132,7 +144,7 @@ def test_sweep_minimum_against_every_prefix(case):
 @given(push_cases())
 def test_sweep_of_push_scores_against_every_prefix(case):
     graph, seed, alpha, epsilon = case
-    scores = approximate_ppr(graph, seed, alpha, epsilon).scores
+    scores = approximate_ppr(graph, seed, alpha, ppr_thresholds(graph, epsilon)).scores
     for max_prefix in (None, 3):
         result = sweep_cut(graph, scores, max_prefix=max_prefix)
         expected = brute_force_sweep(graph, scores, max_prefix)

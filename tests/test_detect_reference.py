@@ -6,7 +6,10 @@ read flat lists and tuples.  Both kernels do the same float operations in the
 same order, so scores, residuals, sweeps and detected communities must agree
 to the last bit (floats are compared through ``float.hex``).  The reference
 keeps its residual in a dict and returns it densely, one entry per node, as
-``approximate_ppr`` does, so every node's residual is compared.
+``approximate_ppr`` does, so every node's residual is compared.  It also
+keeps the textbook queue: a set of queued nodes and the threshold
+``epsilon * degree`` computed at each comparison, where ``approximate_ppr``
+reads a threshold list built once and keeps no queued flags.
 """
 
 import random
@@ -15,7 +18,7 @@ from collections import deque
 import pytest
 
 from commkit import Graph, approximate_ppr, detect, detect_communities, load_graph, sweep_cut
-from commkit.detect import DetectParams, PPRVector, SweepResult
+from commkit.detect import DetectParams, PPRVector, SweepResult, ppr_thresholds
 from commkit.errors import ConfigError
 from graphs import DATA_DIR
 
@@ -153,13 +156,17 @@ def sweep_bits(result: SweepResult | None):
     return sorted(result.members), result.conductance.hex(), result.connected
 
 
-def test_push_and_sweep_match_the_reference_for_every_seed(graph):
-    params = DetectParams()
+@pytest.mark.parametrize("alpha, epsilon", [(0.15, 1e-4), (0.5, 1e-2), (0.9, 0.4), (0.15, 2.0)])
+def test_push_and_sweep_match_the_reference_for_every_seed(graph, alpha, epsilon):
+    # at epsilon 2.0 every seed starts below its threshold and is never pushed
+    thresholds = ppr_thresholds(graph, epsilon)
     for seed in graph.nodes():
-        vector = approximate_ppr(graph, seed, params.alpha, params.epsilon)
-        expected = reference_approximate_ppr(graph, seed, params.alpha, params.epsilon)
+        vector = approximate_ppr(graph, seed, alpha, thresholds)
+        expected = reference_approximate_ppr(graph, seed, alpha, epsilon)
         assert bits(vector.scores) == bits(expected.scores), seed
         assert bits(dict(enumerate(vector.residual))) == bits(dict(enumerate(expected.residual))), seed
+        if not vector.scores:
+            continue
         for max_prefix in (20, None):
             assert sweep_bits(sweep_cut(graph, vector.scores, max_prefix=max_prefix)) == sweep_bits(
                 reference_sweep_cut(graph, expected.scores, max_prefix=max_prefix)
@@ -167,10 +174,19 @@ def test_push_and_sweep_match_the_reference_for_every_seed(graph):
 
 
 def test_detected_communities_match_the_reference(graph, monkeypatch):
-    found = detect_communities(graph, DetectParams())
-    monkeypatch.setattr(detect, "approximate_ppr", reference_approximate_ppr)
+    params = DetectParams()
+    found = detect_communities(graph, params)
+    seeds: list[int] = []
+
+    def reference_push(graph: Graph, seed: int, alpha: float, thresholds) -> PPRVector:
+        # the reference recomputes epsilon * degree itself and ignores the list
+        seeds.append(seed)
+        return reference_approximate_ppr(graph, seed, alpha, params.epsilon)
+
+    monkeypatch.setattr(detect, "approximate_ppr", reference_push)
     monkeypatch.setattr(detect, "sweep_cut", reference_sweep_cut)
-    expected = detect_communities(graph, DetectParams())
+    expected = detect_communities(graph, params)
+    assert seeds == list(range(graph.node_count))  # one reference push per node
     assert found
     assert [
         (sorted(d.community.members), d.conductance.hex(), d.connected, d.seed) for d in found
