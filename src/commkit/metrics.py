@@ -23,14 +23,17 @@ integer sums divided once, so the only rounding is the final division.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .community import Community, boundary
 from .community import induced_subgraph  # noqa: F401  (bench/tests checks the tracer patches it here)
 from .distributions import mean
-from .domsets import DomSetResult
 from .errors import ConfigError
 from .graph import Graph, count_triangles
-from .slopes import SlopeResult
+
+if TYPE_CHECKING:  # annotations only: the metrics stage runs neither layer
+    from .domsets import DomSetResult
+    from .slopes import SlopeResult
 
 
 @dataclass(frozen=True)

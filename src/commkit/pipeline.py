@@ -7,6 +7,15 @@ as one row of its scalar fields (see :func:`_columns`); only tables whose
 columns are not a record's fields name them by hand.  Identical
 configuration must give byte-identical artifacts, so nothing here records
 timestamps and floats are serialized with ``repr``.
+
+At module level this imports only what configuration, loading and the
+table codec need.  Each stage function and each stage-output reader
+imports its own layer when it runs, and :func:`parallel_map` imports the
+thread pool only when it builds one: a ``commkit <stage>`` process then
+loads the layers of that stage and no other.  A call-time ``from .x
+import f`` reads the defining module's current binding, so a function
+replaced there (a test's monkeypatch, the benchmark's tracer) is the one
+the stage calls.
 """
 
 from __future__ import annotations
@@ -14,36 +23,23 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import reduce
 from itertools import zip_longest
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar, get_args, get_origin, get_type_hints
 
 from . import __version__
 from .community import Community, load_communities, write_communities
-from .detect import DetectParams, detect_communities
-from .distributions import DistributionSummary, summarize
-from .domsets import DomSetResult, greedy_eds, greedy_ids
+from .detect import DetectParams
 from .errors import CommkitError, ConfigError
 from .graph import Graph, load_graph
-from .keywords import (
-    NodeMetadata,
-    build_keyword_list,
-    load_metadata,
-    predict_keywords,
-    prediction_curve,
-)
-from .metrics import (
-    CommunityStats,
-    NetworkSummary,
-    TriangleSplit,
-    aggregate_stats,
-    community_stats,
-    triangle_split_analysis,
-)
-from .slopes import SlopeResult, eslope, islope
+
+if TYPE_CHECKING:
+    from .domsets import DomSetResult
+    from .keywords import NodeMetadata
+    from .metrics import CommunityStats, NetworkSummary
+    from .slopes import SlopeResult
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -82,6 +78,8 @@ def parallel_map(fn: Callable[[T], U], items: Sequence[T], workers: int) -> list
     """Order-preserving map, fanned out to a thread pool when workers > 1."""
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -240,11 +238,17 @@ def load_inputs(config: RunConfig) -> tuple[Graph, list[Community], dict[str, No
     """Load the graph and, when configured, communities and metadata."""
     graph = load_graph(config.graph_path)
     communities = load_communities(config.communities_path, graph) if config.communities_path else []
-    metadata = load_metadata(config.metadata_path) if config.metadata_path else None
+    metadata = None
+    if config.metadata_path:
+        from .keywords import load_metadata
+
+        metadata = load_metadata(config.metadata_path)
     return graph, communities, metadata
 
 
 def stage_detect(graph: Graph, config: RunConfig, out: Path) -> list[Community]:
+    from .detect import detect_communities
+
     detected = detect_communities(graph, config.detect)
     with (out / "communities.txt").open("w") as f:
         write_communities([d.community for d in detected], f)
@@ -271,6 +275,8 @@ class DomsetBundle:
 def stage_domsets(
     graph: Graph, communities: list[Community], config: RunConfig, out: Path
 ) -> list[DomsetBundle]:
+    from .domsets import greedy_eds, greedy_ids
+
     def one(c: Community) -> DomsetBundle:
         return DomsetBundle(
             k_internal=greedy_ids(c, k=config.k),
@@ -298,6 +304,7 @@ def stage_slopes(
     communities: list[Community], bundles: list[DomsetBundle], config: RunConfig, out: Path
 ) -> list[tuple[SlopeResult, SlopeResult]]:
     """Slope pairs per community, from its p-mode internal and external sets."""
+    from .slopes import eslope, islope
 
     def one(item: tuple[Community, DomsetBundle]) -> tuple[SlopeResult, SlopeResult]:
         c, b = item
@@ -320,6 +327,8 @@ def stage_slopes(
 
 
 def stage_metrics(communities: list[Community], config: RunConfig, out: Path) -> list[CommunityStats]:
+    from .metrics import CommunityStats, community_stats
+
     stats = parallel_map(community_stats, communities, config.workers)
     _write_records(out / "community_stats", CommunityStats, stats, config.fmt)
     return stats
@@ -330,6 +339,8 @@ def stage_keywords(
     config: RunConfig, out: Path,
 ) -> None:
     """Keyword predictions and curve, each community's candidates listed by its p-IDS."""
+    from .keywords import build_keyword_list, predict_keywords, prediction_curve
+
     candidate_lists = parallel_map(
         lambda item: build_keyword_list(item[0], metadata, item[1].p_internal),
         list(zip(communities, bundles)),
@@ -357,6 +368,9 @@ def stage_report(
     config: RunConfig,
     out: Path,
 ) -> NetworkSummary:
+    from .distributions import DistributionSummary, summarize
+    from .metrics import NetworkSummary, TriangleSplit, aggregate_stats, triangle_split_analysis
+
     summary = aggregate_stats(
         graph,
         stats,
@@ -401,6 +415,7 @@ def read_domsets(
     graph: Graph, communities: list[Community], config: RunConfig, out: Path
 ) -> list[DomsetBundle]:
     """The four greedy sets per community, built with the configured k and p."""
+    from .domsets import DomSetResult
 
     def members(text: str) -> frozenset[int]:
         return frozenset(graph.index(label) for label in text.split(";") if label)
@@ -420,6 +435,8 @@ def read_domsets(
 def read_slopes(
     communities: list[Community], config: RunConfig, out: Path
 ) -> list[tuple[SlopeResult, SlopeResult]]:
+    from .slopes import SlopeResult
+
     path = out / f"slopes.{config.fmt}"
     renamed = {"observed_ratio": "observed", "expected_ratio": "expected"}
     results = _read_records(path, SlopeResult, renamed=renamed)
@@ -428,6 +445,8 @@ def read_slopes(
 
 
 def read_stats(communities: list[Community], config: RunConfig, out: Path) -> list[CommunityStats]:
+    from .metrics import CommunityStats
+
     path = out / f"community_stats.{config.fmt}"
     stats = _read_records(path, CommunityStats)
     _in_order((s.community_id for s in stats), communities, path)
