@@ -18,19 +18,11 @@ its undoing.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "community": (
-        "Community",
-        "boundary",
-        "induced_subgraph",
-        "load_communities",
-        "neighbors_in",
-        "neighbors_out",
-        "write_communities",
-    ),
-    "detect": ("DetectParams", "approximate_ppr", "conductance", "detect_communities", "ppr_thresholds", "sweep_cut"),
+    "community": ("Community", "boundary", "induced_subgraph", "load_communities", "write_communities"),
+    "detect": ("DetectParams", "approximate_ppr", "detect_communities", "ppr_thresholds", "sweep_cut"),
     "distributions": ("DistributionSummary", "summarize"),
     "domsets": ("DomSetResult", "edr", "greedy_eds", "greedy_ids", "idr"),
-    "graph": ("Graph", "count_triangles", "load_graph", "write_graph"),
+    "graph": ("Graph", "count_triangles", "load_graph"),
     "keywords": ("NodeMetadata", "build_keyword_list", "load_metadata", "predict_keywords", "prediction_curve"),
     "metrics": (
         "CommunityStats",

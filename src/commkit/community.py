@@ -5,7 +5,8 @@ The leading ``id:`` token is optional; missing ids are assigned ``c<line>``.
 Ids are unique within a file.
 Communities may overlap; nothing here assumes disjointness.
 Each community splits its members' neighbors into inside and outside once,
-on first use (``Community.adjacency``); boundary, greedy sets, slope
+on first use (``Community.adjacency``); the paper's N(S, C) and N(S, C̄) of
+a member subset S are unions of those parts.  Boundary, greedy sets, slope
 expectations, the per-community statistics and the induced subgraph all
 read that one split.
 """
@@ -47,7 +48,7 @@ class Community:
         members, split = self.members, {}
         for v in sorted(members):
             inside, outside = [], []
-            for w in self.graph.neighbors(v):
+            for w in self.graph.adjacency[v]:
                 (inside if w in members else outside).append(w)
             split[v] = (tuple(inside), tuple(outside))
         return split
@@ -63,24 +64,6 @@ def check_subset(subset: Iterable[int], community: Community) -> frozenset[int]:
         extra = sorted(s - community.members)
         raise ValueError(f"subset contains nodes outside community {community.id!r}: {extra}")
     return s
-
-
-def neighbors_in(graph: Graph, subset: Iterable[int], community: Community) -> set[int]:
-    """Members of the community adjacent to the subset, excluding the subset."""
-    s = check_subset(subset, community)
-    out: set[int] = set()
-    for u in s:
-        out.update(v for v in graph.neighbors(u) if v in community.members)
-    return out - s
-
-
-def neighbors_out(graph: Graph, subset: Iterable[int], community: Community) -> set[int]:
-    """Nodes outside the community adjacent to the subset."""
-    s = check_subset(subset, community)
-    out: set[int] = set()
-    for u in s:
-        out.update(v for v in graph.neighbors(u) if v not in community.members)
-    return out
 
 
 def boundary(community: Community) -> frozenset[int]:

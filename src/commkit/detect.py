@@ -133,20 +133,6 @@ def approximate_ppr(graph: Graph, seed: int, alpha: float, thresholds: Sequence[
     return PPRVector(scores=p, residual=r)
 
 
-def conductance(graph: Graph, members: Sequence[int] | frozenset[int]) -> float:
-    """cut(S) / min(vol(S), vol(V∖S)); infinite when either side has no volume."""
-    node_set = set(members)
-    cut = 0
-    vol = 0
-    for u in node_set:
-        vol += graph.degree(u)
-        cut += sum(1 for v in graph.neighbors(u) if v not in node_set)
-    denominator = min(vol, 2 * graph.edge_count - vol)
-    if denominator == 0:
-        return float("inf")
-    return cut / denominator
-
-
 @dataclass(frozen=True)
 class SweepResult:
     members: frozenset[int]
@@ -154,17 +140,16 @@ class SweepResult:
     connected: bool
 
 
-def sweep_cut(
-    graph: Graph, scores: dict[int, float], max_prefix: int | None = None
-) -> SweepResult | None:
+def sweep_cut(graph: Graph, scores: dict[int, float], max_prefix: int) -> SweepResult | None:
     """Minimum-conductance prefix of the score/degree ordering.
 
+    The conductance of a prefix S is cut(S) / min(vol(S), vol(V∖S)).
     Ordering ties break toward the lower node index.  ``max_prefix`` caps
     the prefix length, which keeps the cut local instead of drifting to a
-    global bisection.  Returns ``None`` (no local community) when the scores
-    carry no local information: either the minimizing prefix would be the
-    whole graph, or every scored node ties in score/degree so any cut would
-    be arbitrary.
+    global bisection; ``node_count`` sets no cap.  Returns ``None`` (no
+    local community) when the scores carry no local information: either
+    the minimizing prefix would be the whole graph, or every scored node
+    ties in score/degree so any cut would be arbitrary.
     """
     if not scores:
         raise ConfigError("sweep_cut needs a nonempty score vector")
@@ -192,7 +177,7 @@ def sweep_cut(
     examined = 0
     truncated = False
     for i, v in enumerate(order):
-        if max_prefix is not None and i >= max_prefix:
+        if i >= max_prefix:
             truncated = True
             break
         dv = degrees[v]
@@ -225,7 +210,7 @@ def _is_connected(graph: Graph, members: frozenset[int]) -> bool:
     stack = [start]
     while stack:
         u = stack.pop()
-        for v in graph.neighbors(u):
+        for v in graph.adjacency[u]:
             if v in members and v not in seen:
                 seen.add(v)
                 stack.append(v)
@@ -252,7 +237,7 @@ def detect_communities(graph: Graph, params: DetectParams) -> list[DetectedCommu
         ppr = approximate_ppr(graph, seed, params.alpha, thresholds)
         if not ppr.scores:
             continue
-        sweep = sweep_cut(graph, ppr.scores, max_prefix=params.max_size)
+        sweep = sweep_cut(graph, ppr.scores, params.max_size)
         if sweep is None:
             continue
         if not params.min_size <= len(sweep.members) <= params.max_size:

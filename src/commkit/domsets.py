@@ -47,7 +47,7 @@ def idr(graph: Graph, subset: Iterable[int], community: Community) -> float:
     s = check_subset(subset, community)
     covered = set(s)
     for u in s:
-        covered.update(v for v in graph.neighbors(u) if v in community.members)
+        covered.update(v for v in graph.adjacency[u] if v in community.members)
     return len(covered) / community.size
 
 
@@ -62,7 +62,7 @@ def edr(graph: Graph, subset: Iterable[int], community: Community) -> float | No
         return None
     reached: set[int] = set()
     for u in s:
-        reached.update(v for v in graph.neighbors(u) if v not in community.members)
+        reached.update(v for v in graph.adjacency[u] if v not in community.members)
     return len(reached) / len(full_boundary)
 
 

@@ -1,7 +1,9 @@
 """Undirected simple graphs with dense internal indices and string labels.
 
 A graph is built once from an edge list and never mutated afterwards, so
-every query here is safe to call concurrently.
+every read is safe to make concurrently.  Its nodes are the ints
+``range(node_count)``; every layer reads a node's neighbors and degree from
+the ``adjacency`` and ``degrees`` tuples, and its label from ``label(u)``.
 
 Every input file (edge lists here, community and metadata files in their
 modules) goes through one reader, :func:`_read_lines`: the file is read and
@@ -35,18 +37,15 @@ class LoadReport:
 class Graph:
     """Immutable undirected simple graph.
 
-    Nodes are dense indices ``0..n-1``; ``labels[i]`` maps an index back to
-    its external label and ``index(label)`` resolves the other direction.
+    Nodes are dense indices ``range(node_count)``, numbered in label order;
+    ``label(u)`` maps an index back to its external label and
+    ``index(label)`` resolves the other direction.  ``adjacency[u]`` and
+    ``degrees[u]`` are the one way to read a node's neighbors and degree.
     """
 
     __slots__ = ("_adjacency", "_degrees", "_labels", "_label_index", "_num_edges", "load_report")
 
-    def __init__(
-        self,
-        edges: Iterable[tuple[str, str]],
-        load_report: LoadReport | None = None,
-        extra_nodes: Iterable[str] = (),
-    ):
+    def __init__(self, edges: Iterable[tuple[str, str]], extra_nodes: Iterable[str] = ()):
         # Intern labels to ids in order of first sight, one neighbor-id set
         # per node (a repeated or reversed pair adds nothing), then sort the
         # labels once and renumber every id by its label's rank.
@@ -79,7 +78,7 @@ class Graph:
         )
         self._degrees: tuple[int, ...] = tuple(map(len, self._adjacency))
         self._num_edges = sum(self._degrees) // 2
-        self.load_report = load_report
+        self.load_report: LoadReport | None = None  # set by load_graph
 
     @property
     def node_count(self) -> int:
@@ -90,17 +89,13 @@ class Graph:
         return self._num_edges
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return self._labels
-
-    @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """``adjacency[u]``: the sorted neighbors of ``u``, for loops that index it directly."""
+        """``adjacency[u]``: the neighbors of ``u``, sorted."""
         return self._adjacency
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        """``degrees[u] == degree(u)``, computed once."""
+        """``degrees[u] == len(adjacency[u])``, computed once."""
         return self._degrees
 
     def label(self, node: int) -> str:
@@ -111,30 +106,6 @@ class Graph:
             return self._label_index[label]
         except KeyError:
             raise UnknownLabelError(label) from None
-
-    def has_label(self, label: str) -> bool:
-        return label in self._label_index
-
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        return self._adjacency[node]
-
-    def degree(self, node: int) -> int:
-        return self._degrees[node]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        a, b = self._adjacency[u], self._adjacency[v]
-        if len(b) < len(a):
-            return u in b
-        return v in a
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for u, nbrs in enumerate(self._adjacency):
-            for v in nbrs:
-                if u < v:
-                    yield u, v
-
-    def nodes(self) -> range:
-        return range(self.node_count)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -221,19 +192,13 @@ def _line_of(err: UnicodeDecodeError | UnicodeEncodeError) -> int:
     return 1 + before.count("\n") + before.count("\r") - before.count("\r\n")
 
 
-def write_graph(graph: Graph, sink: IO) -> None:
-    """Write the graph back out as a label edge list (one edge per line)."""
-    for u, v in graph.edges():
-        sink.write(f"{graph.label(u)} {graph.label(v)}\n")
-
-
 def count_triangles(graph: Graph) -> tuple[int, int]:
     """Exact (triangle count, connected-triple count).
 
     Triples are ``sum_v deg(v)*(deg(v)-1)/2``; each triangle is counted once.
     """
-    triples = sum(d * (d - 1) // 2 for d in map(graph.degree, graph.nodes()))
-    adjacency_sets = [set(graph.neighbors(u)) for u in graph.nodes()]
+    triples = sum(d * (d - 1) // 2 for d in graph.degrees)
+    adjacency_sets = list(map(set, graph.adjacency))
     triangles = 0
     for u, nbrs in enumerate(adjacency_sets):
         # each edge u < v once; common neighbors above v avoid double counting

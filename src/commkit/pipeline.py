@@ -285,13 +285,21 @@ def stage_domsets(
             p_external=greedy_eds(c, p=config.p),
         )
 
+    def joined(members: frozenset[int]) -> str:
+        # read_domsets splits the cell at ";", so a label holding one cannot be read back
+        labels = sorted(graph.label(v) for v in members)
+        for label in labels:
+            if ";" in label:
+                raise CommkitError(f"node label {label!r} contains ';', which separates the members of a domsets cell")
+        return ";".join(labels)
+
     bundles = parallel_map(one, communities, config.workers)
     write_table(
         out / "domsets",
         ["community_id", "mode", "criterion", "criterion_value", "set_size", "achieved_ratio", "closed", "members"],
         [
             [r.community_id, r.mode, r.criterion, r.criterion_value, r.size, r.achieved_ratio, r.closed]
-            + [";".join(sorted(graph.label(v) for v in r.members))]
+            + [joined(r.members)]
             for b in bundles
             for r in (b.k_internal, b.k_external, b.p_internal, b.p_external)
         ],

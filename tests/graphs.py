@@ -6,6 +6,8 @@ can import them by a name no other test directory uses.
 
 from pathlib import Path
 
+import networkx as nx
+
 from commkit import Community, DomSetResult, Graph, greedy_ids
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -28,16 +30,15 @@ CORE_FIXTURE_EDGES = [
     ("v6", "v7"),
 ]
 
+# Two K5 cliques joined by a single bridge edge a0-b0.
+TWO_CLIQUE_EDGES = [
+    *((f"{prefix}{i}", f"{prefix}{j}") for prefix in ("a", "b") for i in range(5) for j in range(i + 1, 5)),
+    ("a0", "b0"),
+]
+
 
 def two_clique_graph() -> Graph:
-    """Two K5 cliques joined by a single bridge edge a0-b0."""
-    edges = []
-    for prefix in ("a", "b"):
-        for i in range(5):
-            for j in range(i + 1, 5):
-                edges.append((f"{prefix}{i}", f"{prefix}{j}"))
-    edges.append(("a0", "b0"))
-    return Graph(edges)
+    return Graph(TWO_CLIQUE_EDGES)
 
 
 def star_graph(leaves: int) -> Graph:
@@ -52,8 +53,15 @@ def clique_graph(n: int) -> Graph:
     return Graph([(f"v{i}", f"v{j}") for i in range(n) for j in range(i + 1, n)])
 
 
+def networkx_graph(graph: Graph, edges: list[tuple[str, str]]) -> nx.Graph:
+    """The networkx oracle of ``Graph(edges, extra_nodes=...)``: ``edges`` plus every node of ``graph``."""
+    whole = nx.Graph(edges)
+    whole.add_nodes_from(map(graph.label, range(graph.node_count)))
+    return whole
+
+
 def whole_community(graph: Graph, community_id: str = "all") -> Community:
-    return Community(community_id, frozenset(graph.nodes()), graph)
+    return Community(community_id, frozenset(range(graph.node_count)), graph)
 
 
 def p_ids(community: Community, p: float = 0.8) -> DomSetResult:

@@ -119,11 +119,11 @@ def _coverage(g: Graph, subset, community: Community, mode: str) -> int:
     if mode == "internal":
         covered = set(subset)
         for u in subset:
-            covered.update(v for v in g.neighbors(u) if v in community.members)
+            covered.update(v for v in g.adjacency[u] if v in community.members)
         return len(covered)
     reached: set[int] = set()
     for u in subset:
-        reached.update(v for v in g.neighbors(u) if v not in community.members)
+        reached.update(v for v in g.adjacency[u] if v not in community.members)
     return len(reached)
 
 

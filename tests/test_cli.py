@@ -199,6 +199,17 @@ def test_label_repeated_in_metadata_is_input_error(workdir, capsys):
     assert not (workdir / "out" / "keyword_predictions.jsonl").exists()
 
 
+def test_label_with_the_domsets_separator_is_input_error(workdir, capsys):
+    # the p-internal set {a, h;a} would be written "a;h;a" and read back as {a, h}
+    (workdir / "graph.edges").write_text("a b\na c\nh;a d\nh;a e\nh x\nx a\nd y\n")
+    (workdir / "communities.txt").write_text("c: a b c d e h h;a\n")
+    for command in ("all", "domsets"):
+        for fmt in ("csv", "json"):
+            assert main(_args(workdir, command, "--format", fmt)) == EXIT_INPUT
+            assert "node label 'h;a' contains ';'" in capsys.readouterr().err
+            assert not (workdir / "out" / f"domsets.{fmt}").exists()
+
+
 def test_incomplete_domsets_table_is_input_error(workdir, capsys):
     out = _staged_tables(workdir)
     lines = (out / "domsets.csv").read_text().splitlines()

@@ -8,8 +8,6 @@ from commkit import (
     boundary,
     induced_subgraph,
     load_communities,
-    neighbors_in,
-    neighbors_out,
     write_communities,
 )
 from commkit.community import check_subset
@@ -20,36 +18,13 @@ def _indices(graph, *labels):
     return {graph.index(label) for label in labels}
 
 
-def test_neighbors_in_core_fixture(core_graph, core_community):
-    s = _indices(core_graph, "v3", "v4")
-    assert neighbors_in(core_graph, s, core_community) == _indices(core_graph, "v0", "v2", "v5")
-
-
-def test_neighbors_in_of_whole_community_is_empty(core_graph, core_community):
-    assert neighbors_in(core_graph, core_community.members, core_community) == set()
-
-
-def test_neighbors_in_of_low_degree_member(core_graph, core_community):
-    # v1 touches only v0 inside the community
-    s = _indices(core_graph, "v1")
-    assert neighbors_in(core_graph, s, core_community) == _indices(core_graph, "v0")
-
-
-def test_neighbors_out_core_fixture(core_graph, core_community):
-    s = _indices(core_graph, "v3", "v4")
-    assert neighbors_out(core_graph, s, core_community) == _indices(core_graph, "v6", "v8")
-
-
 def test_neighbors_out_of_whole_community(core_graph, core_community):
-    out = neighbors_out(core_graph, core_community.members, core_community)
-    assert out == _indices(core_graph, "v6", "v7", "v8")
-    assert boundary(core_community) == frozenset(out)
+    assert boundary(core_community) == _indices(core_graph, "v6", "v7", "v8")
 
 
 def test_neighbors_out_empty_for_closed_community():
     g = Graph([("a", "b"), ("c", "d")])
     c = Community("pair", frozenset({g.index("a"), g.index("b")}), g)
-    assert neighbors_out(g, c.members, c) == set()
     assert boundary(c) == frozenset()
 
 
@@ -74,7 +49,7 @@ def test_induced_subgraph_triangle():
     sub = induced_subgraph(c)
     assert sub.node_count == 3
     assert sub.edge_count == 3
-    assert set(sub.labels) == {"a", "b", "c"}
+    assert {sub.label(u) for u in range(sub.node_count)} == {"a", "b", "c"}
 
 
 def test_induced_subgraph_singleton():
@@ -92,13 +67,13 @@ def test_induced_subgraph_keeps_isolated_members():
     sub = induced_subgraph(c)
     assert sub.node_count == 3
     assert sub.edge_count == 1
-    assert sub.degree(sub.index("b")) == 0
+    assert sub.degrees[sub.index("b")] == 0
 
 
 def test_induced_subgraph_core_fixture(core_graph, core_community):
     sub = induced_subgraph(core_community)
     assert sub.node_count == 6
-    assert set(sub.labels) == {f"v{i}" for i in range(6)}
+    assert {sub.label(u) for u in range(sub.node_count)} == {f"v{i}" for i in range(6)}
 
 
 def test_load_communities_with_and_without_ids():

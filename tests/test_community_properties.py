@@ -15,11 +15,9 @@ from commkit import (
     greedy_eds,
     greedy_ids,
     induced_subgraph,
-    neighbors_in,
-    neighbors_out,
     random_subset_ratio,
 )
-from graphs import two_clique_graph
+from graphs import networkx_graph, two_clique_graph
 
 
 @st.composite
@@ -38,8 +36,7 @@ def graphs_with_communities(draw):
 @given(graphs_with_communities())
 def test_community_stats_match_networkx(case):
     graph, edges, community = case
-    whole = nx.Graph(edges)
-    whole.add_nodes_from(graph.labels)
+    whole = networkx_graph(graph, edges)
     member_labels = community.member_labels()
     sub = whole.subgraph(member_labels)
     stats = community_stats(community)
@@ -70,24 +67,36 @@ def test_community_stats_match_networkx(case):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(graphs_with_communities())
 def test_cached_split_matches_neighbor_queries(case):
-    graph, _, community = case
+    graph, edges, community = case
+    whole = networkx_graph(graph, edges)
+    member_labels = set(community.member_labels())
     assert list(community.adjacency) == sorted(community.members)
     for v, (inside, outside) in community.adjacency.items():
-        assert list(inside) == sorted(neighbors_in(graph, {v}, community))
-        assert list(outside) == sorted(neighbors_out(graph, {v}, community))
+        neighbors = set(whole[graph.label(v)])
+        assert list(inside) == sorted(map(graph.index, neighbors & member_labels))
+        assert list(outside) == sorted(map(graph.index, neighbors - member_labels))
 
 
 def test_per_community_paths_never_scan_the_whole_graph(monkeypatch):
     graph = two_clique_graph()
     community = Community("a", frozenset(graph.index(f"a{i}") for i in range(5)), graph)
+    rows = graph.adjacency
+
+    class MemberRows:
+        """The graph's adjacency, readable at the community's members only."""
+
+        def __getitem__(self, v):
+            assert v in community.members, f"per-community code read the neighbors of non-member {v}"
+            return rows[v]
 
     def scan(self):
-        raise AssertionError("per-community code scanned every edge of the graph")
+        raise AssertionError("per-community code read the degree of every node")
 
     def build(self, *args, **kwargs):
         raise AssertionError("community_stats built a Graph")
 
-    monkeypatch.setattr(Graph, "edges", scan)
+    monkeypatch.setattr(Graph, "adjacency", property(lambda self: MemberRows()))
+    monkeypatch.setattr(Graph, "degrees", property(scan))
     with monkeypatch.context() as patch:
         patch.setattr(Graph, "__init__", build)
         stats = community_stats(community)

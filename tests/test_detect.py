@@ -1,9 +1,10 @@
+import networkx as nx
 import pytest
 
-from commkit import Graph, approximate_ppr, conductance, detect_communities, sweep_cut
+from commkit import Graph, approximate_ppr, detect_communities, sweep_cut
 from commkit.detect import DetectParams, ppr_thresholds
 from commkit.errors import ConfigError
-from graphs import clique_graph, two_clique_graph
+from graphs import TWO_CLIQUE_EDGES, clique_graph, two_clique_graph
 
 
 def test_params_validation():
@@ -41,7 +42,7 @@ def test_ppr_residual_bound_holds():
     vector = approximate_ppr(g, g.index("a0"), alpha=0.15, thresholds=ppr_thresholds(g, 1e-4))
     assert len(vector.residual) == g.node_count
     for v, r in enumerate(vector.residual):
-        assert 0.0 <= r < 1e-4 * g.degree(v)
+        assert 0.0 <= r < 1e-4 * g.degrees[v]
 
 
 def test_ppr_k5_matches_power_iteration_oracle():
@@ -51,7 +52,7 @@ def test_ppr_k5_matches_power_iteration_oracle():
     vector = approximate_ppr(g, seed, alpha=0.15, thresholds=ppr_thresholds(g, 1e-4))
     # total pushed error is bounded by the residual volume: eps * vol(G)
     tolerance = 1e-4 * 2 * g.edge_count
-    for v in g.nodes():
+    for v in range(g.node_count):
         oracle = 41 / 109 if v == seed else 17 / 109
         assert vector.scores.get(v, 0.0) == pytest.approx(oracle, abs=tolerance)
     assert sum(vector.scores.values()) <= 1.0 + 1e-12
@@ -65,7 +66,7 @@ def test_ppr_seed_out_of_range():
 
 def test_ppr_thresholds_are_epsilon_times_degree():
     g = Graph([("a", "b"), ("b", "c")], extra_nodes=["d"])
-    assert ppr_thresholds(g, 0.25) == [0.25 * g.degree(v) for v in g.nodes()]
+    assert ppr_thresholds(g, 0.25) == [0.25, 0.5, 0.25, 0.0]  # degrees of a, b, c, d
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -1e-4, float("nan"), float("inf")])
@@ -109,20 +110,22 @@ def test_ppr_ends_on_a_list_with_non_positive_neighbor_thresholds():
 
 
 def test_conductance_two_clique_side():
+    # the sweep from every seed of a clique cuts that clique, at networkx's conductance
     g = two_clique_graph()
-    side = frozenset(g.index(f"a{i}") for i in range(5))
-    assert conductance(g, side) == pytest.approx(1 / 21)
-
-
-def test_conductance_whole_graph_is_infinite():
-    g = clique_graph(4)
-    assert conductance(g, frozenset(g.nodes())) == float("inf")
+    side = {f"a{i}" for i in range(5)}
+    expected = nx.conductance(nx.Graph(TWO_CLIQUE_EDGES), side)
+    assert expected == 1 / 21
+    thresholds = ppr_thresholds(g, 1e-4)
+    for label in sorted(side):
+        result = sweep_cut(g, approximate_ppr(g, g.index(label), 0.15, thresholds).scores, g.node_count)
+        assert {g.label(v) for v in result.members} == side
+        assert result.conductance == expected
 
 
 def test_sweep_cut_two_cliques_returns_seed_side():
     g = two_clique_graph()
     vector = approximate_ppr(g, g.index("a1"), alpha=0.15, thresholds=ppr_thresholds(g, 1e-4))
-    result = sweep_cut(g, vector.scores)
+    result = sweep_cut(g, vector.scores, g.node_count)
     assert result is not None
     assert result.members == frozenset(g.index(f"a{i}") for i in range(5))
     assert result.conductance == pytest.approx(1 / 21)
@@ -132,7 +135,7 @@ def test_sweep_cut_two_cliques_returns_seed_side():
 def test_sweep_cut_concentrated_scores_pick_component():
     g = Graph([("a", "b"), ("x", "y"), ("y", "z")])
     scores = {g.index("a"): 0.6, g.index("b"): 0.4}
-    result = sweep_cut(g, scores)
+    result = sweep_cut(g, scores, g.node_count)
     assert result is not None
     assert result.members == {g.index("a"), g.index("b")}
     assert result.conductance == 0.0
@@ -140,16 +143,16 @@ def test_sweep_cut_concentrated_scores_pick_component():
 
 def test_sweep_cut_uniform_whole_graph_is_degenerate():
     g = clique_graph(4)
-    scores = {v: 0.25 for v in g.nodes()}
-    assert sweep_cut(g, scores) is None
+    scores = {v: 0.25 for v in range(g.node_count)}
+    assert sweep_cut(g, scores, g.node_count) is None
 
 
 def test_sweep_cut_rejects_empty_or_zero_scores():
     g = clique_graph(3)
     with pytest.raises(ConfigError):
-        sweep_cut(g, {})
+        sweep_cut(g, {}, g.node_count)
     with pytest.raises(ConfigError):
-        sweep_cut(g, {0: 0.0, 1: 0.0})
+        sweep_cut(g, {0: 0.0, 1: 0.0}, g.node_count)
 
 
 def test_sweep_cut_minimum_on_window_edge_is_rejected():
@@ -157,11 +160,11 @@ def test_sweep_cut_minimum_on_window_edge_is_rejected():
     # falling; truncating mid-slope must not fabricate a community
     g = Graph([(f"v{i}", f"v{i + 1}") for i in range(9)])
     scores = {
-        g.index(f"v{i}"): g.degree(g.index(f"v{i}")) * (1.0 - 0.05 * i)
+        g.index(f"v{i}"): g.degrees[g.index(f"v{i}")] * (1.0 - 0.05 * i)
         for i in range(10)
     }
     assert sweep_cut(g, scores, max_prefix=4) is None
-    full = sweep_cut(g, scores)
+    full = sweep_cut(g, scores, g.node_count)
     assert full is not None
 
 
@@ -179,8 +182,9 @@ def test_detect_two_cliques_exactly():
 
 def test_detect_reports_verifiable_conductance_and_connectivity():
     g = two_clique_graph()
+    whole = nx.Graph(TWO_CLIQUE_EDGES)
     for d in detect_communities(g, DetectParams(min_size=3, max_size=10)):
-        assert d.conductance == pytest.approx(conductance(g, d.community.members))
+        assert d.conductance == nx.conductance(whole, d.community.member_labels())
         assert d.connected
 
 

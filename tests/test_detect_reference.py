@@ -26,7 +26,7 @@ from graphs import DATA_DIR
 def reference_approximate_ppr(graph: Graph, seed: int, alpha: float, epsilon: float) -> PPRVector:
     if not 0 <= seed < graph.node_count:
         raise ConfigError(f"seed {seed} out of range")
-    if graph.degree(seed) == 0:
+    if graph.degrees[seed] == 0:
         return PPRVector(scores={seed: 1.0}, residual=[0.0] * graph.node_count)
 
     p: dict[int, float] = {}
@@ -37,16 +37,16 @@ def reference_approximate_ppr(graph: Graph, seed: int, alpha: float, epsilon: fl
         u = queue.popleft()
         queued.discard(u)
         ru = r.get(u, 0.0)
-        du = graph.degree(u)
+        du = graph.degrees[u]
         if ru < epsilon * du:
             continue
         p[u] = p.get(u, 0.0) + alpha * ru
         push = (1.0 - alpha) * ru / 2.0
         r[u] = push
         share = push / du
-        for v in graph.neighbors(u):
+        for v in graph.adjacency[u]:
             r[v] = r.get(v, 0.0) + share
-            if v not in queued and r[v] >= epsilon * graph.degree(v):
+            if v not in queued and r[v] >= epsilon * graph.degrees[v]:
                 queue.append(v)
                 queued.add(v)
         if r[u] >= epsilon * du and u not in queued:
@@ -64,7 +64,7 @@ def reference_sweep_cut(
         raise ConfigError("sweep_cut needs at least one nonzero score")
 
     keyed = [
-        (-(score / graph.degree(v)) if graph.degree(v) else float("-inf"), v)
+        (-(score / graph.degrees[v]) if graph.degrees[v] else float("-inf"), v)
         for v, score in scores.items()
     ]
     keyed.sort()
@@ -84,9 +84,9 @@ def reference_sweep_cut(
         if max_prefix is not None and i >= max_prefix:
             truncated = True
             break
-        internal = sum(1 for w in graph.neighbors(v) if w in in_set)
-        cut += graph.degree(v) - 2 * internal
-        volume += graph.degree(v)
+        internal = sum(1 for w in graph.adjacency[v] if w in in_set)
+        cut += graph.degrees[v] - 2 * internal
+        volume += graph.degrees[v]
         in_set.add(v)
         if len(in_set) == graph.node_count:
             break  # whole graph is not a community
@@ -114,7 +114,7 @@ def _reference_is_connected(graph: Graph, members: frozenset[int]) -> bool:
     stack = [start]
     while stack:
         u = stack.pop()
-        for v in graph.neighbors(u):
+        for v in graph.adjacency[u]:
             if v in members and v not in seen:
                 seen.add(v)
                 stack.append(v)
@@ -160,15 +160,15 @@ def sweep_bits(result: SweepResult | None):
 def test_push_and_sweep_match_the_reference_for_every_seed(graph, alpha, epsilon):
     # at epsilon 2.0 every seed starts below its threshold and is never pushed
     thresholds = ppr_thresholds(graph, epsilon)
-    for seed in graph.nodes():
+    for seed in range(graph.node_count):
         vector = approximate_ppr(graph, seed, alpha, thresholds)
         expected = reference_approximate_ppr(graph, seed, alpha, epsilon)
         assert bits(vector.scores) == bits(expected.scores), seed
         assert bits(dict(enumerate(vector.residual))) == bits(dict(enumerate(expected.residual))), seed
         if not vector.scores:
             continue
-        for max_prefix in (20, None):
-            assert sweep_bits(sweep_cut(graph, vector.scores, max_prefix=max_prefix)) == sweep_bits(
+        for max_prefix in (20, graph.node_count):
+            assert sweep_bits(sweep_cut(graph, vector.scores, max_prefix)) == sweep_bits(
                 reference_sweep_cut(graph, expected.scores, max_prefix=max_prefix)
             ), (seed, max_prefix)
 

@@ -76,7 +76,7 @@ def test_greedy_ids_k_clamps_to_community_size():
 
 def test_greedy_ids_p_one_with_disconnected_members_terminates():
     g = Graph([("a", "b"), ("c", "d"), ("e", "f")])
-    c = Community("all", frozenset(g.nodes()), g)
+    c = Community("all", frozenset(range(g.node_count)), g)
     result = greedy_ids(c, p=1.0)
     assert result.achieved_ratio == 1.0
     assert result.size == 3  # one pick per component
@@ -136,7 +136,7 @@ def _random_community(rng: random.Random):
         return None
     g = Graph(edges)
     size = rng.randint(3, min(8, g.node_count))
-    members = frozenset(rng.sample(sorted(g.nodes()), size))
+    members = frozenset(rng.sample(range(g.node_count), size))
     return g, Community("r", members, g)
 
 
@@ -160,7 +160,7 @@ def test_greedy_steps_monotone_and_gains_nonincreasing():
                 result = greedy(c, k=k)
                 assert previous <= result.members and len(result.members) == k
                 previous = result.members
-                reached = {v for u in previous for v in g.neighbors(u) if (v in c.members) == inside}
+                reached = {v for u in previous for v in g.adjacency[u] if (v in c.members) == inside}
                 coverage = len(reached | previous) if inside else len(reached)
                 gains.append(coverage - covered)
                 covered = coverage
@@ -188,13 +188,14 @@ def test_p_size_at_most_k_size_when_k_suffices():
 
 def test_ratios_invariant_under_relabeling():
     rng = random.Random(31)
-    g = Graph([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("b", "x"), ("c", "y")])
+    edges = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("b", "x"), ("c", "y")]
+    g = Graph(edges)
     members = _indices(g, "a", "b", "c", "d")
     c = Community("square", members, g)
 
     names = ["a", "b", "c", "d", "x", "y"]
     mapping = dict(zip(names, rng.sample(["p", "q", "r", "s", "t", "u"], 6)))
-    g2 = Graph([(mapping[g.label(u)], mapping[g.label(v)]) for u, v in g.edges()])
+    g2 = Graph([(mapping[a], mapping[b]) for a, b in edges])
     members2 = frozenset(g2.index(mapping[g.label(m)]) for m in members)
     c2 = Community("square", members2, g2)
 
@@ -209,11 +210,11 @@ def _coverage(g: Graph, subset, c: Community, mode: str) -> int:
     if mode == "internal":
         covered = set(subset)
         for u in subset:
-            covered.update(v for v in g.neighbors(u) if v in c.members)
+            covered.update(v for v in g.adjacency[u] if v in c.members)
         return len(covered)
     reached: set[int] = set()
     for u in subset:
-        reached.update(v for v in g.neighbors(u) if v not in c.members)
+        reached.update(v for v in g.adjacency[u] if v not in c.members)
     return len(reached)
 
 

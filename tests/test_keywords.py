@@ -155,7 +155,7 @@ def test_build_keyword_list_empty_without_metadata(fixture_community):
 
 def test_tie_breaks_lexicographically():
     g = Graph([("hub", "a"), ("hub", "b")])
-    c = Community("c", frozenset(g.nodes()), g)
+    c = Community("c", frozenset(range(g.node_count)), g)
     metadata = load_metadata(io.StringIO("hub\tT\tA\tzeta; alpha\n"))
     candidates = candidates_of(c, metadata)
     assert [x.keyword for x in candidates] == ["alpha", "zeta"]

@@ -35,7 +35,7 @@ def test_apl_singleton_is_zero():
 
 def test_apl_two_disjoint_edges():
     g = Graph([("a", "b"), ("c", "d")])
-    stats = community_stats(Community("both", frozenset(g.nodes()), g))
+    stats = community_stats(Community("both", frozenset(range(g.node_count)), g))
     assert stats.apl == 1.0  # reachable pairs only
     assert stats.component_count == 2
 
@@ -56,7 +56,7 @@ def test_community_stats_penalized_distances():
     # two disjoint edges: 2 reachable pairs at distance 1, 4 unreachable
     # pairs charged |C| = 4 each
     g = Graph([("a", "b"), ("c", "d")])
-    c = Community("both", frozenset(g.nodes()), g)
+    c = Community("both", frozenset(range(g.node_count)), g)
     stats = community_stats(c)
     assert stats.apl == 1.0
     assert stats.diameter == 1
