@@ -2,6 +2,8 @@
 
 Community files have one community per line: ``id: label label ...``.
 The leading ``id:`` token is optional; missing ids are assigned ``c<line>``.
+The id ends at the first colon followed by whitespace or the end of the
+line, so a label may hold a colon (``a:b``).
 Ids are unique within a file.
 Communities may overlap; nothing here assumes disjointness.
 Each community splits its members' neighbors into inside and outside once,
@@ -13,7 +15,7 @@ read that one split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
 from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable
@@ -21,22 +23,41 @@ from typing import IO, Iterable
 from .errors import CommunityFileError
 from .graph import Graph, _read_lines
 
+_ID_END = re.compile(r":(?:\s|$)")
 
-@dataclass(frozen=True)
+
 class Community:
-    """A named set of node indices within ``graph``."""
+    """A named set of node indices within ``graph``.
 
-    id: str
-    members: frozenset[int]
-    graph: Graph = field(repr=False, compare=False)
+    Its fields are read-only, and ``==`` and ``hash`` go by ``(id, members)``:
+    the graph takes no part in them.
+    """
 
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError(f"community {self.id!r} has no members")
-        n = self.graph.node_count
-        bad = [m for m in self.members if not 0 <= m < n]
+    def __init__(self, id: str, members: frozenset[int], graph: Graph):
+        if not members:
+            raise ValueError(f"community {id!r} has no members")
+        n = graph.node_count
+        bad = [m for m in members if not 0 <= m < n]
         if bad:
-            raise ValueError(f"community {self.id!r} has invalid node indices: {bad}")
+            raise ValueError(f"community {id!r} has invalid node indices: {bad}")
+        vars(self).update(id=id, members=members, graph=graph)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id, self.members) == (other.id, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.members))
+
+    def __repr__(self) -> str:
+        return f"Community(id={self.id!r}, members={self.members!r})"
 
     @property
     def size(self) -> int:
@@ -93,9 +114,9 @@ def load_communities(source: IO | str | Path, graph: Graph) -> list[Community]:
         if not line or line.startswith("#"):
             continue
         community_id = f"c{line_number}"
-        if ":" in line:
-            head, _, rest = line.partition(":")
-            community_id, line = head.strip(), rest
+        id_end = _ID_END.search(line)
+        if id_end:
+            community_id, line = line[: id_end.start()].strip(), line[id_end.end() :]
         first = first_line.setdefault(community_id, line_number)
         if first != line_number:
             raise CommunityFileError(f"line {line_number}: community id {community_id!r} repeats line {first}")

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .community import Community
 from .errors import ConfigError
@@ -25,24 +24,34 @@ from .graph import Graph
 OVERLAP_JACCARD_MAX = 0.5
 
 
-@dataclass(frozen=True)
-class DetectParams:
+class _DetectFields(NamedTuple):
     alpha: float = 0.15
     epsilon: float = 1e-4
     min_size: int = 5
     max_size: int = 200
 
-    def __post_init__(self):
+
+class DetectParams(_DetectFields):
+    """Detection parameters, checked whenever a value is built (``_replace`` too)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_alpha(self.alpha)
         _check_epsilon(self.epsilon)
         if self.min_size < 1 or self.max_size < self.min_size:
             raise ConfigError(
                 f"need 1 <= min_size <= max_size, got [{self.min_size}, {self.max_size}]"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class PPRVector:
+class PPRVector(NamedTuple):
     """Sparse approximate PPR scores and the push's final per-node residual list."""
 
     scores: dict[int, float]
@@ -133,8 +142,7 @@ def approximate_ppr(graph: Graph, seed: int, alpha: float, thresholds: Sequence[
     return PPRVector(scores=p, residual=r)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     members: frozenset[int]
     conductance: float
     connected: bool
@@ -217,8 +225,7 @@ def _is_connected(graph: Graph, members: frozenset[int]) -> bool:
     return len(seen) == len(members)
 
 
-@dataclass(frozen=True)
-class DetectedCommunity:
+class DetectedCommunity(NamedTuple):
     community: Community
     conductance: float
     connected: bool

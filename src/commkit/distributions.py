@@ -8,21 +8,18 @@ and leaves the verdict to the reader.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConfigError
 
 
-@dataclass(frozen=True)
-class HistogramBin:
+class HistogramBin(NamedTuple):
     lower: float
     width: float
     count: int
 
 
-@dataclass(frozen=True)
-class DistributionSummary:
+class DistributionSummary(NamedTuple):
     variable: str
     count: int
     mean: float

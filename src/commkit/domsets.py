@@ -9,16 +9,14 @@ and a ``None`` ratio rather than raising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .community import Community, boundary, check_subset
 from .errors import ConfigError
 from .graph import Graph
 
 
-@dataclass(frozen=True)
-class DomSetResult:
+class DomSetResult(NamedTuple):
     """Outcome of one greedy dominating-set run."""
 
     community_id: str

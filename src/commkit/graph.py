@@ -18,15 +18,13 @@ load takes about 0.13 s with a 12 MiB tracemalloc peak (Python 3.11, shared
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import EmptyGraphError, GraphParseError, UnknownLabelError
 
 
-@dataclass(frozen=True)
-class LoadReport:
+class LoadReport(NamedTuple):
     """What was dropped or collapsed while reading an edge list."""
 
     lines_read: int = 0

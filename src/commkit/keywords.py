@@ -10,9 +10,8 @@ when its token sequence occurs in the title or abstract.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .community import Community
 from .domsets import DomSetResult
@@ -30,8 +29,7 @@ def tokenize(text: str) -> list[str]:
     return [t for t in _TOKEN_RE.split(text.lower()) if t]
 
 
-@dataclass(frozen=True)
-class NodeMetadata:
+class NodeMetadata(NamedTuple):
     label: str
     title: str
     abstract: str
@@ -60,8 +58,7 @@ def load_metadata(source: IO | str | Path) -> dict[str, NodeMetadata]:
     return records
 
 
-@dataclass(frozen=True)
-class KeywordCandidate:
+class KeywordCandidate(NamedTuple):
     keyword: str
     community_frequency: int  # listings among all community members
     ids_frequency: int  # listings among dominating-set members only
@@ -115,15 +112,13 @@ def _contains_sequence(text_tokens: list[str], keyword_tokens: list[str]) -> boo
     )
 
 
-@dataclass(frozen=True)
-class PaperPrediction:
+class PaperPrediction(NamedTuple):
     label: str
     predicted: tuple[str, ...]  # keeps the candidate-list order
     matched_fields: tuple[str, ...]  # "title" or "abstract", parallel to predicted
 
 
-@dataclass(frozen=True)
-class PredictionReport:
+class PredictionReport(NamedTuple):
     community_id: str
     keyword_list_length: int
     predictions: tuple[PaperPrediction, ...]

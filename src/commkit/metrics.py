@@ -22,8 +22,7 @@ integer sums divided once, so the only rounding is the final division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .community import Community, boundary
 from .community import induced_subgraph  # noqa: F401  (bench/tests checks the tracer patches it here)
@@ -36,8 +35,7 @@ if TYPE_CHECKING:  # annotations only: the metrics stage runs neither layer
     from .slopes import SlopeResult
 
 
-@dataclass(frozen=True)
-class CommunityStats:
+class CommunityStats(NamedTuple):
     community_id: str
     size: int
     apl: float
@@ -106,15 +104,13 @@ def community_stats(community: Community) -> CommunityStats:
     )
 
 
-@dataclass(frozen=True)
-class TriangleGroup:
+class TriangleGroup(NamedTuple):
     count: int
     mean_triangles: float
     empty: bool
 
 
-@dataclass(frozen=True)
-class TriangleSplit:
+class TriangleSplit(NamedTuple):
     """Communities split by clustering coefficient at a threshold."""
 
     threshold: float
@@ -137,8 +133,7 @@ def triangle_split_analysis(
     )
 
 
-@dataclass(frozen=True)
-class NetworkSummary:
+class NetworkSummary(NamedTuple):
     """Unweighted means across communities, plus whole-network transitivity.
 
     Column layout mirrors the per-community reports: dominating ratios for

@@ -23,11 +23,12 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import reduce
 from itertools import zip_longest
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar, get_args, get_origin, get_type_hints
+from typing import (
+    TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TypeVar, get_args, get_origin, get_type_hints,
+)
 
 from . import __version__
 from .community import Community, load_communities, write_communities
@@ -48,20 +49,26 @@ CURVE_LENGTHS = list(range(5, 55, 5))
 SPLIT_THRESHOLDS = (0.6, 0.8)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunFields(NamedTuple):
     graph_path: str
     communities_path: str | None = None
     metadata_path: str | None = None
     k: int = 5
     p: float = 0.8
-    detect: DetectParams = field(default_factory=DetectParams)
+    detect: DetectParams = DetectParams()
     bins: int = 20
     out_dir: str = "out"
     fmt: str = "csv"
     workers: int = 1
 
-    def __post_init__(self):
+
+class RunConfig(_RunFields):
+    """One run's settings, checked whenever a value is built (``_replace`` too)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
         if self.workers < 1:
@@ -72,6 +79,11 @@ class RunConfig:
             raise ConfigError(f"p must be in [0, 1], got {self.p}")
         if self.bins < 1:
             raise ConfigError(f"bins must be >= 1, got {self.bins}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def parallel_map(fn: Callable[[T], U], items: Sequence[T], workers: int) -> list[U]:
@@ -133,15 +145,15 @@ def read_table(path: Path) -> list[dict[str, str]]:
 
 def _columns(cls: type) -> list[tuple[str, tuple[str, ...]]]:
     """(column, attribute path) per scalar field of a record class, in declaration
-    order; nested dataclasses are flattened as ``outer_inner``, tuples and sets left out."""
+    order; nested records are flattened as ``outer_inner``, tuples and sets left out."""
     hints = get_type_hints(cls)
     columns = []
-    for f in fields(cls):
-        hint = hints[f.name]
-        if is_dataclass(hint):
-            columns += [(f"{f.name}_{name}", (f.name, *path)) for name, path in _columns(hint)]
+    for field in cls._fields:
+        hint = hints[field]
+        if hasattr(hint, "_fields"):
+            columns += [(f"{field}_{name}", (field, *path)) for name, path in _columns(hint)]
         elif get_origin(hint) not in (tuple, frozenset):
-            columns.append((f.name, (f.name,)))
+            columns.append((field, (field,)))
     return columns
 
 
@@ -186,11 +198,10 @@ def _read_records(
         raise FileNotFoundError(f"missing stage output {path.name} in {path.parent}")
     renamed, parsers = renamed or {}, parsers or {}
     hints = get_type_hints(cls)
-    names = [f.name for f in fields(cls)]
     records = []
     for number, row in enumerate(read_table(path), start=1):
         values = {}
-        for name in names:
+        for name in cls._fields:
             column = renamed.get(name, name)
             text = row.get(column)
             try:
@@ -264,8 +275,7 @@ def stage_detect(graph: Graph, config: RunConfig, out: Path) -> list[Community]:
     return [d.community for d in detected]
 
 
-@dataclass(frozen=True)
-class DomsetBundle:
+class DomsetBundle(NamedTuple):
     k_internal: DomSetResult
     k_external: DomSetResult
     p_internal: DomSetResult
@@ -362,7 +372,7 @@ def stage_keywords(
     with (out / "keyword_predictions.jsonl").open("w") as f:
         for _, report in scored:
             for pred in report.predictions:
-                json.dump({"community_id": report.community_id, **asdict(pred)}, f)
+                json.dump({"community_id": report.community_id, **pred._asdict()}, f)
                 f.write("\n")
     curve = prediction_curve(scored, CURVE_LENGTHS)
     write_table(out / "keyword_curve", ["keyword_number", "predicted_paper_number"], curve, config.fmt)
@@ -435,8 +445,7 @@ def read_domsets(
         if r.criterion_value != wanted:
             built = f"sets built with {r.criterion}={r.criterion_value!r}"
             raise CommkitError(f"{path}: row {number}: {built}, but --{r.criterion} is {wanted!r}")
-    parts = [f.name for f in fields(DomsetBundle)]
-    groups = _by_community(results, lambda r: f"{r.criterion}_{r.mode}", parts, communities, path)
+    groups = _by_community(results, lambda r: f"{r.criterion}_{r.mode}", DomsetBundle._fields, communities, path)
     return [DomsetBundle(*group) for group in groups]
 
 
@@ -503,7 +512,7 @@ def write_manifest(config: RunConfig, out: Path, notes: list[str]) -> None:
         "tool": "commkit",
         "version": __version__,
         "python": ".".join(str(v) for v in sys.version_info[:3]),
-        "config": asdict(config),
+        "config": {**config._asdict(), "detect": config.detect._asdict()},
         "notes": notes,
     }
     with (out / "manifest.json").open("w") as f:

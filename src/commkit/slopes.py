@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .community import Community
 from .domsets import DomSetResult
 from .errors import ConfigError
 
 
-@dataclass(frozen=True)
-class SlopeResult:
+class SlopeResult(NamedTuple):
     community_id: str
     kind: str  # "internal" | "external"
     K: int

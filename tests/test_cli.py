@@ -1,6 +1,5 @@
 import hashlib
 import json
-from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -359,10 +358,10 @@ def test_keywords_without_metadata_is_config_error(workdir):
 
 def test_every_detect_param_is_set_by_its_flag(workdir):
     # a field without a flag would be an option that no run reaches
-    wanted = {f.name: f.default * 2 for f in fields(DetectParams)}
+    wanted = {name: default * 2 for name, default in DetectParams._field_defaults.items()}
     flags = [arg for name, value in wanted.items() for arg in (f"--{name.replace('_', '-')}", str(value))]
     args = build_parser().parse_args(_args(workdir, "detect", *flags, communities=False))
-    assert asdict(_config_from_args(args).detect) == wanted
+    assert _config_from_args(args).detect._asdict() == wanted
 
 
 @pytest.mark.parametrize("command", ["domsets", "slopes", "metrics", "keywords", "report"])

@@ -93,8 +93,24 @@ def test_load_communities_unknown_label():
 
 def test_load_communities_empty_line_after_id():
     g = Graph([("a", "b")])
-    with pytest.raises(CommunityFileError):
+    with pytest.raises(CommunityFileError, match="line 1: community 'lonely' is empty"):
         load_communities(io.StringIO("lonely:\n"), g)
+
+
+@pytest.mark.parametrize(
+    "text, community_id, labels",
+    [
+        # no colon is followed by whitespace, so the line has no id
+        ("a:b c d\n", "c1", ["a:b", "c", "d"]),
+        # the id ends at the first colon followed by whitespace
+        ("x: a:b c\n", "x", ["a:b", "c"]),
+    ],
+    ids=["no-id", "id"],
+)
+def test_load_communities_label_with_a_colon(text, community_id, labels):
+    g = Graph([("a:b", "c"), ("c", "d"), ("d", "a:b")])
+    [community] = load_communities(io.StringIO(text), g)
+    assert (community.id, community.member_labels()) == (community_id, labels)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""What a process imports: the package's lazy exports and each subcommand's layers.
+"""What a process imports: the package's lazy exports, each subcommand's layers,
+and none of the standard modules that only slow a start.
 
 Import sets are read in fresh interpreters, because this process has
 already imported every layer.
@@ -24,6 +25,9 @@ FOOTBALL = DATA_DIR / "football"
 # Layers a subcommand may or may not need, and the thread pool's module.
 OPTIONAL = ("commkit.domsets", "commkit.slopes", "commkit.metrics", "commkit.keywords", "commkit.distributions")
 POOL = "concurrent.futures"
+# Standard modules no commkit process loads: importing ``dataclasses`` takes
+# about 6 ms (Python 3.11, 2-vCPU Xeon VM), most of it for ``inspect``.
+SLOW = ("dataclasses", "inspect")
 
 # The optional layers each subcommand loads with --workers 1.
 STAGE_LAYERS = {
@@ -44,14 +48,14 @@ print(json.dumps(sorted(sys.modules)))
 
 
 def _loaded(body: str, *args: str) -> set[str]:
-    """The commkit and thread-pool modules a fresh interpreter holds once ``body`` has run."""
+    """The commkit, thread-pool and :data:`SLOW` modules a fresh interpreter holds once ``body`` has run."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
         [sys.executable, "-c", PROBE.format(body=body), *args], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
     modules = json.loads(done.stdout.splitlines()[-1])
-    return {name for name in modules if name.startswith(("commkit", POOL))}
+    return {name for name in modules if name.startswith(("commkit", POOL)) or name in SLOW}
 
 
 def _main(*argv: str) -> set[str]:
@@ -95,13 +99,14 @@ def test_each_stage_loads_its_layers_and_no_pool_with_one_worker(football_run, s
     if stage == "keywords":
         argv += ["--metadata", str(metadata)]
     loaded = _main(*argv)
-    assert loaded & {*OPTIONAL, POOL} == STAGE_LAYERS[stage]
+    assert loaded & {*OPTIONAL, POOL, *SLOW} == STAGE_LAYERS[stage]
 
 
 def test_more_than_one_worker_imports_the_pool(football_run):
     out, _ = football_run
     argv = ["domsets", "--graph", str(FOOTBALL / "football.edges"), "--communities", str(out / "communities.txt")]
-    assert POOL in _main(*argv, "--out", str(out / "pool"), "--workers", "2")
+    loaded = _main(*argv, "--out", str(out / "pool"), "--workers", "2")
+    assert POOL in loaded and not loaded & set(SLOW)
 
 
 def test_every_export_is_its_defining_modules_object():

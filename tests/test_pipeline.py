@@ -1,10 +1,9 @@
 import json
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from commkit import RunConfig, run_pipeline
+from commkit import Community, DomSetResult, Graph, RunConfig, run_pipeline
 from commkit.detect import DetectParams
 from commkit.errors import ConfigError
 from commkit.pipeline import (
@@ -61,6 +60,39 @@ def test_config_validation(tmp_path):
         RunConfig(graph_path="g", k=0)
     with pytest.raises(ConfigError):
         RunConfig(graph_path="g", bins=0)
+
+
+def test_a_replaced_field_is_checked():
+    with pytest.raises(ConfigError, match="k must be >= 1"):
+        RunConfig(graph_path="g")._replace(k=0)
+    with pytest.raises(ConfigError, match="alpha must be in"):
+        DetectParams()._replace(alpha=1.0)
+
+
+@pytest.mark.parametrize(
+    "record, names",
+    [
+        (Community("c", frozenset({0}), Graph([("a", "b")])), ("id", "members", "graph")),
+        (DetectParams(), ("alpha", "epsilon", "min_size", "max_size")),
+        (RunConfig(graph_path="g"), ("graph_path", "k", "p", "detect", "fmt", "workers")),
+        (DomSetResult("c", "internal", "k", 1, frozenset({0}), 0.5), ("community_id", "members", "closed")),
+    ],
+    ids=["Community", "DetectParams", "RunConfig", "DomSetResult"],
+)
+def test_records_are_read_only(record, names):
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+
+
+def test_communities_compare_and_hash_by_id_and_members():
+    community = Community("c", frozenset({0}), Graph([("a", "b")]))
+    twin = Community("c", frozenset({0}), Graph([("x", "y"), ("y", "z")]))
+    assert community == twin and hash(community) == hash(twin)
+    assert community != Community("d", frozenset({0}), community.graph)
+    assert community != ("c", frozenset({0}))
 
 
 def test_parallel_map_preserves_order():
@@ -129,6 +161,8 @@ def test_manifest_has_no_timestamps_and_full_config(inputs):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["tool"] == "commkit"
     assert manifest["config"]["graph_path"] == str(graph_path)
+    # the nested detection parameters (``_config``'s) are an object keyed by name, not a list
+    assert manifest["config"]["detect"] == {"alpha": 0.15, "epsilon": 0.0001, "min_size": 3, "max_size": 10}
     # nothing run-dependent beyond the config itself
     assert set(manifest) == {"tool", "version", "python", "config", "notes"}
 
@@ -149,10 +183,10 @@ def test_stage_outputs_can_be_read_back(inputs):
         # every field comes back equal and of the same type
         read_back = read_domsets(graph, communities, config, out)
         assert read_back == bundles, fmt
-        written = [getattr(b, f.name) for b in bundles for f in fields(b)]
-        again = [getattr(b, f.name) for b in read_back for f in fields(b)]
-        assert [[type(getattr(r, f.name)) for f in fields(r)] for r in again] == [
-            [type(getattr(r, f.name)) for f in fields(r)] for r in written
+        written = [getattr(b, name) for b in bundles for name in b._fields]
+        again = [getattr(b, name) for b in read_back for name in b._fields]
+        assert [[type(getattr(r, name)) for name in r._fields] for r in again] == [
+            [type(getattr(r, name)) for name in r._fields] for r in written
         ], fmt
         assert {type(r.criterion_value) for r in again if r.criterion == "k"} == {int}, fmt
         assert pairs[-1][1].slope is None and bundles[-1].p_external.achieved_ratio is None
