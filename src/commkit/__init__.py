@@ -19,7 +19,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "community": ("Community", "boundary", "induced_subgraph", "load_communities", "write_communities"),
-    "detect": ("DetectParams", "approximate_ppr", "detect_communities", "ppr_thresholds", "sweep_cut"),
+    "config": ("DetectParams", "RunConfig"),
+    "detect": ("approximate_ppr", "detect_communities", "ppr_thresholds", "sweep_cut"),
     "distributions": ("DistributionSummary", "summarize"),
     "domsets": ("DomSetResult", "edr", "greedy_eds", "greedy_ids", "idr"),
     "graph": ("Graph", "count_triangles", "load_graph"),
@@ -31,7 +32,7 @@ _EXPORTS = {
         "community_stats",
         "triangle_split_analysis",
     ),
-    "pipeline": ("RunConfig", "run_pipeline"),
+    "pipeline": ("run_pipeline",),
     "slopes": ("SlopeResult", "eslope", "islope", "random_subset_ratio"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

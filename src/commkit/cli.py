@@ -21,9 +21,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .detect import DetectParams
+from .config import DetectParams, RunConfig
 from .errors import CommkitError, ConfigError
-from .pipeline import NO_COMMUNITIES, STAGES, RunConfig, load_inputs, run_pipeline, run_stage, write_manifest
+from .pipeline import NO_COMMUNITIES, STAGES, load_inputs, run_pipeline, run_stage, write_manifest
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -41,7 +41,7 @@ def _add_common(parser: argparse.ArgumentParser, need_communities: bool) -> None
     parser.add_argument("--metadata", help="tab-separated node metadata file")
     parser.add_argument("--k", type=int, default=5, help="size for k-mode dominating sets")
     parser.add_argument("--p", type=float, default=0.8, help="ratio target for p-mode sets")
-    parser.add_argument("--alpha", type=float, default=0.15, help="PPR teleport probability")
+    parser.add_argument("--alpha", type=float, default=0.15, help="teleport probability of the lazy walk")
     parser.add_argument("--epsilon", type=float, default=1e-4, help="PPR push tolerance")
     parser.add_argument("--min-size", type=int, default=5, help="smallest community kept")
     parser.add_argument("--max-size", type=int, default=200, help="largest community kept")

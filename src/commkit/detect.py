@@ -1,22 +1,29 @@
 """Local community detection: PPR push plus conductance sweep.
 
 Every node is a seed.  Each seed gets an approximate personalized-PageRank
-vector (push method with degree-normalized residual threshold), which is
-swept in score/degree order for the prefix of minimum conductance.
-Candidates are filtered by size and deduplicated best-first by
-conductance: a candidate whose Jaccard overlap with a kept community
+vector, which is swept in score/degree order for the prefix of minimum
+conductance.  Candidates are filtered by size and deduplicated best-first
+by conductance: a candidate whose Jaccard overlap with a kept community
 exceeds :data:`OVERLAP_JACCARD_MAX` (0.5) is dropped.  Detection is
 deliberately pluggable: every downstream stage also accepts externally
 supplied community files.
+
+The vector is the PageRank of the lazy walk ``W = (I + D^-1 A)/2`` with
+teleport probability ``alpha``.  It is also the PageRank of the plain walk
+``D^-1 A`` with teleport probability ``alpha' = 2 alpha / (1 + alpha)``,
+so the push (Andersen, Chung & Lang, FOCS 2006) runs on the plain walk: a
+pushed node settles ``alpha'`` of its residual, hands the rest to its
+neighbors and keeps nothing.  It stops, as the lazy push does, once every
+residual is below ``epsilon * deg(v)``, with fewer than half the pushes.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import NamedTuple, Sequence
 
 from .community import Community
+from .config import DetectParams, _check_alpha, _check_epsilon
 from .errors import ConfigError
 from .graph import Graph
 
@@ -24,48 +31,11 @@ from .graph import Graph
 OVERLAP_JACCARD_MAX = 0.5
 
 
-class _DetectFields(NamedTuple):
-    alpha: float = 0.15
-    epsilon: float = 1e-4
-    min_size: int = 5
-    max_size: int = 200
-
-
-class DetectParams(_DetectFields):
-    """Detection parameters, checked whenever a value is built (``_replace`` too)."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        _check_alpha(self.alpha)
-        _check_epsilon(self.epsilon)
-        if self.min_size < 1 or self.max_size < self.min_size:
-            raise ConfigError(
-                f"need 1 <= min_size <= max_size, got [{self.min_size}, {self.max_size}]"
-            )
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-
 class PPRVector(NamedTuple):
     """Sparse approximate PPR scores and the push's final per-node residual list."""
 
     scores: dict[int, float]
     residual: list[float]
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise ConfigError(f"epsilon must be finite and > 0, got {epsilon}")
 
 
 def ppr_thresholds(graph: Graph, epsilon: float) -> list[float]:
@@ -79,7 +49,14 @@ def ppr_thresholds(graph: Graph, epsilon: float) -> list[float]:
 
 
 def approximate_ppr(graph: Graph, seed: int, alpha: float, thresholds: Sequence[float]) -> PPRVector:
-    """Push-based approximate PPR from a single seed (ACL lazy push).
+    """Push-based approximate lazy-walk PPR from a single seed (non-lazy ACL push).
+
+    ``alpha`` is the lazy walk's teleport probability; the push uses
+    ``a = 2 alpha / (1 + alpha)``, which gives the plain walk the same
+    PageRank vector (see the module docstring).  Popping ``u`` moves
+    ``a * r(u)`` into its score, gives each neighbor ``(1 - a) * r(u) /
+    deg(u)`` and sets ``r(u)`` to 0.  ``scores`` plus the lazy-walk PageRank
+    of ``residual`` is the seed's exact vector, up to rounding.
 
     ``thresholds`` is :func:`ppr_thresholds` of the graph, built once per
     detection run; the push stops with ``r(v) < thresholds[v]`` for every
@@ -89,15 +66,14 @@ def approximate_ppr(graph: Graph, seed: int, alpha: float, thresholds: Sequence[
     The queue holds no flags: a node is queued exactly when
     ``r(v) >= thresholds[v]``.  Residuals only grow until their node is
     popped, so a neighbor is enqueued when its residual crosses its
-    threshold (``old < t <= old + share``), and the popped node, which a
-    ``Graph`` never links to itself, goes back when the residual it keeps
-    is still at or above its own.  Every float operation is the one a
-    flagged queue comparing against ``epsilon * deg(v)`` makes, in the
-    same order, so scores and residuals agree with it to the bit.
+    threshold (``old < t <= old + share``); the popped node, which a
+    ``Graph`` never links to itself, keeps 0 and so leaves the queue.
+    Every float operation is the one a flagged queue comparing against
+    ``epsilon * deg(v)`` makes, in the same order, so scores and residuals
+    agree with it to the bit.
 
     Residuals live in a flat per-node list filled afresh for every seed
-    (an O(n) fill at C speed, about 6% of a push on a 20k-node planted
-    partition of degree 11); ``residual`` is that list, indexed by node.
+    (an O(n) fill at C speed); ``residual`` is that list, indexed by node.
     """
     if not 0 <= seed < graph.node_count:
         raise ConfigError(f"seed {seed} out of range")
@@ -110,10 +86,12 @@ def approximate_ppr(graph: Graph, seed: int, alpha: float, thresholds: Sequence[
         return PPRVector(scores={seed: 1.0}, residual=[0.0] * n)
     if not thresholds[seed] > 0.0:
         # a neighbor is enqueued only by crossing a positive threshold; with
-        # the seed's positive too, every push moves at least alpha times a
+        # the seed's positive too, every push moves at least a times a
         # positive threshold into the scores, so any list lets the push end
         raise ConfigError(f"the seed's threshold must be > 0, got {thresholds[seed]}")
 
+    a = 2.0 * alpha / (1.0 + alpha)
+    spread = 1.0 - a
     adjacency = graph.adjacency
     p: dict[int, float] = {}
     p_get = p.get
@@ -127,18 +105,15 @@ def approximate_ppr(graph: Graph, seed: int, alpha: float, thresholds: Sequence[
     while queue:
         u = popleft()
         ru = r[u]
-        p[u] = p_get(u, 0.0) + alpha * ru
-        push = (1.0 - alpha) * ru / 2.0
-        r[u] = push
-        share = push / degrees[u]
+        p[u] = p_get(u, 0.0) + a * ru
+        r[u] = 0.0
+        share = spread * ru / degrees[u]
         for v in adjacency[u]:
             old = r[v]
             rv = old + share
             r[v] = rv
             if old < thresholds[v] <= rv:
                 enqueue(v)
-        if push >= thresholds[u]:
-            enqueue(u)
     return PPRVector(scores=p, residual=r)
 
 

@@ -8,8 +8,8 @@ columns are not a record's fields name them by hand.  Identical
 configuration must give byte-identical artifacts, so nothing here records
 timestamps and floats are serialized with ``repr``.
 
-At module level this imports only what configuration, loading and the
-table codec need.  Each stage function and each stage-output reader
+At module level this imports only what configuration (:mod:`commkit.config`),
+loading and the table codec need.  Each stage function and each stage-output reader
 imports its own layer when it runs, and :func:`parallel_map` imports the
 thread pool only when it builds one: a ``commkit <stage>`` process then
 loads the layers of that stage and no other.  A call-time ``from .x
@@ -32,7 +32,7 @@ from typing import (
 
 from . import __version__
 from .community import Community, load_communities, write_communities
-from .detect import DetectParams
+from .config import RunConfig
 from .errors import CommkitError, ConfigError
 from .graph import Graph, load_graph
 
@@ -47,43 +47,6 @@ U = TypeVar("U")
 
 CURVE_LENGTHS = list(range(5, 55, 5))
 SPLIT_THRESHOLDS = (0.6, 0.8)
-
-
-class _RunFields(NamedTuple):
-    graph_path: str
-    communities_path: str | None = None
-    metadata_path: str | None = None
-    k: int = 5
-    p: float = 0.8
-    detect: DetectParams = DetectParams()
-    bins: int = 20
-    out_dir: str = "out"
-    fmt: str = "csv"
-    workers: int = 1
-
-
-class RunConfig(_RunFields):
-    """One run's settings, checked whenever a value is built (``_replace`` too)."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ConfigError(f"p must be in [0, 1], got {self.p}")
-        if self.bins < 1:
-            raise ConfigError(f"bins must be >= 1, got {self.bins}")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 def parallel_map(fn: Callable[[T], U], items: Sequence[T], workers: int) -> list[U]:

@@ -298,18 +298,18 @@ GOLDEN_FOOTBALL = {
         "triangle_split.json": "3871091efe5637ab07b2e86318b705f87882dbeb5e51edc78c05d47faa3b2aed",
     },
     (): {
-        "communities.txt": "682def0d66542dc66753bfa599f49d711d256173b249bd7017430992f6f6cd82",
-        "communities_meta.csv": "81ab6eec512f79d25fdf7ac7b2acbf2241797d2c10136828ccdc3bcab40d3e4b",
-        "community_stats.csv": "a3e4e79bae6a5fb0d82c722407043d489644059e4ad505d0d3453b06348f38c2",
-        "dist_ccc.csv": "2b6cce9cb5b99f0290e0f3bbb7e5c82d16760341535cb491f5caac00c23f75e3",
-        "dist_eslope.csv": "cbc45528d7ca6eb98eb7c492cbbf8abe3b8c80f20baf259bd3cfeb339de75201",
-        "dist_islope.csv": "bd0e1dce863dab52a25fed4fad02f0c9924042343eebc1b2d62b722c413e3a8f",
-        "dist_size.csv": "6b38026dfcf310a737ab868933e572459086b301fdc1875152d3674c9ea0c460",
-        "distributions_summary.csv": "ccc2c4974667c325d617c26e2ced97c5af158305e1ad9a8f83bb25e7a5ff3ecd",
-        "domsets.csv": "aa6ea30d60448d452d625b206b4e9389eb1e82e510ec3037767487455c51fdce",
-        "slopes.csv": "b9f0bacf3ef9abfcbde09c9a58ffd1c778783a2801c01a54e44fd0e88206dd42",
-        "summary.csv": "073ab8eff9264f84193d84a93e6496a852bc6b64eac5fac623f39fa13cf61efc",
-        "triangle_split.csv": "9a7d049156c17fd0f430b6ea83125622926bdf131288e41490ba90457ed641eb",
+        "communities.txt": "f2ccb5f8f15909903b385c8ceaf2ae0e8863a27abc1e3ab9a4df2b6e4110871e",
+        "communities_meta.csv": "3c0a0c72f6c449762640a10b1bec528fb35c4b3b1ee657b6696434a22c637cd3",
+        "community_stats.csv": "1149eb45f196ff260716f1786b6cf42ff9b20ef5ff18fd1496b2f04bf3ffd981",
+        "dist_ccc.csv": "59bcf3d160588f94d621aaf8abb208a7d9146bf187d22b8c63855bf6dad5134a",
+        "dist_eslope.csv": "fe80050b8c1f189fb0ae27acd79bfde295635d850ab4e561e84f048fa073efef",
+        "dist_islope.csv": "3e4f3e449856cf3612282e4a3113e7c9b09d6839b8584282d9f62698c331f9f1",
+        "dist_size.csv": "9e3ccec3a4a5241bc20333cd62180a799c2ae77357411c0d85fc19c7e4e7f382",
+        "distributions_summary.csv": "559efb78c6dbd4a20aa43adaff21179e04a12e1843da61b9d43723baaf67c3ce",
+        "domsets.csv": "d3aef269c1928f5571a0de70feabdc363f8202c227ec98c799aa65214fb0c4ac",
+        "slopes.csv": "105efebf576cda6cd44275e726a3ed411683e0e56519527ce967f3822969499f",
+        "summary.csv": "42605db72668d012db8b3bac501b8e16fc68c6f948a71728689e802b96c1affd",
+        "triangle_split.csv": "93c52df5ae43aa617a9605de151c9d25b07d7d678e6240b743a05d2b9c5fcb8b",
     },
 }
 

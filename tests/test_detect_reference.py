@@ -1,15 +1,16 @@
 """The push and sweep kernel against a plain reference copy, bit for bit.
 
-``reference_approximate_ppr`` and ``reference_sweep_cut`` are the dict-based
-push and the per-neighbor sweep that ``commkit.detect`` used before its loops
-read flat lists and tuples.  Both kernels do the same float operations in the
-same order, so scores, residuals, sweeps and detected communities must agree
-to the last bit (floats are compared through ``float.hex``).  The reference
-keeps its residual in a dict and returns it densely, one entry per node, as
-``approximate_ppr`` does, so every node's residual is compared.  It also
-keeps the textbook queue: a set of queued nodes and the threshold
-``epsilon * degree`` computed at each comparison, where ``approximate_ppr``
-reads a threshold list built once and keeps no queued flags.
+``reference_approximate_ppr`` is the textbook non-lazy push (Andersen, Chung
+& Lang, FOCS 2006) and ``reference_sweep_cut`` the per-neighbor sweep.  The
+reference push keeps its residual in a dict, a set of queued nodes, a check
+that skips a stale queue entry, and the threshold ``epsilon * degree``
+computed at each comparison, where ``approximate_ppr`` reads flat lists and
+tuples and a threshold list built once, and keeps no queued flags.  Both
+kernels do the same float operations in the same order, so scores,
+residuals, sweeps and detected communities must agree to the last bit
+(floats are compared through ``float.hex``).  The reference returns its
+residual densely, one entry per node, as ``approximate_ppr`` does, so every
+node's residual is compared.
 """
 
 import random
@@ -29,6 +30,9 @@ def reference_approximate_ppr(graph: Graph, seed: int, alpha: float, epsilon: fl
     if graph.degrees[seed] == 0:
         return PPRVector(scores={seed: 1.0}, residual=[0.0] * graph.node_count)
 
+    # the lazy walk's PageRank with teleport alpha is the plain walk's with a
+    a = 2.0 * alpha / (1.0 + alpha)
+    spread = 1.0 - a
     p: dict[int, float] = {}
     r: dict[int, float] = {seed: 1.0}
     queue = deque([seed])
@@ -40,18 +44,14 @@ def reference_approximate_ppr(graph: Graph, seed: int, alpha: float, epsilon: fl
         du = graph.degrees[u]
         if ru < epsilon * du:
             continue
-        p[u] = p.get(u, 0.0) + alpha * ru
-        push = (1.0 - alpha) * ru / 2.0
-        r[u] = push
-        share = push / du
+        p[u] = p.get(u, 0.0) + a * ru
+        r[u] = 0.0
+        share = spread * ru / du
         for v in graph.adjacency[u]:
             r[v] = r.get(v, 0.0) + share
             if v not in queued and r[v] >= epsilon * graph.degrees[v]:
                 queue.append(v)
                 queued.add(v)
-        if r[u] >= epsilon * du and u not in queued:
-            queue.append(u)
-            queued.add(u)
     return PPRVector(scores=p, residual=[r.get(v, 0.0) for v in range(graph.node_count)])
 
 
@@ -191,3 +191,12 @@ def test_detected_communities_match_the_reference(graph, monkeypatch):
     assert [
         (sorted(d.community.members), d.conductance.hex(), d.connected, d.seed) for d in found
     ] == [(sorted(d.community.members), d.conductance.hex(), d.connected, d.seed) for d in expected]
+
+
+def test_detection_recovers_the_planted_groups():
+    # ten groups of 30, node n{u} in group u mod 10; the isolated node is in none
+    graph = planted_graph()
+    groups = {frozenset(graph.index(f"n{u:03d}") for u in range(g, 300, 10)) for g in range(10)}
+    found = detect_communities(graph, DetectParams(max_size=40))
+    assert len(found) == 10
+    assert {d.community.members for d in found} == groups

@@ -23,7 +23,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 FOOTBALL = DATA_DIR / "football"
 
 # Layers a subcommand may or may not need, and the thread pool's module.
-OPTIONAL = ("commkit.domsets", "commkit.slopes", "commkit.metrics", "commkit.keywords", "commkit.distributions")
+OPTIONAL = (
+    "commkit.detect",
+    "commkit.domsets",
+    "commkit.slopes",
+    "commkit.metrics",
+    "commkit.keywords",
+    "commkit.distributions",
+)
 POOL = "concurrent.futures"
 # Standard modules no commkit process loads: importing ``dataclasses`` takes
 # about 6 ms (Python 3.11, 2-vCPU Xeon VM), most of it for ``inspect``.
@@ -31,7 +38,7 @@ SLOW = ("dataclasses", "inspect")
 
 # The optional layers each subcommand loads with --workers 1.
 STAGE_LAYERS = {
-    "detect": set(),
+    "detect": {"commkit.detect"},
     "domsets": {"commkit.domsets"},
     "slopes": {"commkit.domsets", "commkit.slopes"},
     "metrics": {"commkit.metrics", "commkit.distributions"},
@@ -67,11 +74,12 @@ def test_importing_the_package_loads_no_layer():
 
 
 def test_importing_the_cli_loads_only_what_config_and_loading_need():
+    # no detection module: only the detect stage imports it
     assert _loaded("import commkit.cli") == {
         "commkit",
         "commkit.cli",
         "commkit.community",
-        "commkit.detect",
+        "commkit.config",
         "commkit.errors",
         "commkit.graph",
         "commkit.pipeline",
