@@ -1,18 +1,17 @@
 """Command-line interface.
 
-Subcommands mirror the pipeline stages so each can be rerun on prior
-outputs: detect, domsets, slopes, metrics, keywords, report, all.  Each
-runs through :func:`commkit.pipeline.run_stage` and reads the tables that
-earlier subcommands wrote to the same --out in the same --format: slopes
-and keywords read domsets; report reads community_stats, domsets and
-slopes; detect, domsets and metrics read none.  So run detect (unless
---communities is given), then domsets, then the rest; ``all`` runs them
-in that order.
+Subcommands mirror the pipeline stages: detect, domsets, slopes, metrics,
+keywords, report, and all, which runs every stage.  Each computes the
+records it needs from its own --graph, --communities and --metadata and
+writes only its own tables, so subcommands can run in any order and into
+any --out; all of them run through :func:`commkit.pipeline.run_pipeline`.
+A flag that is not given keeps the default of its field in
+:mod:`commkit.config`.
 
 Exit codes: 0 success, 1 input error, 2 configuration error, 3 internal
-invariant failure.  Input errors include a missing or malformed stage
-table, one that does not list the --communities ids in order, a domsets
-table built with another --k or --p, and a community id used twice.
+invariant failure.  Input errors include a malformed graph, community or
+metadata file, a community id used twice, and a node label holding the
+``;`` that separates the members of a domsets cell.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from pathlib import Path
 
 from .config import DetectParams, RunConfig
 from .errors import CommkitError, ConfigError
-from .pipeline import NO_COMMUNITIES, STAGES, load_inputs, run_pipeline, run_stage, write_manifest
+from .pipeline import STAGES, run_pipeline
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -32,23 +31,25 @@ EXIT_INTERNAL = 3
 
 
 def _add_common(parser: argparse.ArgumentParser, need_communities: bool) -> None:
-    parser.add_argument("--graph", required=True, help="edge-list file")
+    # each dest is a RunConfig or DetectParams field; the parser sets only the flags given
+    parser.add_argument("--graph", dest="graph_path", required=True, help="edge-list file")
     parser.add_argument(
         "--communities",
+        dest="communities_path",
         required=need_communities,
         help="community file (one 'id: label label ...' line per community)",
     )
-    parser.add_argument("--metadata", help="tab-separated node metadata file")
-    parser.add_argument("--k", type=int, default=5, help="size for k-mode dominating sets")
-    parser.add_argument("--p", type=float, default=0.8, help="ratio target for p-mode sets")
-    parser.add_argument("--alpha", type=float, default=0.15, help="teleport probability of the lazy walk")
-    parser.add_argument("--epsilon", type=float, default=1e-4, help="PPR push tolerance")
-    parser.add_argument("--min-size", type=int, default=5, help="smallest community kept")
-    parser.add_argument("--max-size", type=int, default=200, help="largest community kept")
-    parser.add_argument("--bins", type=int, default=20, help="histogram bin count")
-    parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv", help="table format")
-    parser.add_argument("--workers", type=int, default=1, help="per-community worker pool size")
+    parser.add_argument("--metadata", dest="metadata_path", help="tab-separated node metadata file")
+    parser.add_argument("--k", type=int, help="size for k-mode dominating sets")
+    parser.add_argument("--p", type=float, help="ratio target for p-mode sets")
+    parser.add_argument("--alpha", type=float, help="teleport probability of the lazy walk")
+    parser.add_argument("--epsilon", type=float, help="PPR push tolerance")
+    parser.add_argument("--min-size", type=int, help="smallest community kept")
+    parser.add_argument("--max-size", type=int, help="largest community kept")
+    parser.add_argument("--bins", type=int, help="histogram bin count")
+    parser.add_argument("--out", dest="out_dir", help="output directory")
+    parser.add_argument("--format", dest="fmt", choices=("csv", "json"), help="table format")
+    parser.add_argument("--workers", type=int, help="per-community worker pool size")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,49 +60,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in (*STAGES, "all"):
-        _add_common(sub.add_parser(name), need_communities=name not in ("detect", "all"))
+        subparser = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        _add_common(subparser, need_communities=name not in ("detect", "all"))
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    detect = DetectParams(
-        alpha=args.alpha,
-        epsilon=args.epsilon,
-        min_size=args.min_size,
-        max_size=args.max_size,
-    )
-    return RunConfig(
-        graph_path=args.graph,
-        communities_path=args.communities,
-        metadata_path=args.metadata,
-        k=args.k,
-        p=args.p,
-        detect=detect,
-        bins=args.bins,
-        out_dir=args.out,
-        fmt=args.format,
-        workers=args.workers,
-    )
+    given = vars(args)
+    detect = DetectParams(**{name: given[name] for name in DetectParams._fields if name in given})
+    return RunConfig(detect=detect, **{name: given[name] for name in RunConfig._fields if name in given})
 
 
 def _run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    if args.command == "all":
-        summary = run_pipeline(config)
-        if summary is None and not config.communities_path:
-            print("no communities survived filtering")
-        return EXIT_OK
-
-    graph, communities, metadata = load_inputs(config)
-    records = run_stage(args.command, graph, communities, metadata, config, out)
-    note = f"stage {args.command} over {len(communities)} communities" if communities else NO_COMMUNITIES
+    records = run_pipeline(config, args.command)
     if args.command == "detect":
-        note = f"detected {len(records)} communities"
-        print(f"{note} -> {out / 'communities.txt'}")
-    write_manifest(config, out, [note])
+        print(f"detected {len(records)} communities -> {Path(config.out_dir) / 'communities.txt'}")
+    elif args.command == "all" and records is None and not config.communities_path:
+        print("no communities survived filtering")
     return EXIT_OK
 
 

@@ -104,18 +104,17 @@ def community_stats(community: Community) -> CommunityStats:
     )
 
 
-class TriangleGroup(NamedTuple):
-    count: int
-    mean_triangles: float
-    empty: bool
-
-
 class TriangleSplit(NamedTuple):
-    """Communities split by clustering coefficient at a threshold."""
+    """Communities split by clustering coefficient at a threshold: above is
+    ``ccc > threshold``, below the rest."""
 
     threshold: float
-    above: TriangleGroup  # ccc > threshold
-    below: TriangleGroup  # ccc <= threshold
+    above_count: int
+    above_mean_triangles: float
+    above_empty: bool
+    below_count: int
+    below_mean_triangles: float
+    below_empty: bool
 
 
 def triangle_split_analysis(
@@ -127,9 +126,9 @@ def triangle_split_analysis(
     above = [s.triangles for s in stats if s.ccc > threshold]
     below = [s.triangles for s in stats if s.ccc <= threshold]
     return TriangleSplit(
-        threshold=threshold,
-        above=TriangleGroup(len(above), mean(above) if above else 0.0, not above),
-        below=TriangleGroup(len(below), mean(below) if below else 0.0, not below),
+        threshold,
+        len(above), mean(above) if above else 0.0, not above,
+        len(below), mean(below) if below else 0.0, not below,
     )
 
 

@@ -1,21 +1,25 @@
 """Pipeline stages and their file formats.
 
-Every stage is a pure function from loaded inputs to records, plus a
-writer; :func:`run_stage` feeds each stage the tables earlier stages
-wrote, for ``all`` and the staged subcommands alike.  A record is written
-as one row of its scalar fields (see :func:`_columns`); only tables whose
-columns are not a record's fields name them by hand.  Identical
-configuration must give byte-identical artifacts, so nothing here records
-timestamps and floats are serialized with ``repr``.
+Every stage is a function of one :class:`Run`: the loaded inputs and the
+record lists computed from them.  A list is computed on first use, inside
+the stage that first needs it, and kept for the later stages of the same
+process, so ``all`` computes each list once and a staged subcommand only
+what its stage writes.  No stage reads a table: each subcommand computes
+its records from its own ``--graph``, ``--communities`` and ``--metadata``.
+:func:`run_pipeline` is the one loop behind ``all`` and every staged
+subcommand.  A record is written as one row of its scalar fields (see
+:func:`_write_records`); only tables whose columns are not a record's
+fields name them by hand.  Identical configuration must give
+byte-identical artifacts, so nothing here records timestamps and floats
+are serialized with ``repr``.
 
 At module level this imports only what configuration (:mod:`commkit.config`),
-loading and the table codec need.  Each stage function and each stage-output reader
-imports its own layer when it runs, and :func:`parallel_map` imports the
-thread pool only when it builds one: a ``commkit <stage>`` process then
-loads the layers of that stage and no other.  A call-time ``from .x
-import f`` reads the defining module's current binding, so a function
-replaced there (a test's monkeypatch, the benchmark's tracer) is the one
-the stage calls.
+loading and the table writer need.  Each stage and each record list imports
+its own layer when it runs, and :func:`parallel_map` imports the thread pool
+only when it builds one: a ``commkit <stage>`` process then loads the
+layers of that stage and no other.  A call-time ``from .x import f`` reads
+the defining module's current binding, so a function replaced there (a
+test's monkeypatch, the benchmark's tracer) is the one the stage calls.
 """
 
 from __future__ import annotations
@@ -23,12 +27,9 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from functools import reduce
-from itertools import zip_longest
+from functools import cached_property
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TypeVar, get_args, get_origin, get_type_hints,
-)
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, TypeVar, get_origin, get_type_hints
 
 from . import __version__
 from .community import Community, load_communities, write_communities
@@ -87,125 +88,15 @@ def write_table(path: Path, header: list[str], rows: list[list[object]], fmt: st
     return target
 
 
-def read_table(path: Path) -> list[dict[str, str]]:
-    """Read back a table written by :func:`write_table` (either format)."""
-    try:
-        if path.suffix == ".json":
-            with path.open() as f:
-                rows = json.load(f)
-            if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
-                raise ValueError("not a JSON array of objects")
-            return [{k: "" if v is None else str(v) for k, v in row.items()} for row in rows]
-        with path.open(newline="") as f:
-            return list(csv.DictReader(f))
-    except (csv.Error, ValueError) as err:  # ValueError covers JSON and UTF-8 decoding
-        raise CommkitError(f"{path}: {err}") from None
-
-
-# ---------------------------------------------------------------------------
-# records as table rows
-
-
-def _columns(cls: type) -> list[tuple[str, tuple[str, ...]]]:
-    """(column, attribute path) per scalar field of a record class, in declaration
-    order; nested records are flattened as ``outer_inner``, tuples and sets left out."""
-    hints = get_type_hints(cls)
-    columns = []
-    for field in cls._fields:
-        hint = hints[field]
-        if hasattr(hint, "_fields"):
-            columns += [(f"{field}_{name}", (field, *path)) for name, path in _columns(hint)]
-        elif get_origin(hint) not in (tuple, frozenset):
-            columns.append((field, (field,)))
-    return columns
-
-
 def _write_records(path: Path, cls: type, records: Sequence[object], fmt: str) -> Path:
-    """Write one row per record, with the columns of :func:`_columns`."""
-    columns = _columns(cls)
-    rows = [[reduce(getattr, attrs, record) for _, attrs in columns] for record in records]
-    return write_table(path, [name for name, _ in columns], rows, fmt)
-
-
-def _parse(text: str, hint: object) -> object:
-    """A cell as the type ``hint`` names: str, int, float, bool, or a union of them and None."""
-    options = get_args(hint) or (hint,)
-    if text == "" and type(None) in options:
-        return None
-    for option in options:
-        if option is bool and text in ("true", "True", "false", "False"):
-            return text in ("true", "True")
-        if option in (int, float, str):
-            try:
-                return option(text)
-            except ValueError:
-                continue
-    raise ValueError(f"expected {getattr(hint, '__name__', hint)}, got {text!r}")
-
-
-def _read_records(
-    path: Path,
-    cls: type[T],
-    renamed: dict[str, str] | None = None,
-    parsers: dict[str, Callable[[str], object]] | None = None,
-) -> list[T]:
-    """Rebuild one record per row of a stage table.
-
-    Every field is read from the column of its name, or the one ``renamed``
-    gives, and parsed by its type hint or by ``parsers``, so a record read
-    back equals the record that was written.  A missing table
-    raises :class:`FileNotFoundError`; a missing or malformed cell raises
-    :class:`CommkitError` naming file, row and column.
-    """
-    if not path.exists():
-        raise FileNotFoundError(f"missing stage output {path.name} in {path.parent}")
-    renamed, parsers = renamed or {}, parsers or {}
+    """Write one row per record: its fields in declaration order, tuple fields left out."""
     hints = get_type_hints(cls)
-    records = []
-    for number, row in enumerate(read_table(path), start=1):
-        values = {}
-        for name in cls._fields:
-            column = renamed.get(name, name)
-            text = row.get(column)
-            try:
-                if text is None:
-                    raise ValueError("missing")
-                values[name] = parsers[name](text) if name in parsers else _parse(text, hints[name])
-            except (ValueError, CommkitError) as err:
-                raise CommkitError(f"{path}: row {number}, column {column!r}: {err}") from None
-        records.append(cls(**values))
-    return records
-
-
-def _in_order(ids: Iterable[str], communities: list[Community], path: Path) -> None:
-    """Raise unless ``ids`` are exactly the ids of ``communities``, in order."""
-    for found, wanted in zip_longest(ids, (c.id for c in communities), fillvalue="end of table"):
-        if found != wanted:
-            mismatch = f"expected {wanted!r}, found {found!r}"
-            raise CommkitError(f"{path.stem} output does not list the communities in order: {mismatch}")
-
-
-def _by_community(
-    records: list[T], part: Callable[[T], str], names: Sequence[str], communities: list[Community], path: Path
-) -> list[list[T]]:
-    """Records grouped per community, in the order of ``communities``, each group ordered by ``names``."""
-    groups: dict[str, dict[str, T]] = {}
-    for record in records:
-        groups.setdefault(record.community_id, {})[part(record)] = record
-    result = []
-    for community_id, parts in groups.items():
-        missing = [name for name in names if name not in parts]
-        if missing:
-            raise CommkitError(
-                f"{path.stem} output incomplete for community {community_id!r}: missing {missing[0]!r}"
-            )
-        result.append([parts[name] for name in names])
-    _in_order(groups, communities, path)
-    return result
+    columns = [name for name in cls._fields if get_origin(hints[name]) is not tuple]
+    return write_table(path, columns, [[getattr(r, name) for name in columns] for r in records], fmt)
 
 
 # ---------------------------------------------------------------------------
-# stages
+# one process's inputs and records
 
 
 def load_inputs(config: RunConfig) -> tuple[Graph, list[Community], dict[str, NodeMetadata] | None]:
@@ -220,24 +111,6 @@ def load_inputs(config: RunConfig) -> tuple[Graph, list[Community], dict[str, No
     return graph, communities, metadata
 
 
-def stage_detect(graph: Graph, config: RunConfig, out: Path) -> list[Community]:
-    from .detect import detect_communities
-
-    detected = detect_communities(graph, config.detect)
-    with (out / "communities.txt").open("w") as f:
-        write_communities([d.community for d in detected], f)
-    write_table(
-        out / "communities_meta",
-        ["community_id", "size", "conductance", "connected", "seed_node"],
-        [
-            [d.community.id, d.community.size, d.conductance, d.connected, graph.label(d.seed)]
-            for d in detected
-        ],
-        config.fmt,
-    )
-    return [d.community for d in detected]
-
-
 class DomsetBundle(NamedTuple):
     k_internal: DomSetResult
     k_external: DomSetResult
@@ -245,115 +118,166 @@ class DomsetBundle(NamedTuple):
     p_external: DomSetResult
 
 
-def stage_domsets(
-    graph: Graph, communities: list[Community], config: RunConfig, out: Path
-) -> list[DomsetBundle]:
-    from .domsets import greedy_eds, greedy_ids
+class Run:
+    """One run's loaded inputs and the per-community records computed from them.
 
-    def one(c: Community) -> DomsetBundle:
-        return DomsetBundle(
-            k_internal=greedy_ids(c, k=config.k),
-            k_external=greedy_eds(c, k=config.k),
-            p_internal=greedy_ids(c, p=config.p),
-            p_external=greedy_eds(c, p=config.p),
+    Each record list is a ``cached_property``, like ``Community.adjacency``:
+    it is computed when a stage first reads it and shared by every later
+    stage of the process.
+    """
+
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self.out = Path(config.out_dir)
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.graph, self.communities, self.metadata = load_inputs(config)
+
+    @cached_property
+    def p_internal(self) -> list[DomSetResult]:
+        """The p-mode internal greedy set of each community."""
+        from .domsets import greedy_ids
+
+        p = self.config.p
+        return parallel_map(lambda c: greedy_ids(c, p=p), self.communities, self.config.workers)
+
+    @cached_property
+    def p_external(self) -> list[DomSetResult]:
+        """The p-mode external greedy set of each community."""
+        from .domsets import greedy_eds
+
+        p = self.config.p
+        return parallel_map(lambda c: greedy_eds(c, p=p), self.communities, self.config.workers)
+
+    @cached_property
+    def bundles(self) -> list[DomsetBundle]:
+        """All four greedy sets of each community."""
+        from .domsets import greedy_eds, greedy_ids
+
+        k = self.config.k
+        k_sets = parallel_map(
+            lambda c: (greedy_ids(c, k=k), greedy_eds(c, k=k)), self.communities, self.config.workers
         )
+        return [DomsetBundle(*k_pair, pi, pe) for k_pair, pi, pe in zip(k_sets, self.p_internal, self.p_external)]
 
+    @cached_property
+    def slope_pairs(self) -> list[tuple[SlopeResult, SlopeResult]]:
+        """ISlope and ESlope of each community, from its p-mode sets."""
+        from .slopes import eslope, islope
+
+        def one(item: tuple[Community, DomSetResult, DomSetResult]) -> tuple[SlopeResult, SlopeResult]:
+            c, internal, external = item
+            return islope(c, internal), eslope(c, external)
+
+        return parallel_map(one, list(zip(self.communities, self.p_internal, self.p_external)), self.config.workers)
+
+    @cached_property
+    def stats(self) -> list[CommunityStats]:
+        from .metrics import community_stats
+
+        return parallel_map(community_stats, self.communities, self.config.workers)
+
+
+# ---------------------------------------------------------------------------
+# stages: each writes its tables and returns its records
+
+
+def stage_detect(run: Run) -> list[Community]:
+    """Detect the run's communities, in place of any loaded ones."""
+    from .detect import detect_communities
+
+    detected = detect_communities(run.graph, run.config.detect)
+    with (run.out / "communities.txt").open("w") as f:
+        write_communities([d.community for d in detected], f)
+    write_table(
+        run.out / "communities_meta",
+        ["community_id", "size", "conductance", "connected", "seed_node"],
+        [
+            [d.community.id, d.community.size, d.conductance, d.connected, run.graph.label(d.seed)]
+            for d in detected
+        ],
+        run.config.fmt,
+    )
+    run.communities = [d.community for d in detected]
+    return run.communities
+
+
+def stage_domsets(run: Run) -> list[DomsetBundle]:
     def joined(members: frozenset[int]) -> str:
-        # read_domsets splits the cell at ";", so a label holding one cannot be read back
-        labels = sorted(graph.label(v) for v in members)
+        # a label holding ";" would make the members cell ambiguous to any reader of the table
+        labels = sorted(run.graph.label(v) for v in members)
         for label in labels:
             if ";" in label:
                 raise CommkitError(f"node label {label!r} contains ';', which separates the members of a domsets cell")
         return ";".join(labels)
 
-    bundles = parallel_map(one, communities, config.workers)
     write_table(
-        out / "domsets",
+        run.out / "domsets",
         ["community_id", "mode", "criterion", "criterion_value", "set_size", "achieved_ratio", "closed", "members"],
         [
             [r.community_id, r.mode, r.criterion, r.criterion_value, r.size, r.achieved_ratio, r.closed]
             + [joined(r.members)]
-            for b in bundles
-            for r in (b.k_internal, b.k_external, b.p_internal, b.p_external)
+            for b in run.bundles
+            for r in b
         ],
-        config.fmt,
+        run.config.fmt,
     )
-    return bundles
+    return run.bundles
 
 
-def stage_slopes(
-    communities: list[Community], bundles: list[DomsetBundle], config: RunConfig, out: Path
-) -> list[tuple[SlopeResult, SlopeResult]]:
-    """Slope pairs per community, from its p-mode internal and external sets."""
-    from .slopes import eslope, islope
-
-    def one(item: tuple[Community, DomsetBundle]) -> tuple[SlopeResult, SlopeResult]:
-        c, b = item
-        return islope(c, b.p_internal), eslope(c, b.p_external)
-
-    pairs = parallel_map(one, list(zip(communities, bundles)), config.workers)
+def stage_slopes(run: Run) -> list[tuple[SlopeResult, SlopeResult]]:
     write_table(
-        out / "slopes",
+        run.out / "slopes",
         ["community_id", "kind", "K", "observed", "expected", "slope", "estimator", "closed"],
         [
             # every open row is exact; readers such as bench/check.py still key on the column
             [s.community_id, s.kind, s.K, s.observed_ratio, s.expected_ratio, s.slope]
             + ["" if s.closed else "exact", s.closed]
-            for pair in pairs
+            for pair in run.slope_pairs
             for s in pair
         ],
-        config.fmt,
+        run.config.fmt,
     )
-    return pairs
+    return run.slope_pairs
 
 
-def stage_metrics(communities: list[Community], config: RunConfig, out: Path) -> list[CommunityStats]:
-    from .metrics import CommunityStats, community_stats
+def stage_metrics(run: Run) -> list[CommunityStats]:
+    from .metrics import CommunityStats
 
-    stats = parallel_map(community_stats, communities, config.workers)
-    _write_records(out / "community_stats", CommunityStats, stats, config.fmt)
-    return stats
+    _write_records(run.out / "community_stats", CommunityStats, run.stats, run.config.fmt)
+    return run.stats
 
 
-def stage_keywords(
-    communities: list[Community], metadata: dict[str, NodeMetadata], bundles: list[DomsetBundle],
-    config: RunConfig, out: Path,
-) -> None:
+def stage_keywords(run: Run) -> None:
     """Keyword predictions and curve, each community's candidates listed by its p-IDS."""
     from .keywords import build_keyword_list, predict_keywords, prediction_curve
 
+    metadata = run.metadata
     candidate_lists = parallel_map(
-        lambda item: build_keyword_list(item[0], metadata, item[1].p_internal),
-        list(zip(communities, bundles)),
-        config.workers,
+        lambda item: build_keyword_list(item[0], metadata, item[1]),
+        list(zip(run.communities, run.p_internal)),
+        run.config.workers,
     )
     scored = [
         (candidates, predict_keywords(community, metadata, max(CURVE_LENGTHS), candidates))
-        for community, candidates in zip(communities, candidate_lists)
+        for community, candidates in zip(run.communities, candidate_lists)
         if candidates
     ]
-    with (out / "keyword_predictions.jsonl").open("w") as f:
+    with (run.out / "keyword_predictions.jsonl").open("w") as f:
         for _, report in scored:
             for pred in report.predictions:
                 json.dump({"community_id": report.community_id, **pred._asdict()}, f)
                 f.write("\n")
     curve = prediction_curve(scored, CURVE_LENGTHS)
-    write_table(out / "keyword_curve", ["keyword_number", "predicted_paper_number"], curve, config.fmt)
+    write_table(run.out / "keyword_curve", ["keyword_number", "predicted_paper_number"], curve, run.config.fmt)
 
 
-def stage_report(
-    graph: Graph,
-    stats: list[CommunityStats],
-    bundles: list[DomsetBundle],
-    slope_pairs: list[tuple[SlopeResult, SlopeResult]],
-    config: RunConfig,
-    out: Path,
-) -> NetworkSummary:
+def stage_report(run: Run) -> NetworkSummary:
     from .distributions import DistributionSummary, summarize
     from .metrics import NetworkSummary, TriangleSplit, aggregate_stats, triangle_split_analysis
 
+    out, fmt, stats, bundles, slope_pairs = run.out, run.config.fmt, run.stats, run.bundles, run.slope_pairs
     summary = aggregate_stats(
-        graph,
+        run.graph,
         stats,
         [b.k_internal for b in bundles],
         [b.k_external for b in bundles],
@@ -362,9 +286,9 @@ def stage_report(
         [s for s, _ in slope_pairs],
         [s for _, s in slope_pairs],
     )
-    _write_records(out / "summary", NetworkSummary, [summary], config.fmt)
+    _write_records(out / "summary", NetworkSummary, [summary], fmt)
     splits = [triangle_split_analysis(stats, t) for t in SPLIT_THRESHOLDS]
-    _write_records(out / "triangle_split", TriangleSplit, splits, config.fmt)
+    _write_records(out / "triangle_split", TriangleSplit, splits, fmt)
 
     variables: dict[str, list[float]] = {
         "islope": [s.slope for s, _ in slope_pairs],
@@ -376,61 +300,16 @@ def stage_report(
     for name, values in variables.items():
         if len(values) < 2:
             continue
-        dist = summarize(values, bin_count=config.bins, variable=name)
+        dist = summarize(values, bin_count=run.config.bins, variable=name)
         summaries.append(dist)
         rows: list[list[object]] = [
             ["histogram", b.lower, b.width, b.count, "", ""] for b in dist.histogram
         ]
         rows += [["cumulative", "", "", "", v, frac] for v, frac in dist.cumulative]
         header = ["part", "bin_lower", "bin_width", "count", "value", "fraction_le"]
-        write_table(out / f"dist_{name}", header, rows, config.fmt)
-    _write_records(out / "distributions_summary", DistributionSummary, summaries, config.fmt)
+        write_table(out / f"dist_{name}", header, rows, fmt)
+    _write_records(out / "distributions_summary", DistributionSummary, summaries, fmt)
     return summary
-
-
-# ---------------------------------------------------------------------------
-# stage-output readers: each table must list exactly ``communities``, in order
-
-
-def read_domsets(
-    graph: Graph, communities: list[Community], config: RunConfig, out: Path
-) -> list[DomsetBundle]:
-    """The four greedy sets per community, built with the configured k and p."""
-    from .domsets import DomSetResult
-
-    def members(text: str) -> frozenset[int]:
-        return frozenset(graph.index(label) for label in text.split(";") if label)
-
-    path = out / f"domsets.{config.fmt}"
-    results = _read_records(path, DomSetResult, parsers={"members": members})
-    for number, r in enumerate(results, start=1):
-        wanted = config.k if r.criterion == "k" else config.p
-        if r.criterion_value != wanted:
-            built = f"sets built with {r.criterion}={r.criterion_value!r}"
-            raise CommkitError(f"{path}: row {number}: {built}, but --{r.criterion} is {wanted!r}")
-    groups = _by_community(results, lambda r: f"{r.criterion}_{r.mode}", DomsetBundle._fields, communities, path)
-    return [DomsetBundle(*group) for group in groups]
-
-
-def read_slopes(
-    communities: list[Community], config: RunConfig, out: Path
-) -> list[tuple[SlopeResult, SlopeResult]]:
-    from .slopes import SlopeResult
-
-    path = out / f"slopes.{config.fmt}"
-    renamed = {"observed_ratio": "observed", "expected_ratio": "expected"}
-    results = _read_records(path, SlopeResult, renamed=renamed)
-    pairs = _by_community(results, lambda s: s.kind, ("internal", "external"), communities, path)
-    return [tuple(pair) for pair in pairs]
-
-
-def read_stats(communities: list[Community], config: RunConfig, out: Path) -> list[CommunityStats]:
-    from .metrics import CommunityStats
-
-    path = out / f"community_stats.{config.fmt}"
-    stats = _read_records(path, CommunityStats)
-    _in_order((s.community_id for s in stats), communities, path)
-    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -438,36 +317,6 @@ def read_stats(communities: list[Community], config: RunConfig, out: Path) -> li
 
 STAGES = ("detect", "domsets", "slopes", "metrics", "keywords", "report")
 NO_COMMUNITIES = "no communities; characterization skipped"
-
-
-def run_stage(
-    command: str, graph: Graph, communities: list[Community], metadata: dict[str, NodeMetadata] | None,
-    config: RunConfig, out: Path,
-) -> object:
-    """Run one of :data:`STAGES` over ``communities``, on the tables in ``out``; returns its records.
-
-    Every stage but detect writes nothing and returns None when there are no communities.
-    """
-    if command == "detect":
-        return stage_detect(graph, config, out)
-    if command == "keywords" and metadata is None:
-        raise ConfigError("keywords stage needs --metadata")
-    if not communities:
-        return None
-    if command == "domsets":
-        return stage_domsets(graph, communities, config, out)
-    if command == "slopes":
-        return stage_slopes(communities, read_domsets(graph, communities, config, out), config, out)
-    if command == "metrics":
-        return stage_metrics(communities, config, out)
-    if command == "keywords":
-        bundles = read_domsets(graph, communities, config, out)
-        return stage_keywords(communities, metadata, bundles, config, out)
-    if command == "report":
-        stats = read_stats(communities, config, out)
-        bundles = read_domsets(graph, communities, config, out)
-        return stage_report(graph, stats, bundles, read_slopes(communities, config, out), config, out)
-    raise ValueError(f"unknown stage {command!r}")
 
 
 def write_manifest(config: RunConfig, out: Path, notes: list[str]) -> None:
@@ -483,22 +332,37 @@ def write_manifest(config: RunConfig, out: Path, notes: list[str]) -> None:
         f.write("\n")
 
 
-def run_pipeline(config: RunConfig) -> NetworkSummary | None:
-    """Load or detect the communities, then run every later stage; returns the summary or None."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    graph, communities, metadata = load_inputs(config)
-    if config.communities_path:
-        notes = [f"communities from {config.communities_path}"]
+def run_pipeline(config: RunConfig, command: str = "all") -> object:
+    """Run one of :data:`STAGES`, or ``all``, then write the manifest; returns the last stage's records.
+
+    ``all`` detects only without ``--communities``, finds keywords only with
+    ``--metadata``, and returns the summary, or None when there are no
+    communities: every stage but detect is skipped then, writing nothing
+    and returning None.
+    """
+    run = Run(config)
+    if command == "keywords" and run.metadata is None:
+        raise ConfigError("keywords stage needs --metadata")
+    stages = [command] if command != "all" else [
+        stage for stage in STAGES
+        if (stage != "detect" or not config.communities_path) and (stage != "keywords" or run.metadata is not None)
+    ]
+    records = None
+    for stage in stages:
+        # looked up at call time, so a replaced binding (the benchmark's tracer) is the one run
+        records = globals()[f"stage_{stage}"](run) if stage == "detect" or run.communities else None
+
+    n = len(run.communities)
+    if command == "all":
+        given = config.communities_path
+        notes = [f"communities from {given}" if given else f"detected {n} communities"]
+        if not n:
+            notes.append(NO_COMMUNITIES)
+        elif run.metadata is None:
+            notes.append("no metadata; keyword stage skipped")
+    elif command == "detect":
+        notes = [f"detected {n} communities"]
     else:
-        communities = run_stage("detect", graph, communities, metadata, config, out)
-        notes = [f"detected {len(communities)} communities"]
-    if not communities:
-        notes.append(NO_COMMUNITIES)
-    elif metadata is None:
-        notes.append("no metadata; keyword stage skipped")
-    for command in STAGES[1:]:
-        if command != "keywords" or metadata is not None:
-            summary = run_stage(command, graph, communities, metadata, config, out)
-    write_manifest(config, out, notes)
-    return summary
+        notes = [f"stage {command} over {n} communities" if n else NO_COMMUNITIES]
+    write_manifest(config, run.out, notes)
+    return records

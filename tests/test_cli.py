@@ -1,12 +1,12 @@
+import csv
 import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
 from commkit.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, _config_from_args, build_parser, main
 from commkit.detect import DetectParams
-from commkit.pipeline import read_table
+from commkit.pipeline import RunConfig
 from graphs import DATA_DIR
 
 GRAPH = "\n".join(
@@ -107,70 +107,77 @@ def test_non_utf8_graph_is_input_error(workdir, capsys):
     assert "line 2: not valid UTF-8" in capsys.readouterr().err
 
 
-def _staged_tables(workdir, fmt="csv"):
-    for stage in ("domsets", "slopes", "metrics"):
-        assert main(_args(workdir, stage, "--format", fmt)) == EXIT_OK
-    return workdir / "out"
+def _tables(out):
+    """Every artifact in ``out`` but manifest.json, by name."""
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir()) if path.name != "manifest.json"}
 
 
-def test_bad_stage_table_cell_is_input_error(workdir, capsys):
-    out = _staged_tables(workdir)
-    lines = (out / "community_stats.csv").read_text().splitlines()
-    assert lines[0].split(",")[1] == "size"
-    cells = lines[2].split(",")
-    cells[1] = "abc"
-    lines[2] = ",".join(cells)
-    (out / "community_stats.csv").write_text("\n".join(lines) + "\n")
-    assert main(_args(workdir, "report")) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert "community_stats.csv" in err and "row 2" in err and "'size'" in err
+def _same_tables(out, reference, names):
+    staged, expected = _tables(out), _tables(reference)
+    return {name: staged[name] for name in names} == {name: expected[name] for name in names}
 
 
-def test_truncated_stage_table_row_is_input_error(workdir, capsys):
-    out = _staged_tables(workdir)
-    lines = (out / "slopes.csv").read_text().splitlines()
-    lines[1] = ",".join(lines[1].split(",")[:3])
-    (out / "slopes.csv").write_text("\n".join(lines) + "\n")
-    assert main(_args(workdir, "report")) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert "slopes.csv" in err and "row 1" in err and "'observed'" in err
+# the tables each stage but detect writes for the two cliques
+STAGE_TABLES = {
+    "domsets": {"domsets.csv"},
+    "slopes": {"slopes.csv"},
+    "metrics": {"community_stats.csv"},
+    "keywords": {"keyword_predictions.jsonl", "keyword_curve.csv"},
+    "report": {"summary.csv", "triangle_split.csv", "distributions_summary.csv"}
+    | {f"dist_{name}.csv" for name in ("islope", "eslope", "size", "ccc")},
+}
 
 
-def test_malformed_json_stage_table_is_input_error(workdir, capsys):
-    out = _staged_tables(workdir, "json")
-    (out / "slopes.json").write_text('[{"community_id": "left"')
-    assert main(_args(workdir, "report", "--format", "json")) == EXIT_INPUT
-    assert "slopes.json" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "command, removed",
-    [("report", "slopes"), ("slopes", "domsets"), ("keywords", "domsets")],
-    ids=["report", "slopes", "keywords"],
-)
-def test_missing_stage_table_is_input_error(workdir, capsys, command, removed):
-    out = _staged_tables(workdir)
-    (out / f"{removed}.csv").unlink()
-    assert main(_args(workdir, command, "--metadata", str(_metadata(workdir)))) == EXIT_INPUT
-    assert f"missing stage output {removed}" in capsys.readouterr().err
-
-
-def test_stage_tables_are_read_in_the_run_format(workdir, capsys):
-    _staged_tables(workdir, "csv")
-    assert main(_args(workdir, "report", "--format", "json")) == EXIT_INPUT
-    assert "missing stage output community_stats.json" in capsys.readouterr().err
+@pytest.mark.parametrize("stage", list(STAGE_TABLES))
+def test_each_stage_alone_writes_what_all_writes(workdir, stage):
+    metadata = ["--metadata", str(_metadata(workdir))]
+    assert main(_args(workdir, "all", *metadata, "--out", str(workdir / "all"))) == EXIT_OK
+    assert main(_args(workdir, stage, *metadata, "--out", str(workdir / "alone"))) == EXIT_OK
+    alone = _tables(workdir / "alone")
+    assert set(alone) == STAGE_TABLES[stage]
+    assert alone == {name: data for name, data in _tables(workdir / "all").items() if name in alone}
 
 
 @pytest.mark.parametrize("flag, built, default", [("--k", "3", "5"), ("--p", "0.5", "0.8")])
-def test_domsets_built_with_another_k_or_p_is_input_error(workdir, capsys, flag, built, default):
+def test_stages_after_another_k_or_p_write_what_all_writes(workdir, flag, built, default):
     for stage in ("domsets", "slopes", "metrics"):
         assert main(_args(workdir, stage, flag, built)) == EXIT_OK
     for stage in ("slopes", "report"):
-        assert main(_args(workdir, stage)) == EXIT_INPUT
-        err = capsys.readouterr().err
-        name = flag.lstrip("-")
-        assert "domsets.csv" in err and f"{name}={built}" in err and f"{flag} is {default}" in err, err
-    assert not (workdir / "out" / "summary.csv").exists()
+        assert main(_args(workdir, stage, flag, default)) == EXIT_OK
+    assert main(_args(workdir, "all", "--out", str(workdir / "all"))) == EXIT_OK
+    assert _same_tables(workdir / "out", workdir / "all", {"slopes.csv", *STAGE_TABLES["report"]})
+    assert not _same_tables(workdir / "out", workdir / "all", {"domsets.csv"})  # as the first domsets run wrote it
+
+
+def test_stages_after_another_community_order_write_what_all_writes(workdir):
+    for stage in ("domsets", "slopes", "metrics"):
+        assert main(_args(workdir, stage)) == EXIT_OK
+    (workdir / "communities.txt").write_text("right: b0 b1 b2 b3 b4\nleft: a0 a1 a2 a3 a4\n")
+    assert main(_args(workdir, "report")) == EXIT_OK
+    assert main(_args(workdir, "all", "--out", str(workdir / "all"))) == EXIT_OK
+    assert _same_tables(workdir / "out", workdir / "all", STAGE_TABLES["report"])
+
+
+def test_slopes_after_domsets_on_another_graph_writes_what_all_writes(tmp_path):
+    # the same nodes with every 7th line of the edge list left out (awk 'NR % 7')
+    data = DATA_DIR / "football"
+    lines = (data / "football.edges").read_text().splitlines(keepends=True)
+    cut = tmp_path / "cut.edges"
+    cut.write_text("".join(line for number, line in enumerate(lines, start=1) if number % 7))
+    runs = [("domsets", data / "football.edges", "out"), ("slopes", cut, "out"), ("all", cut, "all")]
+    for command, graph, out in runs:
+        argv = [command, "--graph", str(graph), "--communities", str(data / "football.conferences")]
+        assert main([*argv, "--out", str(tmp_path / out)]) == EXIT_OK
+    assert _same_tables(tmp_path / "out", tmp_path / "all", {"slopes.csv"})
+
+
+def test_report_after_stages_on_other_members_writes_what_all_writes(workdir):
+    for stage in ("domsets", "slopes", "metrics"):
+        assert main(_args(workdir, stage)) == EXIT_OK
+    (workdir / "communities.txt").write_text("left: a0 a1 a2 b0\nright: b1 b2 b3 b4 a4 a3\n")
+    assert main(_args(workdir, "report")) == EXIT_OK
+    assert main(_args(workdir, "all", "--out", str(workdir / "all"))) == EXIT_OK
+    assert _same_tables(workdir / "out", workdir / "all", STAGE_TABLES["report"])
 
 
 def test_repeated_community_id_is_input_error(workdir, capsys):
@@ -199,7 +206,7 @@ def test_label_repeated_in_metadata_is_input_error(workdir, capsys):
 
 
 def test_label_with_the_domsets_separator_is_input_error(workdir, capsys):
-    # the p-internal set {a, h;a} would be written "a;h;a" and read back as {a, h}
+    # the p-internal set {a, h;a} would be written "a;h;a", which also reads as {a, h}
     (workdir / "graph.edges").write_text("a b\na c\nh;a d\nh;a e\nh x\nx a\nd y\n")
     (workdir / "communities.txt").write_text("c: a b c d e h h;a\n")
     for command in ("all", "domsets"):
@@ -207,34 +214,6 @@ def test_label_with_the_domsets_separator_is_input_error(workdir, capsys):
             assert main(_args(workdir, command, "--format", fmt)) == EXIT_INPUT
             assert "node label 'h;a' contains ';'" in capsys.readouterr().err
             assert not (workdir / "out" / f"domsets.{fmt}").exists()
-
-
-def test_incomplete_domsets_table_is_input_error(workdir, capsys):
-    out = _staged_tables(workdir)
-    lines = (out / "domsets.csv").read_text().splitlines()
-    (out / "domsets.csv").write_text("\n".join(lines[:-1]) + "\n")
-    assert main(_args(workdir, "report")) == EXIT_INPUT
-    assert "domsets output incomplete for community 'right'" in capsys.readouterr().err
-
-
-def test_stage_table_missing_a_community_is_input_error(workdir, capsys):
-    out = _staged_tables(workdir)
-    lines = (out / "slopes.csv").read_text().splitlines()
-    kept = [line for line in lines if not line.startswith("right,")]
-    assert len(kept) == len(lines) - 2
-    (out / "slopes.csv").write_text("\n".join(kept) + "\n")
-    assert main(_args(workdir, "report")) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert "slopes output" in err and "'right'" in err
-    assert not (out / "summary.csv").exists()
-
-
-def test_stage_tables_in_another_order_are_input_error(workdir, capsys):
-    out = _staged_tables(workdir)
-    (workdir / "communities.txt").write_text("right: b0 b1 b2 b3 b4\nleft: a0 a1 a2 a3 a4\n")
-    assert main(_args(workdir, "report")) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert "community_stats output" in err and "expected 'right', found 'left'" in err
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -333,8 +312,10 @@ def test_summary_and_distribution_means_agree(tmp_path):
     for i, extra in enumerate(((), CONFERENCES)):
         out = tmp_path / str(i)
         assert main(["all", "--graph", graph, *extra, "--out", str(out)]) == EXIT_OK
-        [summary] = read_table(out / "summary.csv")
-        means = {row["variable"]: row["mean"] for row in read_table(out / "distributions_summary.csv")}
+        with (out / "summary.csv").open(newline="") as f:
+            [summary] = csv.DictReader(f)
+        with (out / "distributions_summary.csv").open(newline="") as f:
+            means = {row["variable"]: row["mean"] for row in csv.DictReader(f)}
         for variable in ("islope", "eslope", "ccc"):
             assert means[variable] == summary[f"mean_{variable}"], (extra, variable)
 
@@ -354,6 +335,11 @@ def test_non_finite_epsilon_is_config_error(workdir, capsys, value):
 
 def test_keywords_without_metadata_is_config_error(workdir):
     assert main(_args(workdir, "keywords")) == EXIT_CONFIG
+
+
+def test_a_flag_not_given_keeps_its_config_default():
+    args = build_parser().parse_args(["metrics", "--graph", "g", "--communities", "c"])
+    assert _config_from_args(args) == RunConfig(graph_path="g", communities_path="c")
 
 
 def test_every_detect_param_is_set_by_its_flag(workdir):

@@ -128,26 +128,26 @@ def _stats(community_id, ccc, triangles, apl=1.0, size=5):
 def test_triangle_split_partitions_by_threshold():
     stats = [_stats("a", 0.9, 100), _stats("b", 0.8, 80), _stats("c", 0.1, 2)]
     split = triangle_split_analysis(stats, 0.5)
-    assert split.above.count == 2
-    assert split.above.mean_triangles == pytest.approx(90.0)
-    assert split.below.count == 1
-    assert split.below.mean_triangles == pytest.approx(2.0)
+    assert split.above_count == 2
+    assert split.above_mean_triangles == pytest.approx(90.0)
+    assert split.below_count == 1
+    assert split.below_mean_triangles == pytest.approx(2.0)
 
 
 def test_triangle_split_empty_group_flagged():
     stats = [_stats("a", 0.9, 10), _stats("b", 0.9, 10)]
     split = triangle_split_analysis(stats, 0.0)
-    assert split.below.empty
-    assert split.below.mean_triangles == 0.0
-    assert not split.above.empty
+    assert split.below_empty
+    assert split.below_mean_triangles == 0.0
+    assert not split.above_empty
 
 
 def test_triangle_split_identical_communities():
     stats = [_stats("a", 0.5, 7), _stats("b", 0.5, 7)]
     split = triangle_split_analysis(stats, 0.5)
-    assert split.above.empty  # 0.5 is not > 0.5
-    assert split.below.count == 2
-    assert split.below.mean_triangles == 7.0
+    assert split.above_empty  # 0.5 is not > 0.5
+    assert split.below_count == 2
+    assert split.below_mean_triangles == 7.0
 
 
 def test_triangle_split_threshold_validation():

@@ -1,23 +1,12 @@
+import csv
 import json
-from pathlib import Path
 
 import pytest
 
 from commkit import Community, DomSetResult, Graph, RunConfig, run_pipeline
 from commkit.detect import DetectParams
 from commkit.errors import ConfigError
-from commkit.pipeline import (
-    load_inputs,
-    parallel_map,
-    read_domsets,
-    read_slopes,
-    read_stats,
-    read_table,
-    stage_domsets,
-    stage_metrics,
-    stage_slopes,
-    write_table,
-)
+from commkit.pipeline import Run, parallel_map, stage_domsets, stage_metrics, stage_slopes, write_table
 
 TWO_CLIQUE_EDGES = "\n".join(
     f"{u} {v}"
@@ -36,6 +25,14 @@ def inputs(tmp_path):
     communities_path = tmp_path / "communities.txt"
     communities_path.write_text(TWO_CLIQUE_COMMUNITIES)
     return graph_path, communities_path, tmp_path
+
+
+def _read(path):
+    """A written table's rows as csv.DictReader or json.load gives them."""
+    if path.suffix == ".json":
+        return json.loads(path.read_text())
+    with path.open(newline="") as f:
+        return list(csv.DictReader(f))
 
 
 def _config(graph_path, communities_path, out_dir, **overrides):
@@ -104,8 +101,7 @@ def test_write_read_table_round_trip_csv(tmp_path):
     header = ["name", "value", "flag", "blank"]
     rows = [["a", 0.1, True, None], ["b", 2.0, False, None]]
     target = write_table(tmp_path / "t", header, rows, "csv")
-    back = read_table(target)
-    assert back == [
+    assert _read(target) == [
         {"name": "a", "value": "0.1", "flag": "true", "blank": ""},
         {"name": "b", "value": "2.0", "flag": "false", "blank": ""},
     ]
@@ -115,7 +111,7 @@ def test_write_read_table_round_trip_json(tmp_path):
     header = ["name", "value"]
     target = write_table(tmp_path / "t", header, [["a", 1.5]], "json")
     assert target.suffix == ".json"
-    assert read_table(target) == [{"name": "a", "value": "1.5"}]
+    assert _read(target) == [{"name": "a", "value": 1.5}]
 
 
 def test_full_pipeline_writes_expected_files(inputs):
@@ -150,7 +146,7 @@ def test_pipeline_with_detection_writes_communities(inputs):
     text = (out / "communities.txt").read_text()
     assert "a0 a1 a2 a3 a4" in text
     assert "b0 b1 b2 b3 b4" in text
-    meta = read_table(out / "communities_meta.csv")
+    meta = _read(out / "communities_meta.csv")
     assert len(meta) == 2
 
 
@@ -169,50 +165,56 @@ def test_manifest_has_no_timestamps_and_full_config(inputs):
 
 def test_stage_outputs_can_be_read_back(inputs):
     graph_path, communities_path, tmp_path = inputs
-    # the whole graph is a closed community: its external rows hold None
+    # the whole graph is a closed community: its external records hold None, written as "" or null
     communities_path.write_text(TWO_CLIQUE_COMMUNITIES + "whole: a0 a1 a2 a3 a4 b0 b1 b2 b3 b4\n")
-    for fmt in ("csv", "json"):
-        out = tmp_path / fmt
-        out.mkdir()
-        config = _config(graph_path, communities_path, out, fmt=fmt)
-        graph, communities, _ = load_inputs(config)
-        bundles = stage_domsets(graph, communities, config, out)
-        pairs = stage_slopes(communities, bundles, config, out)
-        stats = stage_metrics(communities, config, out)
-
-        # every field comes back equal and of the same type
-        read_back = read_domsets(graph, communities, config, out)
-        assert read_back == bundles, fmt
-        written = [getattr(b, name) for b in bundles for name in b._fields]
-        again = [getattr(b, name) for b in read_back for name in b._fields]
-        assert [[type(getattr(r, name)) for name in r._fields] for r in again] == [
-            [type(getattr(r, name)) for name in r._fields] for r in written
-        ], fmt
-        assert {type(r.criterion_value) for r in again if r.criterion == "k"} == {int}, fmt
+    for fmt, blank in (("csv", ""), ("json", None)):
+        run = Run(_config(graph_path, communities_path, tmp_path / fmt, fmt=fmt))
+        bundles, pairs = stage_domsets(run), stage_slopes(run)
         assert pairs[-1][1].slope is None and bundles[-1].p_external.achieved_ratio is None
-        assert read_slopes(communities, config, out) == pairs, fmt
-        assert read_stats(communities, config, out) == stats, fmt
-        # the slopes of the sets read back are the slopes of the sets built
-        assert stage_slopes(communities, read_back, config, out) == pairs, fmt
+        domsets = _read(run.out / f"domsets.{fmt}")
+        slopes = _read(run.out / f"slopes.{fmt}")
+        assert len(domsets) == 12 and len(slopes) == 6, fmt
+        assert [row["achieved_ratio"] for row in domsets if row["mode"] == "external"][-2:] == [blank, blank]
+        assert slopes[-1]["kind"] == "external" and slopes[-1]["slope"] == blank, fmt
+
+
+@pytest.mark.parametrize(
+    "command, built",
+    [
+        ("all", ["eds k", "eds k", "eds p", "eds p", "ids k", "ids k", "ids p", "ids p"]),
+        ("slopes", ["eds p", "eds p", "ids p", "ids p"]),
+        ("keywords", ["ids p", "ids p"]),
+    ],
+)
+def test_a_run_builds_each_greedy_set_once_and_only_those_its_stages_read(inputs, monkeypatch, command, built):
+    import commkit.domsets
+
+    graph_path, communities_path, tmp_path = inputs
+    metadata = tmp_path / "meta.tsv"
+    metadata.write_text("a0\tA paper\tAn abstract\tspin glasses\n")
+    calls = []  # "ids p" for greedy_ids(community, p=...), and so on
+
+    def counted(greedy, tag):
+        def build(community, **mode):
+            calls.append(f"{tag} {next(iter(mode))}")
+            return greedy(community, **mode)
+
+        return build
+
+    for tag in ("ids", "eds"):
+        name = f"greedy_{tag}"
+        monkeypatch.setattr(commkit.domsets, name, counted(getattr(commkit.domsets, name), tag))
+    config = _config(graph_path, communities_path, tmp_path / "out", metadata_path=str(metadata))
+    run_pipeline(config, command)
+    assert sorted(calls) == built
 
 
 def test_stages_are_worker_count_independent(inputs):
     graph_path, communities_path, tmp_path = inputs
-    serial = _config(graph_path, communities_path, tmp_path / "s", workers=1)
-    parallel = _config(graph_path, communities_path, tmp_path / "p", workers=4)
-    graph, communities, _ = load_inputs(serial)
     results = []
-    for config in (serial, parallel):
-        out = Path(config.out_dir)
-        out.mkdir()
-        bundles = stage_domsets(graph, communities, config, out)
-        results.append(
-            (
-                bundles,
-                stage_slopes(communities, bundles, config, out),
-                stage_metrics(communities, config, out),
-            )
-        )
+    for workers in (1, 4):
+        run = Run(_config(graph_path, communities_path, tmp_path / str(workers), workers=workers))
+        results.append((stage_domsets(run), stage_slopes(run), stage_metrics(run)))
     assert results[0] == results[1]
 
 
