@@ -56,7 +56,6 @@ def main() -> int:
         graph_path=str(DATA / "football.edges"),
         communities_path=str(DATA / "football.conferences"),
         out_dir=out_dir,
-        workers=4,
     )
     summary = run_pipeline(config)
     print(f"\nnetwork clustering coefficient: {summary.ncc:.5f}")

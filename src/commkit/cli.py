@@ -6,7 +6,8 @@ records it needs from its own --graph, --communities and --metadata and
 writes only its own tables, so subcommands can run in any order and into
 any --out; all of them run through :func:`commkit.pipeline.run_pipeline`.
 A flag that is not given keeps the default of its field in
-:mod:`commkit.config`.
+:mod:`commkit.config`.  Stages run serially; a hidden ``--workers N``
+still parses, for callers that pass it, and is ignored.
 
 Exit codes: 0 success, 1 input error, 2 configuration error, 3 internal
 invariant failure.  Input errors include a malformed graph, community or
@@ -49,7 +50,8 @@ def _add_common(parser: argparse.ArgumentParser, need_communities: bool) -> None
     parser.add_argument("--bins", type=int, help="histogram bin count")
     parser.add_argument("--out", dest="out_dir", help="output directory")
     parser.add_argument("--format", dest="fmt", choices=("csv", "json"), help="table format")
-    parser.add_argument("--workers", type=int, help="per-community worker pool size")
+    # maps to no field: accepted so that existing command lines still parse
+    parser.add_argument("--workers", type=int, help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:

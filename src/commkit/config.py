@@ -65,7 +65,6 @@ class _RunFields(NamedTuple):
     bins: int = 20
     out_dir: str = "out"
     fmt: str = "csv"
-    workers: int = 1
 
 
 class RunConfig(_RunFields):
@@ -77,8 +76,6 @@ class RunConfig(_RunFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if not 0.0 <= self.p <= 1.0:

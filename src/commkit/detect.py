@@ -2,11 +2,13 @@
 
 Every node is a seed.  Each seed gets an approximate personalized-PageRank
 vector, which is swept in score/degree order for the prefix of minimum
-conductance.  Candidates are filtered by size and deduplicated best-first
-by conductance: a candidate whose Jaccard overlap with a kept community
-exceeds :data:`OVERLAP_JACCARD_MAX` (0.5) is dropped.  Detection is
-deliberately pluggable: every downstream stage also accepts externally
-supplied community files.
+conductance.  Candidates are filtered by size, seeds that sweep to the same
+member set collapse to the lowest of them, and the distinct sets are
+deduplicated best-first by conductance: a set whose Jaccard overlap with a
+kept community exceeds :data:`OVERLAP_JACCARD_MAX` (0.5) is dropped.  Only
+kept communities are checked for connectivity.  Detection is deliberately
+pluggable: every downstream stage also accepts externally supplied
+community files.
 
 The vector is the PageRank of the lazy walk ``W = (I + D^-1 A)/2`` with
 teleport probability ``alpha``.  It is also the PageRank of the plain walk
@@ -19,7 +21,7 @@ residual is below ``epsilon * deg(v)``, with fewer than half the pushes.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from typing import NamedTuple, Sequence
 
 from .community import Community
@@ -120,7 +122,6 @@ def approximate_ppr(graph: Graph, seed: int, alpha: float, thresholds: Sequence[
 class SweepResult(NamedTuple):
     members: frozenset[int]
     conductance: float
-    connected: bool
 
 
 def sweep_cut(graph: Graph, scores: dict[int, float], max_prefix: int) -> SweepResult | None:
@@ -136,7 +137,7 @@ def sweep_cut(graph: Graph, scores: dict[int, float], max_prefix: int) -> SweepR
     """
     if not scores:
         raise ConfigError("sweep_cut needs a nonempty score vector")
-    if all(x == 0.0 for x in scores.values()):
+    if not any(scores.values()):
         raise ConfigError("sweep_cut needs at least one nonzero score")
 
     degrees = graph.degrees
@@ -183,8 +184,7 @@ def sweep_cut(graph: Graph, scores: dict[int, float], max_prefix: int) -> SweepR
         # the conductance minimum sits on the window edge: not a local
         # minimum, so no community of bounded size was actually found
         return None
-    members = frozenset(order[:best_prefix])
-    return SweepResult(members=members, conductance=best_value, connected=_is_connected(graph, members))
+    return SweepResult(members=frozenset(order[:best_prefix]), conductance=best_value)
 
 
 def _is_connected(graph: Graph, members: frozenset[int]) -> bool:
@@ -211,10 +211,12 @@ def detect_communities(graph: Graph, params: DetectParams) -> list[DetectedCommu
     """Run PPR + sweep from every node, filter by size, deduplicate by overlap.
 
     Pure function of (graph, params): candidates are collected per seed and
-    reduced in a fixed order.
+    reduced in a fixed order.  Seeds that sweep to the same member set give
+    the same conductance, which is an integer cut over an integer volume, so
+    the set is a candidate once, with the lowest of those seeds.
     """
     thresholds = ppr_thresholds(graph, params.epsilon)
-    candidates: list[tuple[float, int, tuple[int, ...], SweepResult, int]] = []
+    candidates: dict[tuple[int, ...], tuple[SweepResult, int]] = {}
     for seed in range(graph.node_count):
         ppr = approximate_ppr(graph, seed, params.alpha, thresholds)
         if not ppr.scores:
@@ -225,30 +227,31 @@ def detect_communities(graph: Graph, params: DetectParams) -> list[DetectedCommu
         if not params.min_size <= len(sweep.members) <= params.max_size:
             continue
         key = tuple(sorted(sweep.members))
-        candidates.append((sweep.conductance, len(key), key, sweep, seed))
+        if key not in candidates:
+            candidates[key] = (sweep, seed)
 
     # best-first greedy dedup; ordering makes the reduction deterministic
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    kept: list[tuple[frozenset[int], SweepResult, int]] = []
-    for _, _, key, sweep, seed in candidates:
-        members = sweep.members
-        if any(_jaccard(members, other) > OVERLAP_JACCARD_MAX for other, _, _ in kept):
+    kept: list[tuple[SweepResult, int]] = []
+    holders: dict[int, list[int]] = {}  # node -> indices into kept of the communities holding it
+    for key in sorted(candidates, key=lambda k: (candidates[k][0].conductance, len(k), k)):
+        sweep, seed = candidates[key]
+        size = len(key)
+        shared = Counter(i for v in key for i in holders.get(v, ()))
+        if any(
+            intersection / (size + len(kept[i][0].members) - intersection) > OVERLAP_JACCARD_MAX
+            for i, intersection in shared.items()
+        ):
             continue
-        kept.append((members, sweep, seed))
+        for v in key:
+            holders.setdefault(v, []).append(len(kept))
+        kept.append((sweep, seed))
 
     return [
         DetectedCommunity(
-            community=Community(f"c{i}", members, graph),
+            community=Community(f"c{i}", sweep.members, graph),
             conductance=sweep.conductance,
-            connected=sweep.connected,
+            connected=_is_connected(graph, sweep.members),
             seed=seed,
         )
-        for i, (members, sweep, seed) in enumerate(kept)
+        for i, (sweep, seed) in enumerate(kept)
     ]
-
-
-def _jaccard(a: frozenset[int], b: frozenset[int]) -> float:
-    intersection = len(a & b)
-    if intersection == 0:
-        return 0.0
-    return intersection / (len(a) + len(b) - intersection)

@@ -44,6 +44,8 @@ def load_metadata(source: IO | str | Path) -> dict[str, NodeMetadata]:
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
+        if len(parts) > 4:
+            raise CommkitError(f"line {line_number}: expected at most 4 tab-separated fields, got {len(parts)}")
         parts += [""] * (4 - len(parts))
         label, title, abstract, kw_field = parts[0], parts[1], parts[2], parts[3]
         first = first_line.setdefault(label, line_number)

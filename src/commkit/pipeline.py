@@ -13,11 +13,12 @@ fields name them by hand.  Identical configuration must give
 byte-identical artifacts, so nothing here records timestamps and floats
 are serialized with ``repr``.
 
-At module level this imports only what configuration (:mod:`commkit.config`),
-loading and the table writer need.  Each stage and each record list imports
-its own layer when it runs, and :func:`parallel_map` imports the thread pool
-only when it builds one: a ``commkit <stage>`` process then loads the
-layers of that stage and no other.  A call-time ``from .x import f`` reads
+Stages run serially: every record list is a plain comprehension over the
+communities, in their order.  At module level this imports only what
+configuration (:mod:`commkit.config`), loading and the table writer need.
+Each stage and each record list imports its own layer when it runs: a
+``commkit <stage>`` process then loads the layers of that stage and no
+other.  A call-time ``from .x import f`` reads
 the defining module's current binding, so a function replaced there (a
 test's monkeypatch, the benchmark's tracer) is the one the stage calls.
 """
@@ -29,7 +30,7 @@ import json
 import sys
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, TypeVar, get_origin, get_type_hints
+from typing import TYPE_CHECKING, NamedTuple, Sequence, get_origin, get_type_hints
 
 from . import __version__
 from .community import Community, load_communities, write_communities
@@ -43,21 +44,8 @@ if TYPE_CHECKING:
     from .metrics import CommunityStats, NetworkSummary
     from .slopes import SlopeResult
 
-T = TypeVar("T")
-U = TypeVar("U")
-
 CURVE_LENGTHS = list(range(5, 55, 5))
 SPLIT_THRESHOLDS = (0.6, 0.8)
-
-
-def parallel_map(fn: Callable[[T], U], items: Sequence[T], workers: int) -> list[U]:
-    """Order-preserving map, fanned out to a thread pool when workers > 1."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt(value: object) -> str:
@@ -138,7 +126,7 @@ class Run:
         from .domsets import greedy_ids
 
         p = self.config.p
-        return parallel_map(lambda c: greedy_ids(c, p=p), self.communities, self.config.workers)
+        return [greedy_ids(c, p=p) for c in self.communities]
 
     @cached_property
     def p_external(self) -> list[DomSetResult]:
@@ -146,7 +134,7 @@ class Run:
         from .domsets import greedy_eds
 
         p = self.config.p
-        return parallel_map(lambda c: greedy_eds(c, p=p), self.communities, self.config.workers)
+        return [greedy_eds(c, p=p) for c in self.communities]
 
     @cached_property
     def bundles(self) -> list[DomsetBundle]:
@@ -154,27 +142,26 @@ class Run:
         from .domsets import greedy_eds, greedy_ids
 
         k = self.config.k
-        k_sets = parallel_map(
-            lambda c: (greedy_ids(c, k=k), greedy_eds(c, k=k)), self.communities, self.config.workers
-        )
-        return [DomsetBundle(*k_pair, pi, pe) for k_pair, pi, pe in zip(k_sets, self.p_internal, self.p_external)]
+        return [
+            DomsetBundle(greedy_ids(c, k=k), greedy_eds(c, k=k), pi, pe)
+            for c, pi, pe in zip(self.communities, self.p_internal, self.p_external)
+        ]
 
     @cached_property
     def slope_pairs(self) -> list[tuple[SlopeResult, SlopeResult]]:
         """ISlope and ESlope of each community, from its p-mode sets."""
         from .slopes import eslope, islope
 
-        def one(item: tuple[Community, DomSetResult, DomSetResult]) -> tuple[SlopeResult, SlopeResult]:
-            c, internal, external = item
-            return islope(c, internal), eslope(c, external)
-
-        return parallel_map(one, list(zip(self.communities, self.p_internal, self.p_external)), self.config.workers)
+        return [
+            (islope(c, internal), eslope(c, external))
+            for c, internal, external in zip(self.communities, self.p_internal, self.p_external)
+        ]
 
     @cached_property
     def stats(self) -> list[CommunityStats]:
         from .metrics import community_stats
 
-        return parallel_map(community_stats, self.communities, self.config.workers)
+        return [community_stats(c) for c in self.communities]
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +239,10 @@ def stage_keywords(run: Run) -> None:
     from .keywords import build_keyword_list, predict_keywords, prediction_curve
 
     metadata = run.metadata
-    candidate_lists = parallel_map(
-        lambda item: build_keyword_list(item[0], metadata, item[1]),
-        list(zip(run.communities, run.p_internal)),
-        run.config.workers,
-    )
+    candidate_lists = [
+        build_keyword_list(community, metadata, internal)
+        for community, internal in zip(run.communities, run.p_internal)
+    ]
     scored = [
         (candidates, predict_keywords(community, metadata, max(CURVE_LENGTHS), candidates))
         for community, candidates in zip(run.communities, candidate_lists)

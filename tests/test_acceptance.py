@@ -315,7 +315,6 @@ def test_criterion_9_pipeline_determinism(tmp_path):
         graph_path=str(data_dir / "football.edges"),
         communities_path=str(data_dir / "football.conferences"),
         out_dir=str(out),
-        workers=4,
     )
 
     run_pipeline(config)
@@ -324,7 +323,7 @@ def test_criterion_9_pipeline_determinism(tmp_path):
     second = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.is_file()}
 
     ok = first.keys() == second.keys() and all(first[n] == second[n] for n in first)
-    _report("9", "byte-identical reruns", ok, f"{len(first)} files, workers=4")
+    _report("9", "byte-identical reruns", ok, f"{len(first)} files")
 
 
 # -- 10 ---------------------------------------------------------------------

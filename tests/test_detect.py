@@ -1,8 +1,8 @@
 import networkx as nx
 import pytest
 
-from commkit import Graph, approximate_ppr, detect_communities, sweep_cut
-from commkit.detect import DetectParams, ppr_thresholds
+from commkit import Graph, approximate_ppr, detect, detect_communities, sweep_cut
+from commkit.detect import DetectParams, SweepResult, ppr_thresholds
 from commkit.errors import ConfigError
 from graphs import TWO_CLIQUE_EDGES, clique_graph, two_clique_graph
 
@@ -129,7 +129,7 @@ def test_sweep_cut_two_cliques_returns_seed_side():
     assert result is not None
     assert result.members == frozenset(g.index(f"a{i}") for i in range(5))
     assert result.conductance == pytest.approx(1 / 21)
-    assert result.connected
+    assert nx.is_connected(nx.Graph(TWO_CLIQUE_EDGES).subgraph(g.label(v) for v in result.members))
 
 
 def test_sweep_cut_concentrated_scores_pick_component():
@@ -186,6 +186,30 @@ def test_detect_reports_verifiable_conductance_and_connectivity():
     for d in detect_communities(g, DetectParams(min_size=3, max_size=10)):
         assert d.conductance == nx.conductance(whole, d.community.member_labels())
         assert d.connected
+
+
+def test_detect_reports_the_lowest_seed_of_a_set():
+    # every node of a clique sweeps to that clique; b0 is the lowest b-seed but not node 0
+    g = two_clique_graph()
+    thresholds = ppr_thresholds(g, 1e-4)
+    seeds_of: dict[frozenset[int], list[int]] = {}
+    for seed in range(g.node_count):
+        members = sweep_cut(g, approximate_ppr(g, seed, 0.15, thresholds).scores, 10).members
+        seeds_of.setdefault(members, []).append(seed)
+    found = detect_communities(g, DetectParams(min_size=3, max_size=10))
+    assert [len(seeds_of[d.community.members]) for d in found] == [5, 5]
+    assert sorted(g.label(d.seed) for d in found) == ["a0", "b0"]
+    for d in found:
+        assert d.seed == min(seeds_of[d.community.members])
+
+
+def test_detect_checks_connectivity_of_kept_communities(monkeypatch):
+    # every seed sweeps to one set that straddles the bridge without using it
+    g = two_clique_graph()
+    split = frozenset(g.index(label) for label in ("a1", "a2", "b1", "b2"))
+    monkeypatch.setattr(detect, "sweep_cut", lambda graph, scores, max_prefix: SweepResult(split, 0.5))
+    found = detect_communities(g, DetectParams(min_size=3, max_size=10))
+    assert [(d.community.members, d.connected, d.seed) for d in found] == [(split, False, 0)]
 
 
 def test_detect_is_deterministic():

@@ -1,4 +1,5 @@
-"""The push and the sweep on random small graphs against dense, brute-force and reference-push oracles."""
+"""The push, the sweep and detection's reduction on random small graphs against
+dense, brute-force, reference-push and pairwise-reduction oracles."""
 
 import itertools
 import math
@@ -169,3 +170,55 @@ def test_conductance_matches_networkx(case, alpha, epsilon):
     params = DetectParams(alpha=alpha, epsilon=epsilon, min_size=1, max_size=graph.node_count)
     for found in detect_communities(graph, params):
         assert found.conductance == nx.conductance(whole, found.community.member_labels())
+
+
+def reference_detect(graph: Graph, params: DetectParams) -> list[tuple[list[int], str, int]]:
+    """Detection with the pairwise reduction: every candidate, equal member sets
+    included, tested against every kept community; (members, conductance hex, seed)."""
+    thresholds = ppr_thresholds(graph, params.epsilon)
+    candidates = []
+    for seed in range(graph.node_count):
+        scores = approximate_ppr(graph, seed, params.alpha, thresholds).scores
+        if not scores:
+            continue
+        sweep = sweep_cut(graph, scores, params.max_size)
+        if sweep is None or not params.min_size <= len(sweep.members) <= params.max_size:
+            continue
+        key = tuple(sorted(sweep.members))
+        candidates.append((sweep.conductance, len(key), key, sweep, seed))
+    candidates.sort(key=lambda c: c[:3])  # stable: equal sets stay in seed order
+    kept = []
+    for _, _, _, sweep, seed in candidates:
+        if any(reference_jaccard(sweep.members, other.members) > 0.5 for other, _ in kept):
+            continue
+        kept.append((sweep, seed))
+    return [(sorted(sweep.members), sweep.conductance.hex(), seed) for sweep, seed in kept]
+
+
+def reference_jaccard(a: frozenset[int], b: frozenset[int]) -> float:
+    intersection = len(a & b)
+    if intersection == 0:
+        return 0.0
+    return intersection / (len(a) + len(b) - intersection)
+
+
+@st.composite
+def detect_cases(draw):
+    graph, edges = draw(small_graphs())
+    alpha = draw(st.sampled_from([0.05, 0.15, 0.5]))
+    epsilon = draw(st.sampled_from([1e-1, 1e-2, 1e-4]))
+    max_size = draw(st.integers(1, graph.node_count))
+    return graph, edges, DetectParams(alpha=alpha, epsilon=epsilon, min_size=1, max_size=max_size)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(detect_cases())
+def test_detection_matches_the_pairwise_reduction(case):
+    graph, edges, params = case
+    found = detect_communities(graph, params)
+    assert [(sorted(d.community.members), d.conductance.hex(), d.seed) for d in found] == reference_detect(
+        graph, params
+    )
+    whole = networkx_graph(graph, edges)
+    for d in found:
+        assert d.connected == nx.is_connected(whole.subgraph(d.community.member_labels()))

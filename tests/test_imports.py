@@ -22,7 +22,7 @@ from graphs import DATA_DIR
 SRC = Path(__file__).resolve().parent.parent / "src"
 FOOTBALL = DATA_DIR / "football"
 
-# Layers a subcommand may or may not need, and the thread pool's module.
+# Layers a subcommand may or may not need, and the thread pool's module, which none loads.
 OPTIONAL = (
     "commkit.detect",
     "commkit.domsets",
@@ -36,7 +36,7 @@ POOL = "concurrent.futures"
 # about 6 ms (Python 3.11, 2-vCPU Xeon VM), most of it for ``inspect``.
 SLOW = ("dataclasses", "inspect")
 
-# The optional layers each subcommand loads with --workers 1.
+# The optional layers each subcommand loads.
 STAGE_LAYERS = {
     "detect": {"commkit.detect"},
     "domsets": {"commkit.domsets"},
@@ -98,23 +98,26 @@ def football_run(tmp_path_factory):
     return out, metadata
 
 
-@pytest.mark.parametrize("stage", list(STAGE_LAYERS))
-def test_each_stage_loads_its_layers_and_no_pool_with_one_worker(football_run, stage):
-    out, metadata = football_run
-    argv = [stage, "--graph", str(FOOTBALL / "football.edges"), "--out", str(out), "--workers", "1"]
+def _stage_argv(stage, out, metadata):
+    argv = [stage, "--graph", str(FOOTBALL / "football.edges"), "--out", str(out)]
     if stage != "detect":
         argv += ["--communities", str(out / "communities.txt")]
     if stage == "keywords":
         argv += ["--metadata", str(metadata)]
-    loaded = _main(*argv)
+    return argv
+
+
+@pytest.mark.parametrize("stage", list(STAGE_LAYERS))
+def test_each_stage_loads_its_layers_and_no_pool_with_one_worker(football_run, stage):
+    loaded = _main(*_stage_argv(stage, *football_run))
     assert loaded & {*OPTIONAL, POOL, *SLOW} == STAGE_LAYERS[stage]
 
 
-def test_more_than_one_worker_imports_the_pool(football_run):
-    out, _ = football_run
-    argv = ["domsets", "--graph", str(FOOTBALL / "football.edges"), "--communities", str(out / "communities.txt")]
-    loaded = _main(*argv, "--out", str(out / "pool"), "--workers", "2")
-    assert POOL in loaded and not loaded & set(SLOW)
+def test_workers_flag_loads_no_pool(football_run):
+    # stages run serially: --workers still parses and starts no pool
+    for stage in STAGE_LAYERS:
+        loaded = _main(*_stage_argv(stage, *football_run), "--workers", "2")
+        assert loaded & {*OPTIONAL, POOL, *SLOW} == STAGE_LAYERS[stage], stage
 
 
 def test_every_export_is_its_defining_modules_object():

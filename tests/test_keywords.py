@@ -11,7 +11,7 @@ from commkit import (
     predict_keywords,
     prediction_curve,
 )
-from commkit.errors import ConfigError
+from commkit.errors import CommkitError, ConfigError
 from commkit.keywords import _contains_sequence, normalize_keyword, tokenize
 from graphs import p_ids
 
@@ -115,6 +115,12 @@ def test_load_metadata_tolerates_short_rows():
     assert records["p1"].title == "Title only"
     assert records["p1"].abstract == ""
     assert records["p1"].keywords == ()
+
+
+def test_load_metadata_rejects_more_than_four_fields():
+    # a tab inside the abstract would otherwise shift "a tab" into the keywords and drop "foo;bar"
+    with pytest.raises(CommkitError, match="line 2: expected at most 4 tab-separated fields, got 5"):
+        load_metadata(io.StringIO("p0\tT\tA\tk\np1\tTitle\tAbstract with\ta tab\tfoo;bar\n"))
 
 
 def test_load_metadata_strips_a_byte_order_mark(tmp_path):

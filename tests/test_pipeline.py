@@ -6,7 +6,8 @@ import pytest
 from commkit import Community, DomSetResult, Graph, RunConfig, run_pipeline
 from commkit.detect import DetectParams
 from commkit.errors import ConfigError
-from commkit.pipeline import Run, parallel_map, stage_domsets, stage_metrics, stage_slopes, write_table
+from commkit.cli import EXIT_OK, main
+from commkit.pipeline import Run, stage_domsets, stage_slopes, write_table
 
 TWO_CLIQUE_EDGES = "\n".join(
     f"{u} {v}"
@@ -50,8 +51,6 @@ def test_config_validation(tmp_path):
     with pytest.raises(ConfigError):
         RunConfig(graph_path="g", fmt="yaml")
     with pytest.raises(ConfigError):
-        RunConfig(graph_path="g", workers=0)
-    with pytest.raises(ConfigError):
         RunConfig(graph_path="g", p=1.5)
     with pytest.raises(ConfigError):
         RunConfig(graph_path="g", k=0)
@@ -71,7 +70,7 @@ def test_a_replaced_field_is_checked():
     [
         (Community("c", frozenset({0}), Graph([("a", "b")])), ("id", "members", "graph")),
         (DetectParams(), ("alpha", "epsilon", "min_size", "max_size")),
-        (RunConfig(graph_path="g"), ("graph_path", "k", "p", "detect", "fmt", "workers")),
+        (RunConfig(graph_path="g"), ("graph_path", "k", "p", "detect", "fmt")),
         (DomSetResult("c", "internal", "k", 1, frozenset({0}), 0.5), ("community_id", "members", "closed")),
     ],
     ids=["Community", "DetectParams", "RunConfig", "DomSetResult"],
@@ -90,11 +89,6 @@ def test_communities_compare_and_hash_by_id_and_members():
     assert community == twin and hash(community) == hash(twin)
     assert community != Community("d", frozenset({0}), community.graph)
     assert community != ("c", frozenset({0}))
-
-
-def test_parallel_map_preserves_order():
-    items = list(range(40))
-    assert parallel_map(lambda x: x * x, items, workers=4) == [x * x for x in items]
 
 
 def test_write_read_table_round_trip_csv(tmp_path):
@@ -210,12 +204,18 @@ def test_a_run_builds_each_greedy_set_once_and_only_those_its_stages_read(inputs
 
 
 def test_stages_are_worker_count_independent(inputs):
+    # --workers still parses and changes nothing, manifest.json included
     graph_path, communities_path, tmp_path = inputs
-    results = []
-    for workers in (1, 4):
-        run = Run(_config(graph_path, communities_path, tmp_path / str(workers), workers=workers))
-        results.append((stage_domsets(run), stage_slopes(run), stage_metrics(run)))
-    assert results[0] == results[1]
+    files = []
+    for flag in ([], ["--workers", "2"]):
+        out = tmp_path / "out"
+        argv = ["domsets", "--graph", str(graph_path), "--communities", str(communities_path), "--out", str(out)]
+        assert main(argv + flag) == EXIT_OK
+        files.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        for path in out.iterdir():
+            path.unlink()
+    assert files[0] == files[1]
+    assert set(files[0]) == {"domsets.csv", "manifest.json"}
 
 
 def test_pipeline_missing_graph_raises(tmp_path):
