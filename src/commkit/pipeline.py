@@ -305,15 +305,17 @@ STAGES = ("detect", "domsets", "slopes", "metrics", "keywords", "report")
 NO_COMMUNITIES = "no communities; characterization skipped"
 
 
-def write_manifest(config: RunConfig, out: Path, notes: list[str]) -> None:
+def write_manifest(run: Run, notes: list[str]) -> None:
+    """``manifest.json``: the tool, its config, what the loader dropped and the run's notes."""
     manifest = {
         "tool": "commkit",
         "version": __version__,
         "python": ".".join(str(v) for v in sys.version_info[:3]),
-        "config": {**config._asdict(), "detect": config.detect._asdict()},
+        "config": {**run.config._asdict(), "detect": run.config.detect._asdict()},
+        "load": run.graph.load_report._asdict(),
         "notes": notes,
     }
-    with (out / "manifest.json").open("w") as f:
+    with (run.out / "manifest.json").open("w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -350,5 +352,5 @@ def run_pipeline(config: RunConfig, command: str = "all") -> object:
         notes = [f"detected {n} communities"]
     else:
         notes = [f"stage {command} over {n} communities" if n else NO_COMMUNITIES]
-    write_manifest(config, run.out, notes)
+    write_manifest(run, notes)
     return records

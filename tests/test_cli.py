@@ -306,6 +306,20 @@ def test_football_artifacts_match_golden_digests(tmp_path):
         assert produced == digests, extra
 
 
+def test_manifest_records_what_the_loader_dropped(workdir):
+    graph = str(DATA_DIR / "football" / "football.edges")
+    out = workdir / "football"
+    assert main(["all", "--graph", graph, *CONFERENCES, "--out", str(out)]) == EXIT_OK
+    load = json.loads((out / "manifest.json").read_text())["load"]
+    assert load == {"lines_read": 613, "self_loops_dropped": 0, "duplicate_edges_collapsed": 0}
+    # a self-loop and a reversed duplicate of the bridge
+    with (workdir / "graph.edges").open("a") as f:
+        f.write("a1 a1\nb0 a0\n")
+    assert main(_args(workdir, "metrics")) == EXIT_OK
+    load = json.loads((workdir / "out" / "manifest.json").read_text())["load"]
+    assert load == {"lines_read": 23, "self_loops_dropped": 1, "duplicate_edges_collapsed": 1}
+
+
 def test_summary_and_distribution_means_agree(tmp_path):
     # summary.csv and distributions_summary.csv average the same per-community values
     graph = str(DATA_DIR / "football" / "football.edges")

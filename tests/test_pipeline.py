@@ -153,8 +153,8 @@ def test_manifest_has_no_timestamps_and_full_config(inputs):
     assert manifest["config"]["graph_path"] == str(graph_path)
     # the nested detection parameters (``_config``'s) are an object keyed by name, not a list
     assert manifest["config"]["detect"] == {"alpha": 0.15, "epsilon": 0.0001, "min_size": 3, "max_size": 10}
-    # nothing run-dependent beyond the config itself
-    assert set(manifest) == {"tool", "version", "python", "config", "notes"}
+    # nothing run-dependent beyond the config and what the loader read
+    assert set(manifest) == {"tool", "version", "python", "config", "load", "notes"}
 
 
 def test_stage_outputs_can_be_read_back(inputs):
