@@ -2,6 +2,7 @@ import gc
 import io
 import itertools
 import random
+import time
 import tracemalloc
 from collections import Counter
 
@@ -239,8 +240,18 @@ def test_count_triangles_matches_brute_force():
         # the same stars with one triangle through the hub
         ([("a", f"leaf{i}") for i in range(6)] + [("leaf0", "leaf5")], ["m"]),
         ([("z", f"leaf{i}") for i in range(6)] + [("leaf0", "leaf5")], ["m"]),
+        # a hub in the middle of label order, with leaves on both sides and triangles across it
+        ([("m", f"{side}{i}") for side in "az" for i in range(6)] + [("a0", "z0"), ("a1", "a2"), ("z3", "z4")], []),
     ],
-    ids=["isolated", "clique", "star-low-hub", "star-high-hub", "low-hub-triangle", "high-hub-triangle"],
+    ids=[
+        "isolated",
+        "clique",
+        "star-low-hub",
+        "star-high-hub",
+        "low-hub-triangle",
+        "high-hub-triangle",
+        "mid-hub-triangles",
+    ],
 )
 def test_count_triangles_matches_networkx(edges, extra_nodes):
     g = Graph(edges, extra_nodes=extra_nodes)
@@ -249,6 +260,28 @@ def test_count_triangles_matches_networkx(edges, extra_nodes):
     triangles, triples = count_triangles(g)
     assert triangles == sum(nx.triangles(oracle).values()) // 3 == _brute_force_triangles(edges)
     assert triples == sum(d * (d - 1) // 2 for _, d in oracle.degree())
+
+
+def _fastest_count(graph: Graph) -> float:
+    runs = []
+    for _ in range(3):
+        start = time.perf_counter()
+        count_triangles(graph)
+        runs.append(time.perf_counter() - start)
+    return min(runs)
+
+
+def test_count_triangles_is_linear_around_a_hub_anywhere_in_label_order():
+    # every edge costs at most min(deg u, deg v) lookups, so a star costs the same wherever
+    # its hub sorts; walking all of v's higher neighbors per edge made the middle hub
+    # 5,000 x 5,000 lookups, about 50 times the low hub's time
+    leaves = 5_000
+    middle_edges = [("m", f"{side}{i}") for side in "az" for i in range(leaves)] + [("a0", "z0")]
+    middle = Graph(middle_edges)
+    low = Graph([("0", f"{side}{i}") for side in "az" for i in range(leaves)])
+    assert count_triangles(middle) == (1, 2 * leaves * (2 * leaves - 1) // 2 + 2)
+    assert count_triangles(middle)[0] == sum(nx.triangles(networkx_graph(middle, middle_edges)).values()) // 3
+    assert _fastest_count(middle) < 5 * _fastest_count(low)
 
 
 def _random_edge_list(path, lines: int, nodes: int, seed: int) -> None:
