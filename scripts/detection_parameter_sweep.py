@@ -13,8 +13,7 @@ Usage:
 from pathlib import Path
 from statistics import fmean
 
-from commkit import detect_communities, load_communities, load_graph
-from commkit.detect import DetectParams
+from commkit import DetectParams, detect_communities, load_communities, load_graph
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "football"
 

@@ -105,11 +105,11 @@ def induced_subgraph(community: Community) -> Graph:
     )
 
 
-def load_communities(source: IO | str | Path, graph: Graph) -> list[Community]:
-    """Read communities from a file or path, resolving labels against ``graph``."""
+def load_communities(path: str | Path, graph: Graph) -> list[Community]:
+    """Read communities from the file at ``path``, one line at a time, resolving labels against ``graph``."""
     communities: list[Community] = []
     first_line: dict[str, int] = {}
-    for line_number, raw in enumerate(_read_lines(source), start=1):
+    for line_number, raw in enumerate(_read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -139,6 +139,8 @@ def sweep_cut(graph: Graph, scores: dict[int, float], max_prefix: int) -> SweepR
         raise ConfigError("sweep_cut needs a nonempty score vector")
     if not any(scores.values()):
         raise ConfigError("sweep_cut needs at least one nonzero score")
+    if max_prefix < 1:
+        raise ConfigError(f"sweep_cut needs max_prefix >= 1, got {max_prefix}")
 
     degrees = graph.degrees
     adjacency = graph.adjacency
@@ -158,19 +160,13 @@ def sweep_cut(graph: Graph, scores: dict[int, float], max_prefix: int) -> SweepR
     volume = 0
     best_value = float("inf")
     best_prefix = 0
-    examined = 0
-    truncated = False
-    for i, v in enumerate(order):
-        if i >= max_prefix:
-            truncated = True
-            break
+    for i, v in enumerate(order[:max_prefix]):
         dv = degrees[v]
         cut += dv - 2 * len(in_set.intersection(adjacency[v]))
         volume += dv
         in_set.add(v)
         if len(in_set) == n:
             break  # whole graph is not a community
-        examined = i + 1
         denominator = min(volume, total_volume - volume)
         if denominator == 0:
             continue
@@ -180,7 +176,7 @@ def sweep_cut(graph: Graph, scores: dict[int, float], max_prefix: int) -> SweepR
             best_prefix = i + 1
     if best_prefix == 0:
         return None
-    if truncated and best_prefix == examined:
+    if best_prefix == max_prefix < len(order):
         # the conductance minimum sits on the window edge: not a local
         # minimum, so no community of bounded size was actually found
         return None

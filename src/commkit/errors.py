@@ -14,7 +14,7 @@ class GraphParseError(CommkitError):
 
 
 class EmptyGraphError(CommkitError):
-    """The input stream contained no usable edges."""
+    """The edge-list file contained no usable edges."""
 
 
 class UnknownLabelError(CommkitError):

@@ -6,22 +6,19 @@ neighbors and degree from the ``adjacency`` and ``degrees`` tuples, and its
 label from ``label(u)``.
 
 Every input file (edge lists here, community and metadata files in their
-modules) goes through one reader, :func:`_read_lines`: the file is read and
-decoded once, a leading UTF-8 byte-order mark is dropped, and lines end at
-``\\n``, ``\\r\\n`` or ``\\r``.  :func:`load_graph` streams each line's label
-pair into the one :class:`Graph` build, which interns labels to ints as it
-goes, appends each edge end to a per-node neighbor-id list, and sorts the
-labels once at the end.  On the 60,000-edge, 10,000-node
-``planted-10k-metrics`` edge list a load takes about 87 ms (untraced) and
-peaks at 6.7 MiB under tracemalloc, 3.9 MiB of it the file's list of lines
-(Python 3.11, shared 2-vCPU Xeon VM).
+modules) is a path, read one line at a time by :func:`_read_lines`: UTF-8,
+a leading byte-order mark dropped, lines ending at ``\\n``, ``\\r\\n`` or
+``\\r``.  No loader holds the whole file.  :func:`load_graph` streams each
+line's label pair into the one :class:`Graph` build, which interns labels
+to ints as it goes, appends each edge end to a per-node neighbor-id list,
+and sorts the labels once at the end.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EmptyGraphError, GraphParseError, UnknownLabelError
 
@@ -120,26 +117,27 @@ class Graph:
         return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
 
 
-def load_graph(source: IO | str | Path) -> Graph:
-    """Parse a whitespace-separated edge list into a :class:`Graph`.
+def load_graph(path: str | Path) -> Graph:
+    """Parse the whitespace-separated edge list at ``path`` into a :class:`Graph`.
 
-    ``source`` may be an open file object or a path; it is read whole by
-    :func:`_read_lines` (UTF-8, a leading byte-order mark stripped, lines
-    ending in ``\\n``, ``\\r\\n`` or ``\\r``).
+    The file is read one line at a time by :func:`_read_lines` (UTF-8, a
+    leading byte-order mark stripped, lines ending in ``\\n``, ``\\r\\n``
+    or ``\\r``).
 
     Lines starting with ``#`` and blank lines are ignored.  Self-loops are
     dropped, parallel and reversed duplicates are collapsed; the counts end
     up in ``graph.load_report``.  A line without exactly two tokens or with
     bytes that are not UTF-8 raises :class:`GraphParseError` with its line
-    number.  Each line's token pair goes straight into the :class:`Graph`
-    build, so the cost is one decode, one split per line and one list
-    append per edge end, plus one sort of the labels and of each node's ids.
+    number; the first bad line is the one reported.  Each line's token pair
+    goes straight into the :class:`Graph` build, so the cost is one split
+    per line and one list append per edge end, plus one sort of the labels
+    and of each node's ids.
     """
     lines_read = self_loops = 0
 
     def pairs() -> Iterator[list[str]]:
         nonlocal lines_read, self_loops
-        for line_number, line in enumerate(_read_lines(source), start=1):
+        for line_number, line in enumerate(_read_lines(path), start=1):
             tokens = line.split()
             if not tokens or tokens[0][0] == "#":
                 continue
@@ -157,40 +155,41 @@ def load_graph(source: IO | str | Path) -> Graph:
     return graph
 
 
-def _read_lines(source: IO | str | Path) -> list[str]:
-    """The text lines of a path or stream, read and decoded in one go.
+_CHUNK = 1 << 15  # characters decoded per read
+
+
+def _read_lines(path: str | Path) -> Iterator[str]:
+    """The text lines of the file at ``path``, one at a time, without their line ends.
 
     Bytes are decoded as UTF-8 and a leading byte-order mark is dropped.
-    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as in text-mode reading, and
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` (universal newlines) and
     nowhere else (``str.splitlines`` would also split at ``\\x0c``,
-    ``\\x85``, ``\\u2028`` and others).  Bytes that are not UTF-8 raise
-    :class:`GraphParseError` with their line number.
+    ``\\x85``, ``\\u2028`` and others).  The file is read a chunk at a time
+    and each chunk is split in one call, which is cheaper than a Python step
+    per line.  A line that runs past its chunk is carried into the next
+    read, which is at least as long as the carried part, so a long line is
+    not copied once per chunk.  A byte that is not UTF-8 is decoded to a
+    lone surrogate, so a chunk that does not encode back raises
+    :class:`GraphParseError` with the number of the line that holds it,
+    after the lines before it.
     """
-    if isinstance(source, (str, Path)):
-        name, read = source, Path(source).read_bytes
-    else:
-        name, read = "input", source.read
-    try:
-        data = read()
-        if isinstance(data, bytes):
-            text = data.decode("utf-8-sig")
-        else:
-            text = data.removeprefix("\ufeff")
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline=None) as file:
+        line_number, tail = 0, ""
+        while chunk := file.read(max(_CHUNK, len(tail))):
+            text = tail + chunk
+            lines = text.split("\n")
+            tail = lines.pop()  # it may go on in the next chunk
             if not text.isascii():
-                text.encode("utf-8")  # a lenient text stream leaves lone surrogates
-    except (UnicodeDecodeError, UnicodeEncodeError) as err:
-        raise GraphParseError(f"not valid UTF-8 in {name}", _line_of(err)) from None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
-
-
-def _line_of(err: UnicodeDecodeError | UnicodeEncodeError) -> int:
-    """1-based line of the first offending byte or character in ``err.object``."""
-    before = err.object[: err.start]
-    if isinstance(before, bytes):
-        before = before.decode("latin-1")
-    return 1 + before.count("\n") + before.count("\r") - before.count("\r\n")
+                try:
+                    text.encode("utf-8")
+                except UnicodeEncodeError as err:
+                    bad = text.count("\n", 0, err.start)
+                    yield from lines[:bad]
+                    raise GraphParseError(f"not valid UTF-8 in {path}", line_number + bad + 1) from None
+            yield from lines
+            line_number += len(lines)
+        if tail:
+            yield tail
 
 
 def count_triangles(graph: Graph) -> tuple[int, int]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .community import Community
 from .domsets import DomSetResult
@@ -36,11 +36,12 @@ class NodeMetadata(NamedTuple):
     keywords: tuple[str, ...]  # normalized, deduplicated; empty = unlabeled
 
 
-def load_metadata(source: IO | str | Path) -> dict[str, NodeMetadata]:
-    """Read tab-separated metadata records keyed by node label; a repeated label is an error."""
+def load_metadata(path: str | Path) -> dict[str, NodeMetadata]:
+    """Read tab-separated metadata records keyed by node label from the file at
+    ``path``, one line at a time; a repeated label is an error."""
     records: dict[str, NodeMetadata] = {}
     first_line: dict[str, int] = {}
-    for line_number, line in enumerate(_read_lines(source), start=1):
+    for line_number, line in enumerate(_read_lines(path), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")

@@ -37,6 +37,17 @@ TWO_CLIQUE_EDGES = [
 ]
 
 
+def write_input(directory: Path, content: str | bytes, name: str = "input.txt") -> Path:
+    """Write ``content`` to ``directory / name`` as is and return the path.
+
+    Text is encoded as UTF-8 with its line ends kept, as ``newline=""``
+    would write it, so a test controls every byte the loader reads.
+    """
+    path = directory / name
+    path.write_bytes(content.encode() if isinstance(content, str) else content)
+    return path
+
+
 def two_clique_graph() -> Graph:
     return Graph(TWO_CLIQUE_EDGES)
 

@@ -36,7 +36,7 @@ from commkit import (
     summarize,
 )
 from commkit.detect import DetectParams
-from graphs import DATA_DIR, clique_graph, p_ids, star_graph, two_clique_graph, whole_community
+from graphs import DATA_DIR, clique_graph, p_ids, star_graph, two_clique_graph, whole_community, write_input
 from test_keywords import FIXTURE_EDGES, FIXTURE_METADATA, candidates_of
 
 
@@ -275,14 +275,12 @@ def test_criterion_7_detection_sanity(football_graph, football_conferences):
 # -- 8 ----------------------------------------------------------------------
 
 
-def test_criterion_8_keyword_oracle():
-    import io
-
+def test_criterion_8_keyword_oracle(tmp_path):
     from commkit import load_metadata
 
     g = Graph(FIXTURE_EDGES)
     community = Community("hep", frozenset(g.index(f"n{i:02d}") for i in range(1, 21)), g)
-    metadata = load_metadata(io.StringIO(FIXTURE_METADATA))
+    metadata = load_metadata(write_input(tmp_path, FIXTURE_METADATA))
 
     candidates = candidates_of(community, metadata)
     oracle = {1: 4, 2: 6, 3: 8}

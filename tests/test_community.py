@@ -1,5 +1,3 @@
-import io
-
 import pytest
 
 from commkit import (
@@ -12,6 +10,7 @@ from commkit import (
 )
 from commkit.community import check_subset
 from commkit.errors import CommunityFileError, UnknownLabelError
+from graphs import write_input
 
 
 def _indices(graph, *labels):
@@ -76,25 +75,25 @@ def test_induced_subgraph_core_fixture(core_graph, core_community):
     assert {sub.label(u) for u in range(sub.node_count)} == {f"v{i}" for i in range(6)}
 
 
-def test_load_communities_with_and_without_ids():
+def test_load_communities_with_and_without_ids(tmp_path):
     g = Graph([("a", "b"), ("b", "c"), ("c", "d")])
     text = "left: a b\nc d\n"
-    comms = load_communities(io.StringIO(text), g)
+    comms = load_communities(write_input(tmp_path, text), g)
     assert [c.id for c in comms] == ["left", "c2"]
     assert comms[0].member_labels() == ["a", "b"]
     assert comms[1].member_labels() == ["c", "d"]
 
 
-def test_load_communities_unknown_label():
+def test_load_communities_unknown_label(tmp_path):
     g = Graph([("a", "b")])
     with pytest.raises(UnknownLabelError):
-        load_communities(io.StringIO("a zzz\n"), g)
+        load_communities(write_input(tmp_path, "a zzz\n"), g)
 
 
-def test_load_communities_empty_line_after_id():
+def test_load_communities_empty_line_after_id(tmp_path):
     g = Graph([("a", "b")])
     with pytest.raises(CommunityFileError, match="line 1: community 'lonely' is empty"):
-        load_communities(io.StringIO("lonely:\n"), g)
+        load_communities(write_input(tmp_path, "lonely:\n"), g)
 
 
 @pytest.mark.parametrize(
@@ -107,9 +106,9 @@ def test_load_communities_empty_line_after_id():
     ],
     ids=["no-id", "id"],
 )
-def test_load_communities_label_with_a_colon(text, community_id, labels):
+def test_load_communities_label_with_a_colon(tmp_path, text, community_id, labels):
     g = Graph([("a:b", "c"), ("c", "d"), ("d", "a:b")])
-    [community] = load_communities(io.StringIO(text), g)
+    [community] = load_communities(write_input(tmp_path, text), g)
     assert (community.id, community.member_labels()) == (community_id, labels)
 
 
@@ -123,16 +122,16 @@ def test_load_communities_label_with_a_colon(text, community_id, labels):
     ],
     ids=["explicit", "default"],
 )
-def test_load_communities_rejects_repeated_ids(text, message):
+def test_load_communities_rejects_repeated_ids(tmp_path, text, message):
     g = Graph([("a", "b"), ("b", "c"), ("c", "d")])
     with pytest.raises(CommunityFileError, match=message):
-        load_communities(io.StringIO(text), g)
+        load_communities(write_input(tmp_path, text), g)
 
 
-def test_load_communities_rejects_a_label_repeated_in_one_line():
+def test_load_communities_rejects_a_label_repeated_in_one_line(tmp_path):
     g = Graph([("a", "b"), ("b", "c"), ("c", "d")])
     with pytest.raises(CommunityFileError, match="line 2: community 'x' repeats label 'a'"):
-        load_communities(io.StringIO("w: a b\nx: a b c a\n"), g)
+        load_communities(write_input(tmp_path, "w: a b\nx: a b c a\n"), g)
 
 
 def test_load_communities_strips_a_byte_order_mark(tmp_path):
@@ -154,16 +153,17 @@ def test_load_communities_accepts_path(tmp_path):
     assert len(load_communities(target, g)) == 1
 
 
-def test_communities_round_trip():
+def test_communities_round_trip(tmp_path):
     g = Graph([("a", "b"), ("b", "c"), ("c", "d")])
-    original = load_communities(io.StringIO("x: a b c\ny: c d\n"), g)
-    buffer = io.StringIO()
-    write_communities(original, buffer)
-    again = load_communities(io.StringIO(buffer.getvalue()), g)
+    original = load_communities(write_input(tmp_path, "x: a b c\ny: c d\n"), g)
+    target = tmp_path / "written.txt"
+    with open(target, "w", encoding="utf-8") as sink:
+        write_communities(original, sink)
+    again = load_communities(target, g)
     assert [(c.id, c.members) for c in again] == [(c.id, c.members) for c in original]
 
 
-def test_overlapping_communities_are_allowed():
+def test_overlapping_communities_are_allowed(tmp_path):
     g = Graph([("a", "b"), ("b", "c")])
-    comms = load_communities(io.StringIO("p: a b\nq: b c\n"), g)
+    comms = load_communities(write_input(tmp_path, "p: a b\nq: b c\n"), g)
     assert comms[0].members & comms[1].members

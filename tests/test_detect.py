@@ -155,6 +155,14 @@ def test_sweep_cut_rejects_empty_or_zero_scores():
         sweep_cut(g, {0: 0.0, 1: 0.0}, g.node_count)
 
 
+@pytest.mark.parametrize("max_prefix", [0, -1])
+def test_sweep_cut_rejects_a_window_below_one(max_prefix):
+    # a negative window would slice the ordering from its end
+    g = clique_graph(3)
+    with pytest.raises(ConfigError, match=f"max_prefix >= 1, got {max_prefix}"):
+        sweep_cut(g, {0: 1.0}, max_prefix)
+
+
 def test_sweep_cut_minimum_on_window_edge_is_rejected():
     # path scores decrease along the line, so every prefix conductance keeps
     # falling; truncating mid-slope must not fabricate a community

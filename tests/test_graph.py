@@ -1,5 +1,4 @@
 import gc
-import io
 import itertools
 import random
 import time
@@ -12,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commkit import Graph, count_triangles, load_graph
+from commkit import graph as graph_module
 from commkit.errors import EmptyGraphError, GraphParseError, UnknownLabelError
 from commkit.graph import LoadReport
-from graphs import clique_graph, networkx_graph, star_graph
+from graphs import clique_graph, networkx_graph, star_graph, write_input
 
 
-def test_load_drops_self_loops_and_duplicates():
-    g = load_graph(io.StringIO("0 1\n1 2\n2 0\n1 1\n0 1\n"))
+def test_load_drops_self_loops_and_duplicates(tmp_path):
+    g = load_graph(write_input(tmp_path, "0 1\n1 2\n2 0\n1 1\n0 1\n"))
     assert g.node_count == 3
     assert g.edge_count == 3
     assert g.load_report.lines_read == 5
@@ -26,29 +26,29 @@ def test_load_drops_self_loops_and_duplicates():
     assert g.load_report.duplicate_edges_collapsed == 1
 
 
-def test_load_skips_comments_and_blank_lines():
-    g = load_graph(io.StringIO("# header\n\na b\n  \n# tail\nb c\n"))
+def test_load_skips_comments_and_blank_lines(tmp_path):
+    g = load_graph(write_input(tmp_path, "# header\n\na b\n  \n# tail\nb c\n"))
     assert g.node_count == 3
     assert g.edge_count == 2
 
 
-def test_load_reversed_duplicate_is_collapsed():
-    g = load_graph(io.StringIO("a b\nb a\n"))
+def test_load_reversed_duplicate_is_collapsed(tmp_path):
+    g = load_graph(write_input(tmp_path, "a b\nb a\n"))
     assert g.edge_count == 1
     assert g.load_report.duplicate_edges_collapsed == 1
 
 
-def test_load_malformed_line_reports_line_number():
+def test_load_malformed_line_reports_line_number(tmp_path):
     with pytest.raises(GraphParseError) as err:
-        load_graph(io.StringIO("a b\nx y z\n"))
+        load_graph(write_input(tmp_path, "a b\nx y z\n"))
     assert "line 2" in str(err.value)
 
 
-def test_load_empty_stream_is_an_error():
+def test_load_empty_stream_is_an_error(tmp_path):
     with pytest.raises(EmptyGraphError):
-        load_graph(io.StringIO(""))
+        load_graph(write_input(tmp_path, ""))
     with pytest.raises(EmptyGraphError):
-        load_graph(io.StringIO("# only comments\n"))
+        load_graph(write_input(tmp_path, "# only comments\n"))
 
 
 def test_load_accepts_a_path(tmp_path):
@@ -59,11 +59,9 @@ def test_load_accepts_a_path(tmp_path):
 
 
 def test_load_strict_text_stream_with_bad_bytes_is_parse_error(tmp_path):
-    target = tmp_path / "g.edges"
-    target.write_bytes(b"a b\n\xff\xfe c\n")
-    with open(target, encoding="utf-8") as stream:
-        with pytest.raises(GraphParseError, match="line 2: not valid UTF-8"):
-            load_graph(stream)
+    target = write_input(tmp_path, b"a b\n\xff\xfe c\n")
+    with pytest.raises(GraphParseError, match="line 2: not valid UTF-8"):
+        load_graph(target)
 
 
 def test_load_strips_a_byte_order_mark(tmp_path):
@@ -74,16 +72,27 @@ def test_load_strips_a_byte_order_mark(tmp_path):
     assert g == load_graph(plain)
     assert g.node_count == 6
     assert g.load_report == load_graph(plain).load_report
-    # a text stream that kept the mark as a character loads the same way
-    assert _labels(load_graph(io.StringIO("\ufeffa b\nb c\n"))) == ["a", "b", "c"]
 
 
-def test_load_splits_lines_only_at_newline_characters():
+def test_load_splits_lines_only_at_newline_characters(tmp_path):
     # \x0c and \x85 are whitespace inside a line, never line ends
-    g = load_graph(io.StringIO("a\x0cb\nc\x85d\r\ne f\rg h"))
+    g = load_graph(write_input(tmp_path, "a\x0cb\nc\x85d\r\ne f\rg h"))
     assert g.edge_count == 4
     with pytest.raises(GraphParseError, match="line 1: expected 2 tokens, got 4"):
-        load_graph(io.StringIO("a b\u2028c d\n"))
+        load_graph(write_input(tmp_path, "a b\u2028c d\n"))
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b"a b\nx y z\nc d\nd \xff\n", "line 2: expected 2 tokens, got 3"),
+        (b"a b\nx \xff\nc d\nd e f\n", "line 2: not valid UTF-8"),
+    ],
+    ids=["parse error first", "bad byte first"],
+)
+def test_load_reports_the_first_bad_line(tmp_path, raw, message):
+    with pytest.raises(GraphParseError, match=message):
+        load_graph(write_input(tmp_path, raw))
 
 
 def _labels(g: Graph) -> list[str]:
@@ -92,6 +101,8 @@ def _labels(g: Graph) -> list[str]:
 
 _LABELS = st.sampled_from(["a", "b", "c", "d", "e", "10", "9", "\u00e9t\u00e9"])
 _LINE_ENDS = ("\n", "\r\n", "\r")
+# reads of a few characters split lines, \r\n pairs and multibyte labels across chunks
+_CHUNK_SIZES = st.sampled_from([1, 2, 3, 8, graph_module._CHUNK])
 
 
 @st.composite
@@ -113,7 +124,7 @@ def _pairs(lines):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(edge_list_lines(), st.data())
-def test_load_matches_networkx_and_brute_force_counts(lines, data):
+def test_load_matches_networkx_and_brute_force_counts(tmp_path_factory, lines, data):
     text = ""
     for line in lines:
         # an empty line after a lone \r would join the two ends into one \r\n
@@ -124,11 +135,14 @@ def test_load_matches_networkx_and_brute_force_counts(lines, data):
         text = text.rstrip("\r\n")
     pairs = _pairs(lines)
     edges = [(a, b) for a, b in pairs if a != b]
-    if not edges:
-        with pytest.raises(EmptyGraphError):
-            load_graph(io.BytesIO(text.encode()))
-        return
-    g = load_graph(io.BytesIO(text.encode()))
+    target = write_input(tmp_path_factory.mktemp("load"), text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "_CHUNK", data.draw(_CHUNK_SIZES))
+        if not edges:
+            with pytest.raises(EmptyGraphError):
+                load_graph(target)
+            return
+        g = load_graph(target)
     oracle = nx.Graph(edges)
     assert set(_labels(g)) == set(oracle.nodes)
     for u, neighbors in enumerate(g.adjacency):
@@ -144,18 +158,32 @@ def test_load_matches_networkx_and_brute_force_counts(lines, data):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(edge_list_lines(), st.data())
-def test_load_reports_the_line_of_a_bad_byte(lines, data):
+def test_load_reports_the_line_of_a_bad_byte(tmp_path_factory, lines, data):
     k = data.draw(st.integers(1, len(lines)))
-    for end in _LINE_ENDS:
-        raw = [line.encode() for line in lines]
-        raw[k - 1] += b" \xff"
-        with pytest.raises(GraphParseError) as err:
-            load_graph(io.BytesIO(end.encode().join(raw)))
-        assert err.value.line_number == k, end
+    directory = tmp_path_factory.mktemp("bad")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "_CHUNK", data.draw(_CHUNK_SIZES))
+        for end in _LINE_ENDS:
+            raw = [line.encode() for line in lines]
+            raw[k - 1] += b" \xff"
+            with pytest.raises(GraphParseError) as err:
+                load_graph(write_input(directory, end.encode().join(raw)))
+            assert err.value.line_number == k, end
 
 
-def test_adjacency_is_symmetric_and_sorted():
-    g = load_graph(io.StringIO("c a\na b\nb c\nd a\n"))
+def test_load_reads_a_file_of_many_chunks(tmp_path):
+    # 10,000 lines of two-byte characters span many decoder reads and reader chunks
+    lines = [f"\u00e9{i} \u00e9{i + 1}" for i in range(10_000)]
+    g = load_graph(write_input(tmp_path, "\r\n".join(lines)))
+    assert g == Graph(line.split() for line in lines)
+    raw = [line.encode() for line in lines]
+    raw[8_000] += b"\xff"
+    with pytest.raises(GraphParseError, match="line 8001: not valid UTF-8"):
+        load_graph(write_input(tmp_path, b"\r\n".join(raw)))
+
+
+def test_adjacency_is_symmetric_and_sorted(tmp_path):
+    g = load_graph(write_input(tmp_path, "c a\na b\nb c\nd a\n"))
     assert _labels(g) == ["a", "b", "c", "d"]
     for u, neighbors in enumerate(g.adjacency):
         assert neighbors == tuple(sorted(neighbors))
@@ -262,11 +290,11 @@ def test_count_triangles_matches_networkx(edges, extra_nodes):
     assert triples == sum(d * (d - 1) // 2 for _, d in oracle.degree())
 
 
-def _fastest_count(graph: Graph) -> float:
+def _fastest(call) -> float:
     runs = []
     for _ in range(3):
         start = time.perf_counter()
-        count_triangles(graph)
+        call()
         runs.append(time.perf_counter() - start)
     return min(runs)
 
@@ -281,7 +309,16 @@ def test_count_triangles_is_linear_around_a_hub_anywhere_in_label_order():
     low = Graph([("0", f"{side}{i}") for side in "az" for i in range(leaves)])
     assert count_triangles(middle) == (1, 2 * leaves * (2 * leaves - 1) // 2 + 2)
     assert count_triangles(middle)[0] == sum(nx.triangles(networkx_graph(middle, middle_edges)).values()) // 3
-    assert _fastest_count(middle) < 5 * _fastest_count(low)
+    assert _fastest(lambda: count_triangles(middle)) < 5 * _fastest(lambda: count_triangles(low))
+
+
+def test_load_reads_a_long_line_in_linear_time(tmp_path):
+    # carrying a long line whole into a read of fixed size would copy it once per
+    # 32k-character chunk: about 30 times the short lines' time here
+    size = 4_000_000
+    long = write_input(tmp_path, "#" + "x" * size + "\na b\n", "long.edges")
+    short = write_input(tmp_path, ("#" + "x" * 999 + "\n") * (size // 1000) + "a b\n", "short.edges")
+    assert _fastest(lambda: load_graph(long)) < 5 * _fastest(lambda: load_graph(short))
 
 
 def _random_edge_list(path, lines: int, nodes: int, seed: int) -> None:
@@ -308,6 +345,30 @@ def test_load_peak_memory_is_a_small_multiple_of_the_graph(tmp_path):
     g, retained, peak = _traced(lambda: load_graph(target))
     assert g.load_report.lines_read == 30_000
     assert peak <= 3.5 * retained, (peak, retained)
+
+
+def test_load_holds_no_line_it_has_parsed(tmp_path):
+    # a list of the file's lines peaked at about 10 MiB here
+    target = write_input(tmp_path, "# a comment line\n" * 100_000 + "a b\nb c\n")
+    g, _, peak = _traced(lambda: load_graph(target))
+    assert g.edge_count == 2
+    assert peak < 1024 * 1024, peak
+
+
+@pytest.mark.parametrize("bad_line", [b"x y z", b"x \xff"], ids=["parse error", "bad byte"])
+def test_a_load_that_raises_leaves_its_file_closed(tmp_path, monkeypatch, bad_line):
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(graph_module, "open", recording_open, raising=False)
+    target = write_input(tmp_path, b"a b\n" + bad_line + b"\nb c\n")
+    with pytest.raises(GraphParseError, match="line 2"):
+        load_graph(target)
+    [file] = opened
+    assert file.closed
 
 
 def test_count_triangles_needs_no_whole_graph_copy(tmp_path):

@@ -1,5 +1,3 @@
-import io
-
 import pytest
 
 from commkit import (
@@ -13,7 +11,7 @@ from commkit import (
 )
 from commkit.errors import CommkitError, ConfigError
 from commkit.keywords import _contains_sequence, normalize_keyword, tokenize
-from graphs import p_ids
+from graphs import p_ids, write_input
 
 # ---------------------------------------------------------------------------
 # 20-paper citation fixture.  Two hubs n01/n02 form the 0.8-IDS (n01 covers
@@ -75,8 +73,8 @@ def fixture_community(fixture_graph):
 
 
 @pytest.fixture
-def fixture_metadata():
-    return load_metadata(io.StringIO(FIXTURE_METADATA))
+def fixture_metadata(tmp_path):
+    return load_metadata(write_input(tmp_path, FIXTURE_METADATA))
 
 
 @pytest.fixture
@@ -105,22 +103,22 @@ def test_contains_sequence_is_contiguous():
     assert not _contains_sequence([], ["a"])
 
 
-def test_load_metadata_normalizes_and_dedupes():
-    records = load_metadata(io.StringIO("p1\tT\tA\tFoo; foo ;Bar\n"))
+def test_load_metadata_normalizes_and_dedupes(tmp_path):
+    records = load_metadata(write_input(tmp_path, "p1\tT\tA\tFoo; foo ;Bar\n"))
     assert records["p1"].keywords == ("foo", "bar")
 
 
-def test_load_metadata_tolerates_short_rows():
-    records = load_metadata(io.StringIO("p1\tTitle only\n"))
+def test_load_metadata_tolerates_short_rows(tmp_path):
+    records = load_metadata(write_input(tmp_path, "p1\tTitle only\n"))
     assert records["p1"].title == "Title only"
     assert records["p1"].abstract == ""
     assert records["p1"].keywords == ()
 
 
-def test_load_metadata_rejects_more_than_four_fields():
+def test_load_metadata_rejects_more_than_four_fields(tmp_path):
     # a tab inside the abstract would otherwise shift "a tab" into the keywords and drop "foo;bar"
     with pytest.raises(CommkitError, match="line 2: expected at most 4 tab-separated fields, got 5"):
-        load_metadata(io.StringIO("p0\tT\tA\tk\np1\tTitle\tAbstract with\ta tab\tfoo;bar\n"))
+        load_metadata(write_input(tmp_path, "p0\tT\tA\tk\np1\tTitle\tAbstract with\ta tab\tfoo;bar\n"))
 
 
 def test_load_metadata_strips_a_byte_order_mark(tmp_path):
@@ -159,10 +157,10 @@ def test_build_keyword_list_empty_without_metadata(fixture_community):
     assert candidates_of(fixture_community, {}) == []
 
 
-def test_tie_breaks_lexicographically():
+def test_tie_breaks_lexicographically(tmp_path):
     g = Graph([("hub", "a"), ("hub", "b")])
     c = Community("c", frozenset(range(g.node_count)), g)
-    metadata = load_metadata(io.StringIO("hub\tT\tA\tzeta; alpha\n"))
+    metadata = load_metadata(write_input(tmp_path, "hub\tT\tA\tzeta; alpha\n"))
     candidates = candidates_of(c, metadata)
     assert [x.keyword for x in candidates] == ["alpha", "zeta"]
 
