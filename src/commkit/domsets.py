@@ -104,8 +104,6 @@ def _greedy(
             gain = len(cover_of[v] - covered)
             if gain > best_gain:
                 best, best_gain = v, gain
-        if best is None:
-            break
         chosen.append(best)
         covered |= cover_of[best]
     return DomSetResult(

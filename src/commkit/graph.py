@@ -24,7 +24,7 @@ from .errors import EmptyGraphError, GraphParseError, UnknownLabelError
 
 
 class LoadReport(NamedTuple):
-    """What was dropped or collapsed while reading an edge list."""
+    """The label pairs a :class:`Graph` was built from, and what it dropped or collapsed."""
 
     lines_read: int = 0
     self_loops_dropped: int = 0
@@ -49,12 +49,14 @@ class Graph:
         # its label's rank and drop each node's repeated neighbors.
         ids: dict[str, int] = {}
         neighbors: list[list[int]] = []
+        self_loops = 0
         for label in extra_nodes:
             if label not in ids:
                 ids[label] = len(neighbors)
                 neighbors.append([])
         for a, b in edges:
             if a == b:
+                self_loops += 1
                 continue
             u = ids.get(a)
             if u is None:
@@ -76,7 +78,8 @@ class Graph:
         )
         self._degrees: tuple[int, ...] = tuple(map(len, self._adjacency))
         self._num_edges = sum(self._degrees) // 2
-        self.load_report: LoadReport | None = None  # set by load_graph
+        pairs = sum(map(len, neighbors)) // 2  # each pair that is not a self-loop was appended at both ends
+        self.load_report = LoadReport(pairs + self_loops, self_loops, pairs - self._num_edges)
 
     @property
     def node_count(self) -> int:
@@ -125,33 +128,27 @@ def load_graph(path: str | Path) -> Graph:
     or ``\\r``).
 
     Lines starting with ``#`` and blank lines are ignored.  Self-loops are
-    dropped, parallel and reversed duplicates are collapsed; the counts end
-    up in ``graph.load_report``.  A line without exactly two tokens or with
+    dropped, parallel and reversed duplicates are collapsed; the build counts
+    them in ``graph.load_report``.  A line without exactly two tokens or with
     bytes that are not UTF-8 raises :class:`GraphParseError` with its line
     number; the first bad line is the one reported.  Each line's token pair
     goes straight into the :class:`Graph` build, so the cost is one split
     per line and one list append per edge end, plus one sort of the labels
     and of each node's ids.
     """
-    lines_read = self_loops = 0
 
     def pairs() -> Iterator[list[str]]:
-        nonlocal lines_read, self_loops
         for line_number, line in enumerate(_read_lines(path), start=1):
             tokens = line.split()
             if not tokens or tokens[0][0] == "#":
                 continue
             if len(tokens) != 2:
                 raise GraphParseError(f"expected 2 tokens, got {len(tokens)}", line_number)
-            lines_read += 1
-            self_loops += tokens[0] == tokens[1]
             yield tokens
 
     graph = Graph(pairs())
     if not graph.edge_count:
         raise EmptyGraphError("edge list is empty")
-    # every pair that is not a self-loop either adds an edge or repeats one
-    graph.load_report = LoadReport(lines_read, self_loops, lines_read - self_loops - graph.edge_count)
     return graph
 
 

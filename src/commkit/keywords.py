@@ -4,19 +4,20 @@ Metadata is one record per line, tab-separated: label, title, abstract,
 semicolon-joined keywords.  Keywords listed by the internal dominating set
 form the candidate list, ordered by how often community members list them;
 a candidate is predicted-and-confirmed for a paper without author keywords
-when its token sequence occurs in the title or abstract.
+when its tokens occur contiguously in the title or abstract.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .community import Community
 from .domsets import DomSetResult
 from .errors import CommkitError, ConfigError
-from .graph import _read_lines
+from .graph import Graph, _read_lines
 
 _TOKEN_RE = re.compile(r"[^0-9a-z]+")
 
@@ -38,26 +39,24 @@ class NodeMetadata(NamedTuple):
 
 def load_metadata(path: str | Path) -> dict[str, NodeMetadata]:
     """Read tab-separated metadata records keyed by node label from the file at
-    ``path``, one line at a time; a repeated label is an error."""
+    ``path``, one line at a time.  As in the graph and community files, blank
+    lines and lines whose first non-blank character is ``#`` are skipped and
+    a label holds no surrounding whitespace; a repeated label is an error."""
     records: dict[str, NodeMetadata] = {}
     first_line: dict[str, int] = {}
     for line_number, line in enumerate(_read_lines(path), start=1):
-        if not line.strip() or line.startswith("#"):
+        if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) > 4:
             raise CommkitError(f"line {line_number}: expected at most 4 tab-separated fields, got {len(parts)}")
-        parts += [""] * (4 - len(parts))
-        label, title, abstract, kw_field = parts[0], parts[1], parts[2], parts[3]
+        label, title, abstract, kw_field = parts + [""] * (4 - len(parts))
+        label = label.strip()
         first = first_line.setdefault(label, line_number)
         if first != line_number:
             raise CommkitError(f"line {line_number}: metadata label {label!r} repeats line {first}")
-        keywords: list[str] = []
-        for kw in kw_field.split(";"):
-            norm = normalize_keyword(kw)
-            if norm and norm not in keywords:
-                keywords.append(norm)
-        records[label] = NodeMetadata(label, title, abstract, tuple(keywords))
+        keywords = tuple(dict.fromkeys(filter(None, map(normalize_keyword, kw_field.split(";")))))
+        records[label] = NodeMetadata(label, title, abstract, keywords)
     return records
 
 
@@ -78,41 +77,20 @@ def build_keyword_list(
     another mode or community raises :class:`ConfigError`.
     """
     domset.check_for(community, "internal")
-    graph = community.graph
-    ids_labels = {graph.label(v) for v in domset.members}
-
-    eligible: set[str] = set()
-    ids_counts: dict[str, int] = {}
-    for label in ids_labels:
-        meta = metadata.get(label)
-        if meta is None:
-            continue
-        for kw in meta.keywords:
-            eligible.add(kw)
-            ids_counts[kw] = ids_counts.get(kw, 0) + 1
-
-    community_counts: dict[str, int] = dict.fromkeys(eligible, 0)
-    for member in community.members:
-        meta = metadata.get(graph.label(member))
-        if meta is None:
-            continue
-        for kw in meta.keywords:
-            if kw in community_counts:
-                community_counts[kw] += 1
-
-    ordered = sorted(eligible, key=lambda kw: (-community_counts[kw], kw))
-    return [
-        KeywordCandidate(kw, community_counts[kw], ids_counts[kw]) for kw in ordered
-    ]
+    ids_counts = _listings(domset.members, community.graph, metadata)
+    community_counts = _listings(community.members, community.graph, metadata)
+    ordered = sorted(ids_counts, key=lambda kw: (-community_counts[kw], kw))
+    return [KeywordCandidate(kw, community_counts[kw], ids_counts[kw]) for kw in ordered]
 
 
-def _contains_sequence(text_tokens: list[str], keyword_tokens: list[str]) -> bool:
-    k = len(keyword_tokens)
-    if k == 0 or k > len(text_tokens):
-        return False
-    return any(
-        text_tokens[i : i + k] == keyword_tokens for i in range(len(text_tokens) - k + 1)
-    )
+def _listings(members: Iterable[int], graph: Graph, metadata: dict[str, NodeMetadata]) -> Counter[str]:
+    """How many of ``members`` list each keyword."""
+    return Counter(kw for label in map(graph.label, members) if label in metadata for kw in metadata[label].keywords)
+
+
+def _padded(text: str) -> str:
+    # tokens hold no space, so one padded text is in another only at whole, contiguous tokens
+    return f" {' '.join(tokenize(text))} "
 
 
 class PaperPrediction(NamedTuple):
@@ -130,10 +108,7 @@ class PredictionReport(NamedTuple):
 
 
 def predict_keywords(
-    community: Community,
-    metadata: dict[str, NodeMetadata],
-    prefix_length: int,
-    candidates: list[KeywordCandidate],
+    community: Community, metadata: dict[str, NodeMetadata], prefix_length: int, candidates: list[KeywordCandidate]
 ) -> PredictionReport:
     """Confirm the first ``prefix_length`` of the community's ``candidates``
     (from :func:`build_keyword_list`) against each unlabeled community
@@ -143,32 +118,27 @@ def predict_keywords(
     """
     if prefix_length < 1:
         raise ConfigError(f"prefix_length must be >= 1, got {prefix_length}")
-    prefix = candidates[:prefix_length]
-    keyword_tokens = [(c.keyword, tokenize(c.keyword)) for c in prefix]
+    # a candidate without tokens keeps its place in the prefix but never matches
+    needles = [(c.keyword, _padded(c.keyword)) for c in candidates[:prefix_length] if tokenize(c.keyword)]
 
-    graph = community.graph
     predictions: list[PaperPrediction] = []
     skipped = 0
     for member in sorted(community.members):
-        meta = metadata.get(graph.label(member))
+        meta = metadata.get(community.graph.label(member))
         if meta is None or meta.keywords:
             continue
         if not meta.title and not meta.abstract:
             skipped += 1
             continue
-        title_tokens = tokenize(meta.title)
-        abstract_tokens = tokenize(meta.abstract)
-        hits: list[str] = []
-        fields: list[str] = []
-        for keyword, tokens in keyword_tokens:
-            if _contains_sequence(title_tokens, tokens):
-                hits.append(keyword)
-                fields.append("title")
-            elif _contains_sequence(abstract_tokens, tokens):
-                hits.append(keyword)
-                fields.append("abstract")
+        title, abstract = _padded(meta.title), _padded(meta.abstract)
+        hits = [
+            (keyword, "title" if needle in title else "abstract")
+            for keyword, needle in needles
+            if needle in title or needle in abstract
+        ]
         if hits:
-            predictions.append(PaperPrediction(meta.label, tuple(hits), tuple(fields)))
+            predicted, fields = zip(*hits)
+            predictions.append(PaperPrediction(meta.label, predicted, fields))
     return PredictionReport(
         community_id=community.id,
         keyword_list_length=prefix_length,

@@ -26,6 +26,12 @@ def test_load_drops_self_loops_and_duplicates(tmp_path):
     assert g.load_report.duplicate_edges_collapsed == 1
 
 
+def test_graph_build_reports_its_pairs():
+    # a self-loop, an edge and its reversed duplicate, without a file
+    assert Graph([("a", "a"), ("a", "b"), ("b", "a")]).load_report == LoadReport(3, 1, 1)
+    assert Graph([], extra_nodes=["a"]).load_report == LoadReport(0, 0, 0)
+
+
 def test_load_skips_comments_and_blank_lines(tmp_path):
     g = load_graph(write_input(tmp_path, "# header\n\na b\n  \n# tail\nb c\n"))
     assert g.node_count == 3

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from commkit import (
@@ -9,8 +11,9 @@ from commkit import (
     predict_keywords,
     prediction_curve,
 )
+from commkit.cli import EXIT_OK, main
 from commkit.errors import CommkitError, ConfigError
-from commkit.keywords import _contains_sequence, normalize_keyword, tokenize
+from commkit.keywords import KeywordCandidate, NodeMetadata, normalize_keyword, tokenize
 from graphs import p_ids, write_input
 
 # ---------------------------------------------------------------------------
@@ -96,11 +99,28 @@ def test_tokenize_strips_punctuation_and_case():
     assert tokenize("Black hole, entropy!") == ["black", "hole", "entropy"]
 
 
-def test_contains_sequence_is_contiguous():
-    assert _contains_sequence(["a", "b", "c"], ["b", "c"])
-    assert not _contains_sequence(["a", "b", "c"], ["a", "c"])
-    assert not _contains_sequence(["ab"], ["a", "b"])
-    assert not _contains_sequence([], ["a"])
+def test_a_candidate_matches_contiguous_whole_tokens_only():
+    papers = {
+        "p1": ("a b c", ""),  # "a c" is not contiguous here; empty abstract
+        "p2": ("ab", "x-ab"),  # neither "a b" nor "b" matches the one token "ab"
+        "p3": ("", "A, b!"),  # empty title: the abstract still matches
+        "p4": ("a b", "a b"),  # the title is checked first
+        "p5": ("--", " "),  # no tokens in either field
+    }
+    g = Graph([("hub", label) for label in papers])
+    community = Community("c", frozenset(range(g.node_count)), g)
+    metadata = {label: NodeMetadata(label, title, abstract, ()) for label, (title, abstract) in papers.items()}
+    # a hand-built candidate without tokens keeps its place in the prefix and never matches
+    candidates = [KeywordCandidate(kw, 1, 1) for kw in ("--", "a c", "a b", "b c", "b")]
+    report = predict_keywords(community, metadata, 5, candidates)
+    got = {p.label: dict(zip(p.predicted, p.matched_fields)) for p in report.predictions}
+    assert got == {
+        "p1": {"a b": "title", "b c": "title", "b": "title"},
+        "p3": {"a b": "abstract", "b": "abstract"},
+        "p4": {"a b": "title", "b": "title"},
+    }
+    assert report.skipped_paper_count == 0
+    assert predict_keywords(community, metadata, 2, candidates).predictions == ()
 
 
 def test_load_metadata_normalizes_and_dedupes(tmp_path):
@@ -119,6 +139,21 @@ def test_load_metadata_rejects_more_than_four_fields(tmp_path):
     # a tab inside the abstract would otherwise shift "a tab" into the keywords and drop "foo;bar"
     with pytest.raises(CommkitError, match="line 2: expected at most 4 tab-separated fields, got 5"):
         load_metadata(write_input(tmp_path, "p0\tT\tA\tk\np1\tTitle\tAbstract with\ta tab\tfoo;bar\n"))
+
+
+def test_load_metadata_strips_the_label(tmp_path):
+    records = load_metadata(write_input(tmp_path, " a \tT one\tA one\tspin glass\n"))
+    assert records == {"a": NodeMetadata("a", "T one", "A one", ("spin glass",))}
+
+
+def test_load_metadata_label_repeated_with_whitespace_is_an_error(tmp_path):
+    with pytest.raises(CommkitError, match="line 2: metadata label 'a' repeats line 1"):
+        load_metadata(write_input(tmp_path, "a\tT\tA\tfoo\na \tU\tB\tbar\n"))
+
+
+def test_load_metadata_skips_indented_comments(tmp_path):
+    records = load_metadata(write_input(tmp_path, "  # note\tfoo\n\t# tabbed\n# plain\n \t \na\tT\n"))
+    assert list(records) == ["a"]
 
 
 def test_load_metadata_strips_a_byte_order_mark(tmp_path):
@@ -282,3 +317,23 @@ def test_build_keyword_list_rejects_a_set_of_another_mode_or_community(fixture_g
         build_keyword_list(fixture_community, fixture_metadata, greedy_eds(fixture_community, p=0.8))
     with pytest.raises(ConfigError, match="internal set of community 'hep', got the internal set of community 'other'"):
         build_keyword_list(fixture_community, fixture_metadata, p_ids(other))
+
+
+# sha256 of `commkit all --metadata` keyword artifacts on the fixture above, one community of
+# n01..n20; any change to a prediction or to the curve shows here.
+GOLDEN_KEYWORDS = {
+    "keyword_predictions.jsonl": "73e632e38ef693ecdb143bcfe82aa91391c2f71481337bdaf761a9f0a2013b85",
+    "keyword_curve.csv": "4419f6d09a38a3d3a00fb97507d1754ce37c146487344a7f956f94c1417291c8",
+}
+
+
+def test_keyword_artifacts_match_golden_digests(tmp_path):
+    graph = write_input(tmp_path, "".join(f"{a} {b}\n" for a, b in FIXTURE_EDGES), "hep.edges")
+    members = " ".join(f"n{i:02d}" for i in range(1, 21))
+    communities = write_input(tmp_path, f"hep: {members}\n", "hep.communities")
+    metadata = write_input(tmp_path, FIXTURE_METADATA, "hep.tsv")
+    out = tmp_path / "out"
+    args = ["all", "--graph", str(graph), "--communities", str(communities), "--metadata", str(metadata)]
+    assert main([*args, "--out", str(out)]) == EXIT_OK
+    produced = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_KEYWORDS}
+    assert produced == GOLDEN_KEYWORDS
