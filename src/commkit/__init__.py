@@ -22,7 +22,7 @@ _EXPORTS = {
     "config": ("DetectParams", "RunConfig"),
     "detect": ("approximate_ppr", "detect_communities", "ppr_thresholds", "sweep_cut"),
     "distributions": ("DistributionSummary", "summarize"),
-    "domsets": ("DomSetResult", "edr", "greedy_eds", "greedy_ids", "idr"),
+    "domsets": ("DomSetResult", "greedy_eds", "greedy_ids", "idr"),
     "graph": ("Graph", "count_triangles", "load_graph"),
     "keywords": ("NodeMetadata", "build_keyword_list", "load_metadata", "predict_keywords", "prediction_curve"),
     "metrics": (

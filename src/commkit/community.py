@@ -4,7 +4,7 @@ Community files have one community per line: ``id: label label ...``.
 The leading ``id:`` token is optional; missing ids are assigned ``c<line>``.
 The id ends at the first colon followed by whitespace or the end of the
 line, so a label may hold a colon (``a:b``).
-Ids are unique within a file.
+Ids are unique within a file, and a given id is never empty (``: a b``).
 Communities may overlap; nothing here assumes disjointness.
 Each community splits its members' neighbors into inside and outside once,
 on first use (``Community.adjacency``); the paper's N(S, C) and N(S, C̄) of
@@ -78,15 +78,6 @@ class Community:
         return sorted(self.graph.label(m) for m in self.members)
 
 
-def check_subset(subset: Iterable[int], community: Community) -> frozenset[int]:
-    """Validate ``subset ⊆ community`` and return it as a frozenset."""
-    s = frozenset(subset)
-    if not s <= community.members:
-        extra = sorted(s - community.members)
-        raise ValueError(f"subset contains nodes outside community {community.id!r}: {extra}")
-    return s
-
-
 def boundary(community: Community) -> frozenset[int]:
     """External neighborhood of the whole community."""
     return frozenset(w for _, outside in community.adjacency.values() for w in outside)
@@ -117,6 +108,8 @@ def load_communities(path: str | Path, graph: Graph) -> list[Community]:
         id_end = _ID_END.search(line)
         if id_end:
             community_id, line = line[: id_end.start()].strip(), line[id_end.end() :]
+            if not community_id:
+                raise CommunityFileError(f"line {line_number}: empty community id")
         first = first_line.setdefault(community_id, line_number)
         if first != line_number:
             raise CommunityFileError(f"line {line_number}: community id {community_id!r} repeats line {first}")

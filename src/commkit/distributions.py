@@ -26,10 +26,11 @@ class DistributionSummary(NamedTuple):
     std: float
     skewness: float | None
     excess_kurtosis: float | None
+    ks_stat: float | None  # None when std == 0 (normal fit undefined)
+    degenerate: bool
+    # last, and left out of the summary row: each is a table of its own
     histogram: tuple[HistogramBin, ...]
     cumulative: tuple[tuple[float, float], ...]  # (value, fraction <= value)
-    ks_stat: float | None  # None when std == 0 (normal fit undefined)
-    degenerate: bool = False
 
 
 def mean(values: Sequence[float]) -> float:
@@ -74,12 +75,7 @@ def summarize(values: Sequence[float], bin_count: int = 20, variable: str = "") 
             for i, c in enumerate(counts)
         )
 
-    cumulative = []
-    seen = 0
-    for i, v in enumerate(data):
-        seen = i + 1
-        if i + 1 == n or data[i + 1] != v:
-            cumulative.append((v, seen / n))
+    cumulative = [(v, (i + 1) / n) for i, v in enumerate(data) if i + 1 == n or data[i + 1] != v]
 
     if std == 0.0:
         skewness = kurtosis = ks = None
@@ -108,8 +104,8 @@ def summarize(values: Sequence[float], bin_count: int = 20, variable: str = "") 
         std=std,
         skewness=skewness,
         excess_kurtosis=kurtosis,
-        histogram=bins,
-        cumulative=tuple(cumulative),
         ks_stat=ks,
         degenerate=degenerate,
+        histogram=bins,
+        cumulative=tuple(cumulative),
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .community import Community, boundary, check_subset
+from .community import Community, boundary
 from .errors import ConfigError
 from .graph import Graph
 
@@ -40,28 +40,16 @@ class DomSetResult(NamedTuple):
             )
 
 
+# kept only for bench/tests/test_bench.py, which checks that the tracer leaves it unwrapped
 def idr(graph: Graph, subset: Iterable[int], community: Community) -> float:
     """Fraction of the community covered by the subset and its internal neighbors."""
-    s = check_subset(subset, community)
+    s = frozenset(subset)
+    if not s <= community.members:
+        raise ValueError(f"subset contains nodes outside community {community.id!r}: {sorted(s - community.members)}")
     covered = set(s)
     for u in s:
         covered.update(v for v in graph.adjacency[u] if v in community.members)
     return len(covered) / community.size
-
-
-def edr(graph: Graph, subset: Iterable[int], community: Community) -> float | None:
-    """Fraction of the community's external neighborhood reached by the subset.
-
-    Returns ``None`` when the community has no external neighbors at all.
-    """
-    s = check_subset(subset, community)
-    full_boundary = boundary(community)
-    if not full_boundary:
-        return None
-    reached: set[int] = set()
-    for u in s:
-        reached.update(v for v in graph.adjacency[u] if v not in community.members)
-    return len(reached) / len(full_boundary)
 
 
 def _check_criterion(k: int | None, p: float | None) -> None:

@@ -7,9 +7,9 @@ process, so ``all`` computes each list once and a staged subcommand only
 what its stage writes.  No stage reads a table: each subcommand computes
 its records from its own ``--graph``, ``--communities`` and ``--metadata``.
 :func:`run_pipeline` is the one loop behind ``all`` and every staged
-subcommand.  A record is written as one row of its scalar fields (see
-:func:`_write_records`); only tables whose columns are not a record's
-fields name them by hand.  Identical configuration must give
+subcommand.  A NamedTuple record is already a row: its table's columns are
+its ``_fields``, and only tables whose columns are not a record's fields
+name them by hand.  Identical configuration must give
 byte-identical artifacts, so nothing here records timestamps and floats
 are serialized with ``repr``.
 
@@ -30,12 +30,12 @@ import json
 import sys
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Sequence, get_origin, get_type_hints
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import __version__
 from .community import Community, load_communities, write_communities
 from .config import RunConfig
-from .errors import CommkitError, ConfigError
+from .errors import CommkitError, ConfigError, UnknownLabelError
 from .graph import Graph, load_graph
 
 if TYPE_CHECKING:
@@ -58,7 +58,7 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def write_table(path: Path, header: list[str], rows: list[list[object]], fmt: str) -> Path:
+def write_table(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]], fmt: str) -> Path:
     """Write rows as CSV or a JSON array of objects, depending on ``fmt``."""
     if fmt == "csv":
         target = path.with_suffix(".csv")
@@ -74,13 +74,6 @@ def write_table(path: Path, header: list[str], rows: list[list[object]], fmt: st
             json.dump(payload, f, indent=2)
             f.write("\n")
     return target
-
-
-def _write_records(path: Path, cls: type, records: Sequence[object], fmt: str) -> Path:
-    """Write one row per record: its fields in declaration order, tuple fields left out."""
-    hints = get_type_hints(cls)
-    columns = [name for name in cls._fields if get_origin(hints[name]) is not tuple]
-    return write_table(path, columns, [[getattr(r, name) for name in columns] for r in records], fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +223,7 @@ def stage_slopes(run: Run) -> list[tuple[SlopeResult, SlopeResult]]:
 def stage_metrics(run: Run) -> list[CommunityStats]:
     from .metrics import CommunityStats
 
-    _write_records(run.out / "community_stats", CommunityStats, run.stats, run.config.fmt)
+    write_table(run.out / "community_stats", CommunityStats._fields, run.stats, run.config.fmt)
     return run.stats
 
 
@@ -272,9 +265,9 @@ def stage_report(run: Run) -> NetworkSummary:
         [s for s, _ in slope_pairs],
         [s for _, s in slope_pairs],
     )
-    _write_records(out / "summary", NetworkSummary, [summary], fmt)
+    write_table(out / "summary", NetworkSummary._fields, [summary], fmt)
     splits = [triangle_split_analysis(stats, t) for t in SPLIT_THRESHOLDS]
-    _write_records(out / "triangle_split", TriangleSplit, splits, fmt)
+    write_table(out / "triangle_split", TriangleSplit._fields, splits, fmt)
 
     variables: dict[str, list[float]] = {
         "islope": [s.slope for s, _ in slope_pairs],
@@ -294,7 +287,7 @@ def stage_report(run: Run) -> NetworkSummary:
         rows += [["cumulative", "", "", "", v, frac] for v, frac in dist.cumulative]
         header = ["part", "bin_lower", "bin_width", "count", "value", "fraction_le"]
         write_table(out / f"dist_{name}", header, rows, fmt)
-    _write_records(out / "distributions_summary", DistributionSummary, summaries, fmt)
+    write_table(out / "distributions_summary", DistributionSummary._fields[:-2], [d[:-2] for d in summaries], fmt)
     return summary
 
 
@@ -306,7 +299,7 @@ NO_COMMUNITIES = "no communities; characterization skipped"
 
 
 def write_manifest(run: Run, notes: list[str]) -> None:
-    """``manifest.json``: the tool, its config, what the loader dropped and the run's notes."""
+    """``manifest.json``: the tool, its config, what the loaders dropped or left unmatched and the run's notes."""
     manifest = {
         "tool": "commkit",
         "version": __version__,
@@ -315,6 +308,14 @@ def write_manifest(run: Run, notes: list[str]) -> None:
         "load": run.graph.load_report._asdict(),
         "notes": notes,
     }
+    if run.metadata is not None:
+        missing = 0
+        for label in run.metadata:
+            try:
+                run.graph.index(label)
+            except UnknownLabelError:
+                missing += 1
+        manifest["metadata"] = {"records": len(run.metadata), "labels_not_in_graph": missing}
     with (run.out / "manifest.json").open("w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")

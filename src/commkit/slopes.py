@@ -34,12 +34,12 @@ def random_subset_ratio(community: Community, K: int, kind: str) -> float | None
     With ``c(a) = C(a, K)``, a member v is left uncovered by
     ``c(|C| - 1 - |N(v) ∩ C|)`` of the ``C(|C|, K)`` subsets, and a boundary
     node b unreached by ``c(|C| - |N(b) ∩ C|)``.  The cost is O(vol(C)).
-    External kind on a closed community gives ``None``.
+    External kind on a closed community gives ``None``, and ``K = 0`` gives 0.0.
     """
     if kind not in ("internal", "external"):
         raise ConfigError(f"kind must be internal or external, got {kind!r}")
-    if not 1 <= K <= community.size:
-        raise ConfigError(f"K must be in [1, |C|], got {K}")
+    if not 0 <= K <= community.size:
+        raise ConfigError(f"K must be in [0, |C|], got {K}")
     split = community.adjacency.values()
     if kind == "internal":
         dominators = [1 + len(inside) for inside, _ in split]
@@ -72,9 +72,6 @@ def _slope(community: Community, domset: DomSetResult, kind: str) -> SlopeResult
     domset.check_for(community, kind)
     if domset.closed:
         return SlopeResult(community.id, kind, 0, None, None, None, closed=True)
-    if domset.size == 0:
-        # p=0 stops before the first pick; the empty subset is its own expectation
-        return SlopeResult(community.id, kind, 0, 0.0, 0.0, 0.0)
     observed = domset.achieved_ratio
     expected = random_subset_ratio(community, domset.size, kind)
     return SlopeResult(community.id, kind, domset.size, observed, expected, observed - expected)

@@ -4,6 +4,7 @@ Plain helpers live here rather than in ``conftest.py`` so that test modules
 can import them by a name no other test directory uses.
 """
 
+import time
 from pathlib import Path
 
 import networkx as nx
@@ -56,8 +57,12 @@ def star_graph(leaves: int) -> Graph:
     return Graph([("hub", f"leaf{i:02d}") for i in range(leaves)])
 
 
+def path_edges(n: int) -> list[tuple[str, str]]:
+    return [(f"v{i}", f"v{i + 1}") for i in range(n - 1)]
+
+
 def path_graph(n: int) -> Graph:
-    return Graph([(f"v{i}", f"v{i + 1}") for i in range(n - 1)])
+    return Graph(path_edges(n))
 
 
 def clique_graph(n: int) -> Graph:
@@ -69,6 +74,46 @@ def networkx_graph(graph: Graph, edges: list[tuple[str, str]]) -> nx.Graph:
     whole = nx.Graph(edges)
     whole.add_nodes_from(map(graph.label, range(graph.node_count)))
     return whole
+
+
+class Coverage:
+    """The paper's IDR and EDR oracle: coverage of any member subset of one
+    community, from networkx's neighbour sets of the graph built from ``edges``.
+
+    Each member's inside reach (itself and its neighbours in the community)
+    and outside reach (its neighbours outside) are taken once, so scoring
+    every subset of a fixture stays cheap.  Subsets hold node indices.
+    """
+
+    def __init__(self, edges: list[tuple[str, str]], community: Community):
+        whole = networkx_graph(community.graph, edges)
+        label = community.graph.label
+        members = set(map(label, community.members))
+        self.reach: dict[str, dict[int, set[str]]] = {"internal": {}, "external": {}}
+        for v in community.members:
+            neighbours = set(whole[label(v)])
+            self.reach["internal"][v] = neighbours & members | {label(v)}
+            self.reach["external"][v] = neighbours - members
+        self.universe = {"internal": members, "external": set().union(*self.reach["external"].values())}
+
+    def covered(self, subset, mode: str) -> int:
+        """|S ∪ N(S, C)| in the internal mode, |N(S, C̄)| in the external one."""
+        return len(set().union(*(self.reach[mode][v] for v in subset)))
+
+    def ratio(self, subset, mode: str) -> float | None:
+        """IDR or EDR of ``subset``; None for the EDR of a closed community."""
+        universe = len(self.universe[mode])
+        return self.covered(subset, mode) / universe if universe else None
+
+
+def fastest(call) -> float:
+    """Best-of-3 process time of ``call()``, in seconds."""
+    runs = []
+    for _ in range(3):
+        start = time.process_time()
+        call()
+        runs.append(time.process_time() - start)
+    return min(runs)
 
 
 def whole_community(graph: Graph, community_id: str = "all") -> Community:

@@ -23,11 +23,9 @@ from commkit import (
     clustering_coefficient,
     community_stats,
     detect_communities,
-    edr,
     eslope,
     greedy_eds,
     greedy_ids,
-    idr,
     islope,
     predict_keywords,
     prediction_curve,
@@ -36,7 +34,7 @@ from commkit import (
     summarize,
 )
 from commkit.detect import DetectParams
-from graphs import DATA_DIR, clique_graph, p_ids, star_graph, two_clique_graph, whole_community, write_input
+from graphs import DATA_DIR, Coverage, clique_graph, p_ids, star_graph, two_clique_graph, whole_community, write_input
 from test_keywords import FIXTURE_EDGES, FIXTURE_METADATA, candidates_of
 
 
@@ -115,19 +113,7 @@ def test_criterion_3_three_degree_separation(football_conferences):
 # -- 4 ----------------------------------------------------------------------
 
 
-def _coverage(g: Graph, subset, community: Community, mode: str) -> int:
-    if mode == "internal":
-        covered = set(subset)
-        for u in subset:
-            covered.update(v for v in g.adjacency[u] if v in community.members)
-        return len(covered)
-    reached: set[int] = set()
-    for u in subset:
-        reached.update(v for v in g.adjacency[u] if v not in community.members)
-    return len(reached)
-
-
-def _check_greedy_bound(g: Graph, community: Community) -> int:
+def _check_greedy_bound(community: Community, coverage: Coverage) -> int:
     bound = 1.0 - 1.0 / math.e
     violations = 0
     for mode, run in (("internal", greedy_ids), ("external", greedy_eds)):
@@ -135,9 +121,9 @@ def _check_greedy_bound(g: Graph, community: Community) -> int:
             result = run(community, k=k)
             if result.closed:
                 continue
-            greedy = _coverage(g, result.members, community, mode)
+            greedy = coverage.covered(result.members, mode)
             best = max(
-                _coverage(g, subset, community, mode)
+                coverage.covered(subset, mode)
                 for subset in itertools.combinations(
                     sorted(community.members), min(k, community.size)
                 )
@@ -161,8 +147,8 @@ def _atlas_fixtures():
             for member in rng.sample(labels, rng.randint(1, len(labels))):
                 edges.append((ext, member))
         g = Graph(edges, extra_nodes=labels)
-        members = frozenset(g.index(label) for label in labels)
-        yield g, Community(f"atlas{index}", members, g)
+        community = Community(f"atlas{index}", frozenset(g.index(label) for label in labels), g)
+        yield community, Coverage(edges, community)
 
 
 def _random_fixtures():
@@ -173,15 +159,15 @@ def _random_fixtures():
         edges = [(f"v{u}", f"v{v}") for u, v in nx_graph.edges]
         g = Graph(edges, extra_nodes=[f"v{i}" for i in range(n)])
         size = rng.randint(3, 10)
-        members = frozenset(g.index(f"v{i}") for i in rng.sample(range(n), size))
-        yield g, Community(f"rand{t}", members, g)
+        community = Community(f"rand{t}", frozenset(g.index(f"v{i}") for i in rng.sample(range(n), size)), g)
+        yield community, Coverage(edges, community)
 
 
 def test_criterion_4_greedy_vs_exhaustive():
     violations = 0
     cases = 0
-    for g, community in itertools.chain(_atlas_fixtures(), _random_fixtures()):
-        violations += _check_greedy_bound(g, community)
+    for community, coverage in itertools.chain(_atlas_fixtures(), _random_fixtures()):
+        violations += _check_greedy_bound(community, coverage)
         cases += 1
     ok = violations == 0 and cases > 1000
     _report(
@@ -226,12 +212,12 @@ def test_criterion_5_analytic_slopes():
 def test_criterion_6_estimator_consistency():
     worst = 0.0
     checks = 0
-    for g, community in itertools.chain(_atlas_fixtures(), _random_fixtures()):
+    for community, coverage in itertools.chain(_atlas_fixtures(), _random_fixtures()):
         members = sorted(community.members)
-        for kind, ratio in (("internal", idr), ("external", edr)):
+        for kind in ("internal", "external"):
             for K in range(1, community.size + 1):
                 closed_form = random_subset_ratio(community, K, kind)
-                brute = fmean(ratio(g, s, community) for s in itertools.combinations(members, K))
+                brute = fmean(coverage.ratio(s, kind) for s in itertools.combinations(members, K))
                 worst = max(worst, abs(closed_form - brute))
                 checks += 1
     ok = checks > 10_000 and worst <= 1e-12

@@ -320,6 +320,17 @@ def test_manifest_records_what_the_loader_dropped(workdir):
     assert load == {"lines_read": 23, "self_loops_dropped": 1, "duplicate_edges_collapsed": 1}
 
 
+def test_manifest_counts_metadata_records_that_name_no_node(tmp_path):
+    # "n01 x" is one label with an inner space, so its row names no node and predicts nothing
+    (tmp_path / "graph.edges").write_text("n01 n02\nn02 n03\n")
+    (tmp_path / "communities.txt").write_text("c: n01 n02 n03\n")
+    (tmp_path / "meta.tsv").write_text("n01 x\tT\tA\tspin glass\nn02\tT\tA\tspin glass\n")
+    assert main(_args(tmp_path, "keywords", "--metadata", str(tmp_path / "meta.tsv"))) == EXIT_OK
+    assert (tmp_path / "out" / "keyword_predictions.jsonl").read_text() == ""
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["metadata"] == {"records": 2, "labels_not_in_graph": 1}
+
+
 def test_summary_and_distribution_means_agree(tmp_path):
     # summary.csv and distributions_summary.csv average the same per-community values
     graph = str(DATA_DIR / "football" / "football.edges")
@@ -480,6 +491,7 @@ _MALFORMED = {
     "community cut inside a label": ("communities.txt", lambda d: d[: d.index(b"b4") + 1]),
     "label repeated in one community": ("communities.txt", lambda d: d.replace(b"a4", b"a4 a0")),
     "repeated community id": ("communities.txt", lambda d: d.replace(b"right", b"left")),
+    "empty community id": ("communities.txt", lambda d: d.replace(b"right:", b":")),
     "metadata cut inside a character": ("meta.tsv", lambda d: d[: d.index("\u00e0".encode()) + 1]),
 }
 

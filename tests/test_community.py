@@ -8,7 +8,6 @@ from commkit import (
     load_communities,
     write_communities,
 )
-from commkit.community import check_subset
 from commkit.errors import CommunityFileError, UnknownLabelError
 from graphs import write_input
 
@@ -25,11 +24,6 @@ def test_neighbors_out_empty_for_closed_community():
     g = Graph([("a", "b"), ("c", "d")])
     c = Community("pair", frozenset({g.index("a"), g.index("b")}), g)
     assert boundary(c) == frozenset()
-
-
-def test_check_subset_rejects_outside_nodes(core_graph, core_community):
-    with pytest.raises(ValueError):
-        check_subset({core_graph.index("v7")}, core_community)
 
 
 def test_community_rejects_empty_members(core_graph):
@@ -94,6 +88,13 @@ def test_load_communities_empty_line_after_id(tmp_path):
     g = Graph([("a", "b")])
     with pytest.raises(CommunityFileError, match="line 1: community 'lonely' is empty"):
         load_communities(write_input(tmp_path, "lonely:\n"), g)
+
+
+def test_load_communities_rejects_an_empty_id(tmp_path):
+    # an empty id would be written as an empty cell, which reads as a missing value
+    g = Graph([("a", "b"), ("b", "c")])
+    with pytest.raises(CommunityFileError, match="line 2: empty community id"):
+        load_communities(write_input(tmp_path, "x: a b\n: a b c\n"), g)
 
 
 @pytest.mark.parametrize(

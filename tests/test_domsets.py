@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from commkit import Community, Graph, edr, greedy_eds, greedy_ids, idr
+from commkit import Community, Graph, greedy_eds, greedy_ids, idr
 from commkit.errors import ConfigError
-from graphs import clique_graph, path_graph, star_graph, whole_community
+from graphs import CORE_FIXTURE_EDGES, Coverage, clique_graph, path_edges, path_graph, star_graph, whole_community
 
 
 def _indices(graph, *labels):
@@ -27,19 +27,9 @@ def test_idr_star_hub():
     assert idr(g, {g.index("hub")}, c) == 1.0
 
 
-def test_edr_core_fixture(core_graph, core_community):
-    s = _indices(core_graph, "v3", "v4")
-    assert edr(core_graph, s, core_community) == pytest.approx(2 / 3)
-
-
-def test_edr_whole_community_is_one(core_graph, core_community):
-    assert edr(core_graph, core_community.members, core_community) == 1.0
-
-
-def test_edr_closed_community_sentinel():
-    g = Graph([("a", "b"), ("c", "d")])
-    c = Community("pair", _indices(g, "a", "b"), g)
-    assert edr(g, c.members, c) is None
+def test_idr_rejects_outside_nodes(core_graph, core_community):
+    with pytest.raises(ValueError, match="outside community 'core'"):
+        idr(core_graph, {core_graph.index("v7")}, core_community)
 
 
 def test_greedy_ids_path_k1_breaks_tie_low():
@@ -52,9 +42,9 @@ def test_greedy_ids_path_k1_breaks_tie_low():
 
 
 def test_greedy_ids_path_exhaustive_singletons():
-    g = path_graph(5)
-    c = whole_community(g)
-    best = max(idr(g, {v}, c) for v in c.members)
+    c = whole_community(path_graph(5))
+    coverage = Coverage(path_edges(5), c)
+    best = max(coverage.ratio({v}, "internal") for v in c.members)
     assert greedy_ids(c, k=1).achieved_ratio == pytest.approx(best)
 
 
@@ -95,8 +85,9 @@ def test_greedy_requires_exactly_one_criterion():
 
 def test_greedy_eds_core_fixture_k1(core_graph, core_community):
     # each of v0, v3, v4 reaches exactly one outside node; tie goes low
+    coverage = Coverage(CORE_FIXTURE_EDGES, core_community)
     best = max(
-        (edr(core_graph, {v}, core_community), -v) for v in core_community.members
+        (coverage.ratio({v}, "external"), -v) for v in core_community.members
     )
     result = greedy_eds(core_community, k=1)
     assert result.members == _indices(core_graph, "v0")
@@ -113,15 +104,12 @@ def test_greedy_eds_closed_community_sentinel():
         assert result.achieved_ratio is None
 
 
-def test_achieved_ratio_matches_recomputation(core_graph, core_community):
+def test_achieved_ratio_matches_recomputation(core_community):
+    coverage = Coverage(CORE_FIXTURE_EDGES, core_community)
     internal = greedy_ids(core_community, k=2)
-    assert internal.achieved_ratio == pytest.approx(
-        idr(core_graph, internal.members, core_community)
-    )
+    assert internal.achieved_ratio == pytest.approx(coverage.ratio(internal.members, "internal"))
     external = greedy_eds(core_community, k=2)
-    assert external.achieved_ratio == pytest.approx(
-        edr(core_graph, external.members, core_community)
-    )
+    assert external.achieved_ratio == pytest.approx(coverage.ratio(external.members, "external"))
 
 
 def _random_community(rng: random.Random):
@@ -136,8 +124,8 @@ def _random_community(rng: random.Random):
         return None
     g = Graph(edges)
     size = rng.randint(3, min(8, g.node_count))
-    members = frozenset(rng.sample(range(g.node_count), size))
-    return g, Community("r", members, g)
+    c = Community("r", frozenset(rng.sample(range(g.node_count), size)), g)
+    return c, Coverage(edges, c)
 
 
 def test_greedy_steps_monotone_and_gains_nonincreasing():
@@ -148,8 +136,8 @@ def test_greedy_steps_monotone_and_gains_nonincreasing():
         built = _random_community(rng)
         if built is None:
             continue
-        g, c = built
-        for greedy, ratio_fn, inside in ((greedy_ids, idr, True), (greedy_eds, edr, False)):
+        c, coverage = built
+        for greedy, mode in ((greedy_ids, "internal"), (greedy_eds, "external")):
             if greedy(c, k=1).closed:
                 continue
             previous: frozenset[int] = frozenset()
@@ -160,11 +148,9 @@ def test_greedy_steps_monotone_and_gains_nonincreasing():
                 result = greedy(c, k=k)
                 assert previous <= result.members and len(result.members) == k
                 previous = result.members
-                reached = {v for u in previous for v in g.adjacency[u] if (v in c.members) == inside}
-                coverage = len(reached | previous) if inside else len(reached)
-                gains.append(coverage - covered)
-                covered = coverage
-                ratio = ratio_fn(g, previous, c)
+                gains.append(coverage.covered(previous, mode) - covered)
+                covered = coverage.covered(previous, mode)
+                ratio = coverage.ratio(previous, mode)
                 assert ratio == result.achieved_ratio
                 assert ratio >= last_ratio
                 last_ratio = ratio
@@ -179,7 +165,7 @@ def test_p_size_at_most_k_size_when_k_suffices():
         built = _random_community(rng)
         if built is None:
             continue
-        g, c = built
+        c, _ = built
         k_result = greedy_ids(c, k=3)
         if k_result.achieved_ratio >= 0.8:
             assert greedy_ids(c, p=0.8).size <= k_result.size
@@ -199,23 +185,9 @@ def test_ratios_invariant_under_relabeling():
     members2 = frozenset(g2.index(mapping[g.label(m)]) for m in members)
     c2 = Community("square", members2, g2)
 
-    subset = _indices(g, "a", "c")
-    subset2 = frozenset(g2.index(mapping[g.label(m)]) for m in subset)
-    assert idr(g, subset, c) == idr(g2, subset2, c2)
-    assert edr(g, subset, c) == edr(g2, subset2, c2)
-    assert greedy_ids(c, p=0.8).achieved_ratio == greedy_ids(c2, p=0.8).achieved_ratio
-
-
-def _coverage(g: Graph, subset, c: Community, mode: str) -> int:
-    if mode == "internal":
-        covered = set(subset)
-        for u in subset:
-            covered.update(v for v in g.adjacency[u] if v in c.members)
-        return len(covered)
-    reached: set[int] = set()
-    for u in subset:
-        reached.update(v for v in g.adjacency[u] if v not in c.members)
-    return len(reached)
+    for greedy in (greedy_ids, greedy_eds):
+        for criterion in ({"k": 1}, {"p": 0.8}):
+            assert greedy(c, **criterion).achieved_ratio == greedy(c2, **criterion).achieved_ratio
 
 
 def test_greedy_beats_two_thirds_of_optimum_small_sample():
@@ -227,15 +199,15 @@ def test_greedy_beats_two_thirds_of_optimum_small_sample():
         built = _random_community(rng)
         if built is None:
             continue
-        g, c = built
+        c, coverage = built
         for mode, run in (("internal", greedy_ids), ("external", greedy_eds)):
             for k in (1, 2):
                 result = run(c, k=k)
                 if result.closed:
                     continue
-                greedy_cover = _coverage(g, result.members, c, mode)
+                greedy_cover = coverage.covered(result.members, mode)
                 optimal = max(
-                    _coverage(g, subset, c, mode)
+                    coverage.covered(subset, mode)
                     for subset in itertools.combinations(sorted(c.members), min(k, c.size))
                 )
                 assert greedy_cover >= bound * optimal - 1e-9

@@ -1,7 +1,6 @@
 import gc
 import itertools
 import random
-import time
 import tracemalloc
 from collections import Counter
 
@@ -14,7 +13,7 @@ from commkit import Graph, count_triangles, load_graph
 from commkit import graph as graph_module
 from commkit.errors import EmptyGraphError, GraphParseError, UnknownLabelError
 from commkit.graph import LoadReport
-from graphs import clique_graph, networkx_graph, star_graph, write_input
+from graphs import clique_graph, fastest, networkx_graph, star_graph, write_input
 
 
 def test_load_drops_self_loops_and_duplicates(tmp_path):
@@ -296,15 +295,6 @@ def test_count_triangles_matches_networkx(edges, extra_nodes):
     assert triples == sum(d * (d - 1) // 2 for _, d in oracle.degree())
 
 
-def _fastest(call) -> float:
-    runs = []
-    for _ in range(3):
-        start = time.perf_counter()
-        call()
-        runs.append(time.perf_counter() - start)
-    return min(runs)
-
-
 def test_count_triangles_is_linear_around_a_hub_anywhere_in_label_order():
     # every edge costs at most min(deg u, deg v) lookups, so a star costs the same wherever
     # its hub sorts; walking all of v's higher neighbors per edge made the middle hub
@@ -315,7 +305,7 @@ def test_count_triangles_is_linear_around_a_hub_anywhere_in_label_order():
     low = Graph([("0", f"{side}{i}") for side in "az" for i in range(leaves)])
     assert count_triangles(middle) == (1, 2 * leaves * (2 * leaves - 1) // 2 + 2)
     assert count_triangles(middle)[0] == sum(nx.triangles(networkx_graph(middle, middle_edges)).values()) // 3
-    assert _fastest(lambda: count_triangles(middle)) < 5 * _fastest(lambda: count_triangles(low))
+    assert fastest(lambda: count_triangles(middle)) < 5 * fastest(lambda: count_triangles(low))
 
 
 def test_load_reads_a_long_line_in_linear_time(tmp_path):
@@ -324,7 +314,7 @@ def test_load_reads_a_long_line_in_linear_time(tmp_path):
     size = 4_000_000
     long = write_input(tmp_path, "#" + "x" * size + "\na b\n", "long.edges")
     short = write_input(tmp_path, ("#" + "x" * 999 + "\n") * (size // 1000) + "a b\n", "short.edges")
-    assert _fastest(lambda: load_graph(long)) < 5 * _fastest(lambda: load_graph(short))
+    assert fastest(lambda: load_graph(long)) < 5 * fastest(lambda: load_graph(short))
 
 
 def _random_edge_list(path, lines: int, nodes: int, seed: int) -> None:

@@ -14,7 +14,7 @@ from commkit.errors import ConfigError
 from commkit.metrics import CommunityStats
 from commkit.slopes import SlopeResult
 from commkit.domsets import DomSetResult
-from graphs import clique_graph, path_graph, star_graph, whole_community
+from graphs import clique_graph, fastest, path_graph, star_graph, whole_community
 
 
 def test_apl_path_of_three():
@@ -107,6 +107,14 @@ def test_transitivity_of_induced_whole_graph_matches():
     sparse = Graph([(a, b) for i, a in enumerate(labels) for b in labels[i + 1 :] if rng.random() < 0.3])
     for g in (clique_graph(4), star_graph(5), path_graph(4), sparse):
         assert community_stats(whole_community(g)).ccc == clustering_coefficient(g)
+
+
+def test_community_stats_on_a_long_path_grows_below_the_cubic_rate():
+    # a path's reach sets take |C| - 1 rounds of ORs over |C|-bit ints, about |C|^2.5 work:
+    # doubling the path costs about 5 times, and a cubic cliff would cost 8
+    short, long = (whole_community(path_graph(n)) for n in (500, 1000))
+    assert community_stats(long).diameter == 999
+    assert fastest(lambda: community_stats(long)) < 8 * fastest(lambda: community_stats(short))
 
 
 def _stats(community_id, ccc, triangles, apl=1.0, size=5):

@@ -21,13 +21,11 @@ FOOTBALL = DATA_DIR / "football"
 
 LAYERS = ("graph", "community", "detect", "domsets", "slopes", "metrics", "keywords", "distributions", "pipeline", "cli")
 
-# Reached only by the benchmark's own tests and the acceptance criteria; they
-# leave the library once the benchmark change points it at live bindings (ROADMAP item 4).
+# Reached only by the benchmark's own tests; they leave the library once the
+# benchmark change points those tests at live bindings (ROADMAP item 4).
 UNREACHED = {
-    "community.induced_subgraph",  # ROADMAP item 4: bench/tests checks that the tracer wraps it
-    "community.check_subset",  # ROADMAP item 4: only idr and edr validate their subset with it
-    "domsets.idr",  # ROADMAP item 4: bench/tests and the acceptance criteria read it
-    "domsets.edr",  # ROADMAP item 4: the acceptance criteria read it
+    "community.induced_subgraph",  # bench/tests/test_bench.py checks that the tracer wraps it
+    "domsets.idr",  # bench/tests/test_bench.py checks that the tracer leaves it unwrapped
 }
 
 

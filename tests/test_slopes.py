@@ -29,6 +29,12 @@ def test_expected_ratio_full_size_subset_is_one():
     assert random_subset_ratio(c, K=4, kind="internal") == 1.0
 
 
+def test_expected_ratio_of_the_empty_subset_is_zero(core_community):
+    # every node is missed, as the empty greedy set at p = 0 misses it
+    assert random_subset_ratio(core_community, K=0, kind="internal") == 0.0
+    assert random_subset_ratio(core_community, K=0, kind="external") == 0.0
+
+
 def test_expected_ratio_closed_external_sentinel():
     g = Graph([("a", "b"), ("x", "y")])
     c = Community("pair", frozenset({g.index("a"), g.index("b")}), g)
@@ -39,7 +45,7 @@ def test_expected_ratio_input_validation():
     g = clique_graph(3)
     c = whole_community(g)
     with pytest.raises(ConfigError):
-        random_subset_ratio(c, K=0, kind="internal")
+        random_subset_ratio(c, K=-1, kind="internal")
     with pytest.raises(ConfigError):
         random_subset_ratio(c, K=4, kind="internal")
     with pytest.raises(ConfigError):
