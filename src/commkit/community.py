@@ -9,8 +9,10 @@ Communities may overlap; nothing here assumes disjointness.
 Each community splits its members' neighbors into inside and outside once,
 on first use (``Community.adjacency``); the paper's N(S, C) and N(S, C̄) of
 a member subset S are unions of those parts.  Boundary, greedy sets, slope
-expectations, the per-community statistics and the induced subgraph all
-read that one split.
+expectations and the induced subgraph all read that one split.  The
+per-community statistics do not: they take their own pass over the
+members' rows (``metrics.community_stats``), so the metrics stage caches
+no split.
 """
 
 from __future__ import annotations

@@ -1,13 +1,17 @@
 """Per-community and whole-network structural statistics.
 
-Distances never leave the community: they are computed from each member's
-inside neighbors (``Community.adjacency``) as bitmasks over the members'
-local indices.  Each member's reach set starts as itself plus its inside
-neighbors; every round ORs it with its neighbors' reach sets from the
-round before, so after round d it holds exactly the members within d hops.
-Pairs first reached in round d are at distance d, the last round in which
-any set grew is the diameter, and the distinct final sets are the
-connected components.  Two distance conventions are reported side by side:
+Distances never leave the community.  One pass over the graph's rows at
+the members gives each member's inside neighbors, as local indices and as
+a bitmask over the members, and the community's boundary; it does not
+read the cached split ``Community.adjacency``.  Each member's reach set
+starts as itself plus its inside neighbors; every round ORs it with its
+neighbors' reach sets from the round before, so after round d it holds
+exactly the members within d hops.  Pairs first reached in round d are at
+distance d, the last round in which any set grew is the diameter, and the
+distinct final sets are the connected components.  The rounds stop once
+every set is full (a full set is never ORed again) or once a round grows
+none, so a connected community takes diameter rounds and any other one
+diameter + 1.  Two distance conventions are reported side by side:
 
 * reachable-pairs: mean/max over pairs that are connected inside the
   community (``apl``, ``diameter``), with the component count surfaced;
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .community import Community, boundary
+from .community import Community
 from .community import induced_subgraph  # noqa: F401  (bench/tests checks the tracer patches it here)
 from .distributions import mean
 from .errors import ConfigError
@@ -56,10 +60,22 @@ def clustering_coefficient(graph: Graph) -> float:
 
 
 def community_stats(community: Community) -> CommunityStats:
-    split = community.adjacency
-    local = {v: i for i, v in enumerate(split)}
-    nbrs = [[local[w] for w in inside] for inside, _ in split.values()]
-    masks = [sum(1 << j for j in js) for js in nbrs]
+    # one pass over the members' rows: inside neighbors as local indices and a
+    # bitmask of them, outside neighbors into the boundary
+    local = {v: i for i, v in enumerate(sorted(community.members))}
+    rows = community.graph.adjacency
+    nbrs, masks, outside = [], [], set()
+    for v in local:
+        js, mask = [], 0
+        for w in rows[v]:
+            if w in local:
+                j = local[w]
+                js.append(j)
+                mask |= 1 << j
+            else:
+                outside.add(w)
+        nbrs.append(js)
+        masks.append(mask)
     n = community.size
 
     # reach[i]: the members within `diameter` hops of member i; sums count ordered pairs
@@ -67,11 +83,13 @@ def community_stats(community: Community) -> CommunityStats:
     reached = sum(r.bit_count() for r in reach)
     distance_sum = reached - n
     diameter = 1 if distance_sum else 0
-    while True:
+    full = (1 << n) - 1
+    while reached < n * n:  # a full set grows no more
         grown = []
         for r, js in zip(reach, nbrs):
-            for j in js:
-                r |= reach[j]
+            if r != full:
+                for j in js:
+                    r |= reach[j]
             grown.append(r)
         total = sum(r.bit_count() for r in grown)
         if total == reached:
@@ -100,7 +118,7 @@ def community_stats(community: Community) -> CommunityStats:
         triangles=triangles,
         connected_triples=triples,
         component_count=len(set(reach)),
-        boundary_size=len(boundary(community)),
+        boundary_size=len(outside),
     )
 
 

@@ -4,6 +4,7 @@ Plain helpers live here rather than in ``conftest.py`` so that test modules
 can import them by a name no other test directory uses.
 """
 
+import random
 import time
 from pathlib import Path
 
@@ -74,6 +75,39 @@ def networkx_graph(graph: Graph, edges: list[tuple[str, str]]) -> nx.Graph:
     whole = nx.Graph(edges)
     whole.add_nodes_from(map(graph.label, range(graph.node_count)))
     return whole
+
+
+def planted_partition(seed: int) -> tuple[list[tuple[str, str]], list[Community]]:
+    """Edges and groups of a seeded 2000-node planted partition: 20 groups of 100.
+
+    Nodes are dealt into the groups in a seeded random order.  Each group is
+    a cycle plus uniform internal edges up to 500 in all (internal degree
+    10); then 2000 uniform edges join different groups (external degree 2).
+    """
+    rng = random.Random(seed)
+    n, group_count = 2000, 20
+    order = list(range(n))
+    rng.shuffle(order)
+    groups = [sorted(order[g::group_count]) for g in range(group_count)]
+    group_of = {v: g for g, members in enumerate(groups) for v in members}
+    pairs: set[tuple[int, int]] = set()
+    for members in groups:
+        internal = {tuple(sorted(pair)) for pair in zip(members, members[1:] + members[:1])}
+        while len(internal) < 500:
+            internal.add(tuple(sorted(rng.sample(members, 2))))
+        pairs |= internal
+    external = 0
+    while external < 2000:
+        pair = tuple(sorted(rng.sample(range(n), 2)))
+        if group_of[pair[0]] != group_of[pair[1]] and pair not in pairs:
+            pairs.add(pair)
+            external += 1
+    edges = [(f"n{a:04d}", f"n{b:04d}") for a, b in sorted(pairs)]
+    graph = Graph(edges)
+    return edges, [
+        Community(f"g{g:02d}", frozenset(graph.index(f"n{v:04d}") for v in members), graph)
+        for g, members in enumerate(groups)
+    ]
 
 
 class Coverage:

@@ -1,4 +1,4 @@
-"""Per-community characters on random small graphs against networkx oracles."""
+"""Per-community characters against networkx oracles, on random small graphs, planted groups and edge shapes."""
 
 import itertools
 import math
@@ -17,7 +17,8 @@ from commkit import (
     induced_subgraph,
     random_subset_ratio,
 )
-from graphs import networkx_graph, two_clique_graph
+from commkit.metrics import CommunityStats
+from graphs import networkx_graph, planted_partition, two_clique_graph
 
 
 @st.composite
@@ -32,36 +33,97 @@ def graphs_with_communities(draw):
     return graph, edges, Community("c", frozenset(map(graph.index, members)), graph)
 
 
+def networkx_stats(whole: nx.Graph, community: Community) -> CommunityStats:
+    """The community's statistics, each from networkx on ``whole``, the graph it lives in.
+
+    Distances come from all-pairs BFS lengths, summed as integers and divided
+    once as ``community_stats`` does; an unreachable pair counts ``|C|``.
+    """
+    members = community.member_labels()
+    sub = whole.subgraph(members)
+    n = len(members)
+    lengths = dict(nx.all_pairs_shortest_path_length(sub))
+    reachable = [d for u in members for v, d in lengths[u].items() if u < v]
+    pairs = math.comb(n, 2)
+    unreachable = pairs - len(reachable)
+    diameter = max(nx.diameter(sub.subgraph(nodes)) for nodes in nx.connected_components(sub))
+    return CommunityStats(
+        community_id=community.id,
+        size=n,
+        apl=sum(reachable) / len(reachable) if reachable else 0.0,
+        diameter=diameter,
+        apl_penalized=(sum(reachable) + n * unreachable) / pairs if pairs else 0.0,
+        diameter_penalized=n if unreachable else diameter,
+        ccc=nx.transitivity(sub),
+        triangles=sum(nx.triangles(sub).values()) // 3,
+        connected_triples=sum(d * (d - 1) // 2 for _, d in sub.degree()),
+        component_count=nx.number_connected_components(sub),
+        boundary_size=len(nx.node_boundary(whole, members)),
+    )
+
+
+def assert_stats_match_networkx(whole: nx.Graph, community: Community) -> None:
+    stats, expected = community_stats(community), networkx_stats(whole, community)
+    assert stats._replace(ccc=0.0) == expected._replace(ccc=0.0)
+    assert stats.ccc == pytest.approx(expected.ccc)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(graphs_with_communities())
 def test_community_stats_match_networkx(case):
     graph, edges, community = case
     whole = networkx_graph(graph, edges)
+    assert_stats_match_networkx(whole, community)
+
     member_labels = community.member_labels()
     sub = whole.subgraph(member_labels)
-    stats = community_stats(community)
-
-    assert stats.size == len(member_labels)
-    assert stats.triangles == sum(nx.triangles(sub).values()) // 3
-    assert stats.ccc == pytest.approx(nx.transitivity(sub))
     components = [sub.subgraph(nodes) for nodes in nx.connected_components(sub)]
-    assert stats.component_count == len(components)
     pairs = sum(math.comb(len(c), 2) for c in components)
     total = sum(nx.average_shortest_path_length(c) * math.comb(len(c), 2) for c in components)
-    assert stats.apl == pytest.approx(total / pairs if pairs else 0.0)
-    assert stats.diameter == max(nx.diameter(c) for c in components)
-    assert stats.boundary_size == len(nx.node_boundary(whole, member_labels))
+    assert community_stats(community).apl == pytest.approx(total / pairs if pairs else 0.0)
     assert induced_subgraph(community) == Graph(sub.edges(), extra_nodes=member_labels)
 
-    n = len(member_labels)
-    lengths = dict(nx.all_pairs_shortest_path_length(sub))
-    reachable = [d for u in member_labels for v, d in lengths[u].items() if u < v]
-    unreachable = math.comb(n, 2) - len(reachable)
-    assert stats.apl == (sum(reachable) / len(reachable) if reachable else 0.0)
-    penalized_sum = sum(reachable) + n * unreachable
-    assert stats.apl_penalized == (penalized_sum / math.comb(n, 2) if n > 1 else 0.0)
-    assert stats.diameter_penalized == (n if unreachable else max(reachable, default=0))
-    assert stats.connected_triples == sum(d * (d - 1) // 2 for _, d in sub.degree())
+
+def test_community_stats_match_networkx_on_the_planted_groups():
+    # 100-member masks span four 30-bit int digits, which the small graphs above never reach
+    edges, groups = planted_partition(seed=1)
+    whole = networkx_graph(groups[0].graph, edges)
+    assert [c.size for c in groups] == [100] * 20
+    for community in groups:
+        assert_stats_match_networkx(whole, community)
+
+
+def shape_edges(shape: str, labels: list[str]) -> list[tuple[str, str]]:
+    n, half = len(labels), len(labels) // 2
+    pairs = {
+        "clique": itertools.combinations(range(n), 2),
+        "path": ((i, i + 1) for i in range(n - 1)),
+        "cycle": ((i, (i + 1) % n) for i in range(n)),
+        "two cliques": (p for p in itertools.combinations(range(n), 2) if (p[0] < half) == (p[1] < half)),
+        "isolated": (),
+    }[shape]
+    return [(labels[i], labels[j]) for i, j in pairs]
+
+
+@pytest.mark.parametrize("size", [31, 64, 100])
+@pytest.mark.parametrize("shape", ["clique", "path", "cycle", "two cliques", "isolated"])
+def test_community_stats_match_networkx_on_edge_shapes(shape, size):
+    # a clique is full before any round, a path or cycle fills late, two cliques
+    # never fill and stop on the round that grows nothing; masks cross 30-bit digits
+    members = [f"m{i:03d}" for i in range(size)]
+    outside = [f"o{i}" for i in range(5)]
+    edges = shape_edges(shape, members) + [(m, outside[i % 5]) for i, m in enumerate(members) if i % 4 == 0]
+    edges.append(("o0", "o1"))
+    graph = Graph(edges, extra_nodes=members)
+    community = Community(shape, frozenset(map(graph.index, members)), graph)
+    assert_stats_match_networkx(networkx_graph(graph, edges), community)
+
+
+def test_community_stats_match_networkx_on_a_single_member():
+    edges = [("m", "o0"), ("m", "o1"), ("o0", "o1")]
+    graph = Graph(edges)
+    community = Community("one", frozenset({graph.index("m")}), graph)
+    assert_stats_match_networkx(networkx_graph(graph, edges), community)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -79,6 +79,11 @@ def test_community_stats_boundary_size(core_community):
     assert community_stats(core_community).boundary_size == 3
 
 
+def test_community_stats_caches_no_split(core_community):
+    community_stats(core_community)
+    assert "adjacency" not in vars(core_community)
+
+
 def test_stats_invariants_on_random_communities():
     rng = random.Random(19)
     for _ in range(25):
