@@ -6,26 +6,36 @@ The id ends at the first colon followed by whitespace or the end of the
 line, so a label may hold a colon (``a:b``).
 Ids are unique within a file, and a given id is never empty (``: a b``).
 Communities may overlap; nothing here assumes disjointness.
-Each community splits its members' neighbors into inside and outside once,
-on first use (``Community.adjacency``); the paper's N(S, C) and N(S, C̄) of
-a member subset S are unions of those parts.  Boundary, greedy sets, slope
-expectations and the induced subgraph all read that one split.  The
-per-community statistics do not: they take their own pass over the
-members' rows (``metrics.community_stats``), so the metrics stage caches
-no split.
+``Community.split()`` is the one place that splits the members' neighbors
+into inside and outside, in one pass over their rows; the paper's N(S, C)
+and N(S, C̄) of a member subset S are unions of those parts.  Greedy sets,
+slope expectations, structural statistics and the induced subgraph all
+read a split.  None is cached: a community holds only its id, members and
+graph, so a run's memory does not grow with the volume of its communities.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .errors import CommunityFileError
 from .graph import Graph, _read_lines
 
 _ID_END = re.compile(r":(?:\s|$)")
+
+
+class Split(NamedTuple):
+    """A community's members' neighbors, split into inside and outside.
+
+    Member ``i`` is ``nodes[i]``; the members are in index order.
+    """
+
+    nodes: list[int]
+    inside: list[list[int]]  # member i's inside neighbors, as local indices
+    masks: list[int]  # the same neighbors as a bitmask: bit j is member j
+    outside: list[list[int]]  # member i's outside neighbors, as graph indices
 
 
 class Community:
@@ -65,24 +75,28 @@ class Community:
     def size(self) -> int:
         return len(self.members)
 
-    @cached_property
-    def adjacency(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Member -> (inside neighbors, outside neighbors); all in index order."""
-        members, split = self.members, {}
-        for v in sorted(members):
-            inside, outside = [], []
-            for w in self.graph.adjacency[v]:
-                (inside if w in members else outside).append(w)
-            split[v] = (tuple(inside), tuple(outside))
+    def split(self) -> Split:
+        """One pass over the members' rows; every list is in index order."""
+        nodes = sorted(self.members)
+        local = {v: i for i, v in enumerate(nodes)}
+        rows = self.graph.adjacency
+        split = Split(nodes, [], [], [])
+        for v in nodes:
+            inside, mask, outside = [], 0, []
+            for w in rows[v]:
+                j = local.get(w)
+                if j is None:
+                    outside.append(w)
+                else:
+                    inside.append(j)
+                    mask |= 1 << j
+            split.inside.append(inside)
+            split.masks.append(mask)
+            split.outside.append(outside)
         return split
 
     def member_labels(self) -> list[str]:
         return sorted(self.graph.label(m) for m in self.members)
-
-
-def boundary(community: Community) -> frozenset[int]:
-    """External neighborhood of the whole community."""
-    return frozenset(w for _, outside in community.adjacency.values() for w in outside)
 
 
 def induced_subgraph(community: Community) -> Graph:
@@ -92,9 +106,10 @@ def induced_subgraph(community: Community) -> Graph:
     isolated nodes.  The cost is O(vol(C)).
     """
     label = community.graph.label
+    nodes, inside, _, _ = community.split()
     return Graph(
-        ((label(v), label(w)) for v, (inside, _) in community.adjacency.items() for w in inside if v < w),
-        extra_nodes=map(label, community.adjacency),
+        ((label(nodes[i]), label(nodes[j])) for i, js in enumerate(inside) for j in js if i < j),
+        extra_nodes=map(label, nodes),
     )
 
 

@@ -2,7 +2,9 @@
 
 The internal ratio of a subset S in community C is |S ∪ N(S,C)| / |C|;
 the external ratio is |N(S,C̄)| / |N(C,C̄)|.  Greedy maximum coverage
-builds k- and p- dominating sets for both directions.  A community with
+gives one pick order per direction, built from ``Community.split()``; the
+k-set is its first k picks and the p-set its shortest prefix whose ratio
+reaches p, so one call returns both.  A community with
 no outgoing edges has no external ratio; those cases carry ``closed=True``
 and a ``None`` ratio rather than raising.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .community import Community, boundary
+from .community import Community
 from .errors import ConfigError
 from .graph import Graph
 
@@ -42,76 +44,74 @@ class DomSetResult(NamedTuple):
 
 # kept only for bench/tests/test_bench.py, which checks that the tracer leaves it unwrapped
 def idr(graph: Graph, subset: Iterable[int], community: Community) -> float:
-    """Fraction of the community covered by the subset and its internal neighbors."""
+    """Fraction of the community covered by the subset and its internal
+    neighbors; ``graph`` is the community's graph."""
     s = frozenset(subset)
     if not s <= community.members:
         raise ValueError(f"subset contains nodes outside community {community.id!r}: {sorted(s - community.members)}")
-    covered = set(s)
-    for u in s:
-        covered.update(v for v in graph.adjacency[u] if v in community.members)
-    return len(covered) / community.size
-
-
-def _check_criterion(k: int | None, p: float | None) -> None:
-    if (k is None) == (p is None):
-        raise ConfigError("exactly one of k and p must be given")
-    if k is not None and k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    if p is not None and not 0.0 <= p <= 1.0:
-        raise ConfigError(f"p must be in [0, 1], got {p}")
+    nodes, _, masks, _ = community.split()
+    covered = 0
+    for i, v in enumerate(nodes):
+        if v in s:
+            covered |= masks[i] | 1 << i
+    return covered.bit_count() / community.size
 
 
 def _greedy(
-    community: Community,
-    mode: str,
-    universe: frozenset[int],
-    cover_of: dict[int, frozenset[int]],
-    k: int | None,
-    p: float | None,
-) -> DomSetResult:
-    """Greedy maximum coverage over ``universe``; ties go to the lowest index.
+    community: Community, mode: str, nodes: list[int], covers: list[int], universe: int, k: int, p: float
+) -> tuple[DomSetResult, DomSetResult]:
+    """Greedy maximum coverage of ``universe`` items: the k- and p- sets.
 
-    In k-mode exactly ``min(k, |C|)`` picks are made; in p-mode picking stops
-    as soon as coverage/|universe| reaches p.  Zero-gain picks are allowed so
-    k-mode always reaches its size.  An empty universe (a closed community in
-    external mode) gives the sentinel result: empty set, ``closed=True``,
-    ratio ``None``.
+    ``covers[i]`` is the bitmask of the items that member ``nodes[i]``
+    covers.  Each pick takes the largest gain, ties going to the lowest
+    index, and zero gains are allowed.  The k-set is the first ``min(k, |C|)`` picks; the p-set is the
+    shortest prefix whose coverage/universe reaches p.  An empty universe (a
+    closed community in external mode) gives two sentinels: empty set,
+    ``closed=True``, ratio ``None``.
     """
-    _check_criterion(k, p)
-    candidates = sorted(community.members)
-    chosen: list[int] = []
-    covered: set[int] = set()
-    target = min(k, community.size) if k is not None else community.size
-    for _ in range(target if universe else 0):
-        if p is not None and len(covered) / len(universe) >= p:
-            break
-        best, best_gain = None, -1
-        for v in candidates:
-            if v in chosen:
-                continue
-            gain = len(cover_of[v] - covered)
-            if gain > best_gain:
-                best, best_gain = v, gain
-        chosen.append(best)
-        covered |= cover_of[best]
-    return DomSetResult(
-        community_id=community.id,
-        mode=mode,
-        criterion="k" if k is not None else "p",
-        criterion_value=k if k is not None else p,
-        members=frozenset(chosen),
-        achieved_ratio=len(covered) / len(universe) if universe else None,
-        closed=not universe,
-    )
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    if not 0.0 <= p <= 1.0:
+        raise ConfigError(f"p must be in [0, 1], got {p}")
+    k_picks = min(k, len(nodes)) if universe else 0
+
+    def reached(covered: int) -> bool:
+        return not universe or covered / universe >= p
+
+    left, order = list(range(len(nodes))), []  # left stays ascending, so max breaks ties low
+    counts, covered = [0], 0  # counts[i]: items covered by the first i picks
+    while len(order) < k_picks or not reached(counts[-1]):
+        best = max(left, key=lambda i: (covers[i] & ~covered).bit_count())
+        left.remove(best)
+        order.append(best)
+        covered |= covers[best]
+        counts.append(covered.bit_count())
+    p_picks = next(i for i, count in enumerate(counts) if reached(count))
+
+    def prefix(criterion: str, value: int | float, picks: int) -> DomSetResult:
+        return DomSetResult(
+            community_id=community.id,
+            mode=mode,
+            criterion=criterion,
+            criterion_value=value,
+            members=frozenset(nodes[i] for i in order[:picks]),
+            achieved_ratio=counts[picks] / universe if universe else None,
+            closed=not universe,
+        )
+
+    return prefix("k", k, k_picks), prefix("p", p, p_picks)
 
 
-def greedy_ids(community: Community, k: int | None = None, p: float | None = None) -> DomSetResult:
-    """Greedy k- or p- internal dominating set of a community."""
-    cover_of = {v: frozenset((v, *inside)) for v, (inside, _) in community.adjacency.items()}
-    return _greedy(community, "internal", community.members, cover_of, k, p)
+def greedy_ids(community: Community, k: int, p: float) -> tuple[DomSetResult, DomSetResult]:
+    """Greedy k- and p- internal dominating sets of a community."""
+    nodes, _, masks, _ = community.split()
+    covers = [mask | 1 << i for i, mask in enumerate(masks)]
+    return _greedy(community, "internal", nodes, covers, len(nodes), k, p)
 
 
-def greedy_eds(community: Community, k: int | None = None, p: float | None = None) -> DomSetResult:
-    """Greedy k- or p- external dominating set; a closed community gives the sentinel."""
-    cover_of = {v: frozenset(outside) for v, (_, outside) in community.adjacency.items()}
-    return _greedy(community, "external", boundary(community), cover_of, k, p)
+def greedy_eds(community: Community, k: int, p: float) -> tuple[DomSetResult, DomSetResult]:
+    """Greedy k- and p- external dominating sets; a closed community gives sentinels."""
+    nodes, _, _, outside = community.split()
+    bit = {w: 1 << j for j, w in enumerate(set().union(*outside))}  # the boundary, one bit per node
+    covers = [sum(map(bit.get, ws)) for ws in outside]
+    return _greedy(community, "external", nodes, covers, len(bit), k, p)

@@ -1,14 +1,14 @@
 """Per-community and whole-network structural statistics.
 
-Distances never leave the community.  One pass over the graph's rows at
-the members gives each member's inside neighbors, as local indices and as
-a bitmask over the members, and the community's boundary; it does not
-read the cached split ``Community.adjacency``.  Each member's reach set
-starts as itself plus its inside neighbors; every round ORs it with its
-neighbors' reach sets from the round before, so after round d it holds
-exactly the members within d hops.  Pairs first reached in round d are at
-distance d, the last round in which any set grew is the diameter, and the
-distinct final sets are the connected components.  The rounds stop once
+Distances never leave the community.  ``Community.split()`` gives each
+member's inside neighbors, as local indices and as a bitmask over the
+members, and its outside neighbors, whose union is the community's
+boundary.  Each member's reach set starts as itself plus its inside
+neighbors; every round ORs it with its neighbors' reach sets from the
+round before, so after round d it holds exactly the members within d
+hops.  Pairs first reached in round d are at distance d, the last round
+in which any set grew is the diameter, and the distinct final sets are
+the connected components.  The rounds stop once
 every set is full (a full set is never ORed again) or once a round grows
 none, so a connected community takes diameter rounds and any other one
 diameter + 1.  Two distance conventions are reported side by side:
@@ -60,22 +60,7 @@ def clustering_coefficient(graph: Graph) -> float:
 
 
 def community_stats(community: Community) -> CommunityStats:
-    # one pass over the members' rows: inside neighbors as local indices and a
-    # bitmask of them, outside neighbors into the boundary
-    local = {v: i for i, v in enumerate(sorted(community.members))}
-    rows = community.graph.adjacency
-    nbrs, masks, outside = [], [], set()
-    for v in local:
-        js, mask = [], 0
-        for w in rows[v]:
-            if w in local:
-                j = local[w]
-                js.append(j)
-                mask |= 1 << j
-            else:
-                outside.add(w)
-        nbrs.append(js)
-        masks.append(mask)
+    _, nbrs, masks, outside = community.split()
     n = community.size
 
     # reach[i]: the members within `diameter` hops of member i; sums count ordered pairs
@@ -118,7 +103,7 @@ def community_stats(community: Community) -> CommunityStats:
         triangles=triangles,
         connected_triples=triples,
         component_count=len(set(reach)),
-        boundary_size=len(outside),
+        boundary_size=len(set().union(*outside)),
     )
 
 
@@ -153,8 +138,8 @@ def triangle_split_analysis(
 class NetworkSummary(NamedTuple):
     """Unweighted means across communities, plus whole-network transitivity.
 
-    Column layout mirrors the per-community reports: dominating ratios for
-    the k-mode sets, sizes of the p-mode sets, slopes, then distances and
+    Column layout mirrors the per-community reports: dominating ratios of
+    the k-sets, sizes of the p-sets, slopes, then distances and
     clustering.  External columns are averaged over non-closed communities
     and are ``None`` if every community is closed.
     """
@@ -177,27 +162,25 @@ class NetworkSummary(NamedTuple):
 def aggregate_stats(
     graph: Graph,
     stats: list[CommunityStats],
-    k_internal: list[DomSetResult],
-    k_external: list[DomSetResult],
-    p_internal: list[DomSetResult],
-    p_external: list[DomSetResult],
-    internal_slopes: list[SlopeResult],
-    external_slopes: list[SlopeResult],
+    internal: list[tuple[DomSetResult, DomSetResult]],
+    external: list[tuple[DomSetResult, DomSetResult]],
+    slope_pairs: list[tuple[SlopeResult, SlopeResult]],
 ) -> NetworkSummary:
-    """Network summary row; order of the input lists is immaterial."""
+    """Network summary row from each community's (k-set, p-set) pairs and
+    (ISlope, ESlope) pair; order of the input lists is immaterial."""
     if not stats:
         raise ConfigError("no communities to aggregate")
 
-    open_edr = [r.achieved_ratio for r in k_external if not r.closed]
-    open_eds = [r.size for r in p_external if not r.closed]
-    open_esl = [s.slope for s in external_slopes if not s.closed]
+    open_edr = [k_set.achieved_ratio for k_set, _ in external if not k_set.closed]
+    open_eds = [p_set.size for _, p_set in external if not p_set.closed]
+    open_esl = [e.slope for _, e in slope_pairs if not e.closed]
     return NetworkSummary(
         community_count=len(stats),
-        mean_idr=mean([r.achieved_ratio for r in k_internal]),
+        mean_idr=mean([k_set.achieved_ratio for k_set, _ in internal]),
         mean_edr=mean(open_edr) if open_edr else None,
-        mean_ids_size=mean([r.size for r in p_internal]),
+        mean_ids_size=mean([p_set.size for _, p_set in internal]),
         mean_eds_size=mean(open_eds) if open_eds else None,
-        mean_islope=mean([s.slope for s in internal_slopes]),
+        mean_islope=mean([i.slope for i, _ in slope_pairs]),
         mean_eslope=mean(open_esl) if open_esl else None,
         mean_apl=mean([s.apl for s in stats]),
         mean_diameter=mean([s.diameter for s in stats]),

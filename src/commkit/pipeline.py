@@ -4,8 +4,11 @@ Every stage is a function of one :class:`Run`: the loaded inputs and the
 record lists computed from them.  A list is computed on first use, inside
 the stage that first needs it, and kept for the later stages of the same
 process, so ``all`` computes each list once and a staged subcommand only
-what its stage writes.  No stage reads a table: each subcommand computes
-its records from its own ``--graph``, ``--communities`` and ``--metadata``.
+what its stage writes.  The greedy sets come as two lists of (k-set,
+p-set) pairs, ``Run.internal`` and ``Run.external``: one pick order per
+community and direction gives both sets.  No stage reads a table: each
+subcommand computes its records from its own ``--graph``,
+``--communities`` and ``--metadata``.
 :func:`run_pipeline` is the one loop behind ``all`` and every staged
 subcommand.  A NamedTuple record is already a row: its table's columns are
 its ``_fields``, and only tables whose columns are not a record's fields
@@ -30,7 +33,7 @@ import json
 import sys
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 from .community import Community, load_communities, write_communities
@@ -92,19 +95,11 @@ def load_inputs(config: RunConfig) -> tuple[Graph, list[Community], dict[str, No
     return graph, communities, metadata
 
 
-class DomsetBundle(NamedTuple):
-    k_internal: DomSetResult
-    k_external: DomSetResult
-    p_internal: DomSetResult
-    p_external: DomSetResult
-
-
 class Run:
     """One run's loaded inputs and the per-community records computed from them.
 
-    Each record list is a ``cached_property``, like ``Community.adjacency``:
-    it is computed when a stage first reads it and shared by every later
-    stage of the process.
+    Each record list is a ``cached_property``: it is computed when a stage
+    first reads it and shared by every later stage of the process.
     """
 
     def __init__(self, config: RunConfig):
@@ -114,40 +109,29 @@ class Run:
         self.graph, self.communities, self.metadata = load_inputs(config)
 
     @cached_property
-    def p_internal(self) -> list[DomSetResult]:
-        """The p-mode internal greedy set of each community."""
+    def internal(self) -> list[tuple[DomSetResult, DomSetResult]]:
+        """The (k-set, p-set) internal greedy pair of each community."""
         from .domsets import greedy_ids
 
-        p = self.config.p
-        return [greedy_ids(c, p=p) for c in self.communities]
+        k, p = self.config.k, self.config.p
+        return [greedy_ids(c, k, p) for c in self.communities]
 
     @cached_property
-    def p_external(self) -> list[DomSetResult]:
-        """The p-mode external greedy set of each community."""
+    def external(self) -> list[tuple[DomSetResult, DomSetResult]]:
+        """The (k-set, p-set) external greedy pair of each community."""
         from .domsets import greedy_eds
 
-        p = self.config.p
-        return [greedy_eds(c, p=p) for c in self.communities]
-
-    @cached_property
-    def bundles(self) -> list[DomsetBundle]:
-        """All four greedy sets of each community."""
-        from .domsets import greedy_eds, greedy_ids
-
-        k = self.config.k
-        return [
-            DomsetBundle(greedy_ids(c, k=k), greedy_eds(c, k=k), pi, pe)
-            for c, pi, pe in zip(self.communities, self.p_internal, self.p_external)
-        ]
+        k, p = self.config.k, self.config.p
+        return [greedy_eds(c, k, p) for c in self.communities]
 
     @cached_property
     def slope_pairs(self) -> list[tuple[SlopeResult, SlopeResult]]:
-        """ISlope and ESlope of each community, from its p-mode sets."""
+        """ISlope and ESlope of each community, from its p-sets."""
         from .slopes import eslope, islope
 
         return [
-            (islope(c, internal), eslope(c, external))
-            for c, internal, external in zip(self.communities, self.p_internal, self.p_external)
+            (islope(c, p_ids), eslope(c, p_eds))
+            for c, (_, p_ids), (_, p_eds) in zip(self.communities, self.internal, self.external)
         ]
 
     @cached_property
@@ -181,7 +165,8 @@ def stage_detect(run: Run) -> list[Community]:
     return run.communities
 
 
-def stage_domsets(run: Run) -> list[DomsetBundle]:
+def stage_domsets(run: Run) -> list[DomSetResult]:
+    """Each community's k-internal, k-external, p-internal and p-external sets, in that order."""
     def joined(members: frozenset[int]) -> str:
         # a label holding ";" would make the members cell ambiguous to any reader of the table
         labels = sorted(run.graph.label(v) for v in members)
@@ -190,18 +175,18 @@ def stage_domsets(run: Run) -> list[DomsetBundle]:
                 raise CommkitError(f"node label {label!r} contains ';', which separates the members of a domsets cell")
         return ";".join(labels)
 
+    records = [r for (ki, pi), (ke, pe) in zip(run.internal, run.external) for r in (ki, ke, pi, pe)]
     write_table(
         run.out / "domsets",
         ["community_id", "mode", "criterion", "criterion_value", "set_size", "achieved_ratio", "closed", "members"],
         [
             [r.community_id, r.mode, r.criterion, r.criterion_value, r.size, r.achieved_ratio, r.closed]
             + [joined(r.members)]
-            for b in run.bundles
-            for r in b
+            for r in records
         ],
         run.config.fmt,
     )
-    return run.bundles
+    return records
 
 
 def stage_slopes(run: Run) -> list[tuple[SlopeResult, SlopeResult]]:
@@ -233,8 +218,8 @@ def stage_keywords(run: Run) -> None:
 
     metadata = run.metadata
     candidate_lists = [
-        build_keyword_list(community, metadata, internal)
-        for community, internal in zip(run.communities, run.p_internal)
+        build_keyword_list(community, metadata, p_ids)
+        for community, (_, p_ids) in zip(run.communities, run.internal)
     ]
     scored = [
         (candidates, predict_keywords(community, metadata, max(CURVE_LENGTHS), candidates))
@@ -254,17 +239,8 @@ def stage_report(run: Run) -> NetworkSummary:
     from .distributions import DistributionSummary, summarize
     from .metrics import NetworkSummary, TriangleSplit, aggregate_stats, triangle_split_analysis
 
-    out, fmt, stats, bundles, slope_pairs = run.out, run.config.fmt, run.stats, run.bundles, run.slope_pairs
-    summary = aggregate_stats(
-        run.graph,
-        stats,
-        [b.k_internal for b in bundles],
-        [b.k_external for b in bundles],
-        [b.p_internal for b in bundles],
-        [b.p_external for b in bundles],
-        [s for s, _ in slope_pairs],
-        [s for _, s in slope_pairs],
-    )
+    out, fmt, stats, slope_pairs = run.out, run.config.fmt, run.stats, run.slope_pairs
+    summary = aggregate_stats(run.graph, stats, run.internal, run.external, slope_pairs)
     write_table(out / "summary", NetworkSummary._fields, [summary], fmt)
     splits = [triangle_split_analysis(stats, t) for t in SPLIT_THRESHOLDS]
     write_table(out / "triangle_split", TriangleSplit._fields, splits, fmt)

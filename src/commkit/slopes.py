@@ -40,12 +40,12 @@ def random_subset_ratio(community: Community, K: int, kind: str) -> float | None
         raise ConfigError(f"kind must be internal or external, got {kind!r}")
     if not 0 <= K <= community.size:
         raise ConfigError(f"K must be in [0, |C|], got {K}")
-    split = community.adjacency.values()
+    _, inside, _, outside = community.split()
     if kind == "internal":
-        dominators = [1 + len(inside) for inside, _ in split]
+        dominators = [1 + len(js) for js in inside]
     else:
         # |N(b) ∩ C| for every boundary node b
-        dominators = list(Counter(w for _, outside in split for w in outside).values())
+        dominators = list(Counter(w for ws in outside for w in ws).values())
         if not dominators:
             return None
     n = community.size

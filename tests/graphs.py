@@ -154,6 +154,58 @@ def whole_community(graph: Graph, community_id: str = "all") -> Community:
     return Community(community_id, frozenset(range(graph.node_count)), graph)
 
 
+def k_set(greedy, community: Community, k: int) -> DomSetResult:
+    """The k-set of ``greedy_ids`` or ``greedy_eds``; p = 0 adds no picks to its order."""
+    return greedy(community, k, 0.0)[0]
+
+
+def p_set(greedy, community: Community, p: float) -> DomSetResult:
+    """The p-set of ``greedy_ids`` or ``greedy_eds``; k = 1 adds no picks past its first."""
+    return greedy(community, 1, p)[1]
+
+
 def p_ids(community: Community, p: float = 0.8) -> DomSetResult:
     """The community's greedy p-internal dominating set, as the pipeline builds it."""
-    return greedy_ids(community, p=p)
+    return p_set(greedy_ids, community, p)
+
+
+def reference_greedy(community: Community, mode: str, k: int | None = None, p: float | None = None) -> DomSetResult:
+    """One greedy set by its own loop, in k-mode or p-mode: the oracle for ``greedy_ids`` and ``greedy_eds``.
+
+    Covers are read from the graph's rows.  Each pick takes the largest gain,
+    ties going to the lowest index, zero gains allowed.  k-mode makes exactly
+    ``min(k, |C|)`` picks; p-mode stops as soon as coverage/|universe|
+    reaches p.  An empty universe gives the closed sentinel.
+    """
+    members, rows = community.members, community.graph.adjacency
+    if mode == "internal":
+        cover_of = {v: frozenset((v, *(w for w in rows[v] if w in members))) for v in members}
+        universe = members
+    else:
+        cover_of = {v: frozenset(w for w in rows[v] if w not in members) for v in members}
+        universe = frozenset().union(*cover_of.values())
+    candidates = sorted(members)
+    chosen: list[int] = []
+    covered: set[int] = set()
+    target = min(k, community.size) if k is not None else community.size
+    for _ in range(target if universe else 0):
+        if p is not None and len(covered) / len(universe) >= p:
+            break
+        best, best_gain = None, -1
+        for v in candidates:
+            if v in chosen:
+                continue
+            gain = len(cover_of[v] - covered)
+            if gain > best_gain:
+                best, best_gain = v, gain
+        chosen.append(best)
+        covered |= cover_of[best]
+    return DomSetResult(
+        community_id=community.id,
+        mode=mode,
+        criterion="k" if k is not None else "p",
+        criterion_value=k if k is not None else p,
+        members=frozenset(chosen),
+        achieved_ratio=len(covered) / len(universe) if universe else None,
+        closed=not universe,
+    )

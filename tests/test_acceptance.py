@@ -34,7 +34,18 @@ from commkit import (
     summarize,
 )
 from commkit.detect import DetectParams
-from graphs import DATA_DIR, Coverage, clique_graph, p_ids, star_graph, two_clique_graph, whole_community, write_input
+from graphs import (
+    DATA_DIR,
+    Coverage,
+    clique_graph,
+    k_set,
+    p_ids,
+    p_set,
+    star_graph,
+    two_clique_graph,
+    whole_community,
+    write_input,
+)
 from test_keywords import FIXTURE_EDGES, FIXTURE_METADATA, candidates_of
 
 
@@ -62,7 +73,7 @@ def test_criterion_1_network_clustering(football_graph):
 def conference_profile(football_conferences):
     start = time.perf_counter()
     stats = [community_stats(c) for c in football_conferences]
-    mean_idr = fmean(greedy_ids(c, k=5).achieved_ratio for c in football_conferences)
+    mean_idr = fmean(k_set(greedy_ids, c, 5).achieved_ratio for c in football_conferences)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"characterization took {elapsed:.2f}s"
     return stats, mean_idr
@@ -118,7 +129,7 @@ def _check_greedy_bound(community: Community, coverage: Coverage) -> int:
     violations = 0
     for mode, run in (("internal", greedy_ids), ("external", greedy_eds)):
         for k in (1, 2, 3):
-            result = run(community, k=k)
+            result = k_set(run, community, k)
             if result.closed:
                 continue
             greedy = coverage.covered(result.members, mode)
@@ -199,7 +210,7 @@ def test_criterion_5_analytic_slopes():
         edges += [("m0", "x0"), ("m0", "x1"), ("m0", "x2")]
         g = Graph(edges)
         community = Community("gate", frozenset(g.index(f"m{i}") for i in range(n)), g)
-        result = eslope(community, greedy_eds(community, p=0.8))
+        result = eslope(community, p_set(greedy_eds, community, 0.8))
         checks.append(abs(result.slope - (1 - 1 / n)) < 1e-12)
 
     ok = all(checks)

@@ -3,7 +3,6 @@ import pytest
 from commkit import (
     Community,
     Graph,
-    boundary,
     induced_subgraph,
     load_communities,
     write_communities,
@@ -17,13 +16,13 @@ def _indices(graph, *labels):
 
 
 def test_neighbors_out_of_whole_community(core_graph, core_community):
-    assert boundary(core_community) == _indices(core_graph, "v6", "v7", "v8")
+    assert set().union(*core_community.split().outside) == _indices(core_graph, "v6", "v7", "v8")
 
 
 def test_neighbors_out_empty_for_closed_community():
     g = Graph([("a", "b"), ("c", "d")])
     c = Community("pair", frozenset({g.index("a"), g.index("b")}), g)
-    assert boundary(c) == frozenset()
+    assert c.split().outside == [[], []]
 
 
 def test_community_rejects_empty_members(core_graph):

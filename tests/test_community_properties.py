@@ -18,7 +18,7 @@ from commkit import (
     random_subset_ratio,
 )
 from commkit.metrics import CommunityStats
-from graphs import networkx_graph, planted_partition, two_clique_graph
+from graphs import k_set, networkx_graph, p_set, planted_partition, two_clique_graph
 
 
 @st.composite
@@ -128,15 +128,17 @@ def test_community_stats_match_networkx_on_a_single_member():
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(graphs_with_communities())
-def test_cached_split_matches_neighbor_queries(case):
+def test_split_matches_neighbor_queries(case):
     graph, edges, community = case
     whole = networkx_graph(graph, edges)
     member_labels = set(community.member_labels())
-    assert list(community.adjacency) == sorted(community.members)
-    for v, (inside, outside) in community.adjacency.items():
+    nodes, inside, masks, outside = community.split()
+    assert nodes == sorted(community.members)
+    for i, v in enumerate(nodes):
         neighbors = set(whole[graph.label(v)])
-        assert list(inside) == sorted(map(graph.index, neighbors & member_labels))
-        assert list(outside) == sorted(map(graph.index, neighbors - member_labels))
+        assert [nodes[j] for j in inside[i]] == sorted(map(graph.index, neighbors & member_labels))
+        assert masks[i] == sum(1 << j for j in inside[i])
+        assert outside[i] == sorted(map(graph.index, neighbors - member_labels))
 
 
 def test_per_community_paths_never_scan_the_whole_graph(monkeypatch):
@@ -163,7 +165,7 @@ def test_per_community_paths_never_scan_the_whole_graph(monkeypatch):
         patch.setattr(Graph, "__init__", build)
         stats = community_stats(community)
     assert (stats.triangles, stats.boundary_size) == (10, 1)
-    assert greedy_ids(community, k=1).achieved_ratio == 1.0
-    assert greedy_eds(community, p=0.8).members == {graph.index("a0")}
+    assert k_set(greedy_ids, community, 1).achieved_ratio == 1.0
+    assert p_set(greedy_eds, community, 0.8).members == {graph.index("a0")}
     assert random_subset_ratio(community, 1, "internal") == 1.0
     assert random_subset_ratio(community, 1, "external") == pytest.approx(0.2)

@@ -3,9 +3,23 @@ import random
 
 import pytest
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from commkit import Community, Graph, greedy_eds, greedy_ids, idr
 from commkit.errors import ConfigError
-from graphs import CORE_FIXTURE_EDGES, Coverage, clique_graph, path_edges, path_graph, star_graph, whole_community
+from graphs import (
+    CORE_FIXTURE_EDGES,
+    Coverage,
+    clique_graph,
+    k_set,
+    p_set,
+    path_edges,
+    path_graph,
+    reference_greedy,
+    star_graph,
+    whole_community,
+)
 
 
 def _indices(graph, *labels):
@@ -36,7 +50,7 @@ def test_greedy_ids_path_k1_breaks_tie_low():
     # v1, v2, v3 all cover three nodes; lowest index wins
     g = path_graph(5)
     c = whole_community(g)
-    result = greedy_ids(c, k=1)
+    result = k_set(greedy_ids, c, 1)
     assert result.members == _indices(g, "v1")
     assert result.achieved_ratio == pytest.approx(3 / 5)
 
@@ -45,13 +59,13 @@ def test_greedy_ids_path_exhaustive_singletons():
     c = whole_community(path_graph(5))
     coverage = Coverage(path_edges(5), c)
     best = max(coverage.ratio({v}, "internal") for v in c.members)
-    assert greedy_ids(c, k=1).achieved_ratio == pytest.approx(best)
+    assert k_set(greedy_ids, c, 1).achieved_ratio == pytest.approx(best)
 
 
 def test_greedy_ids_star_p_mode_picks_hub():
     g = star_graph(4)
     c = whole_community(g)
-    result = greedy_ids(c, p=0.8)
+    result = p_set(greedy_ids, c, 0.8)
     assert result.members == _indices(g, "hub")
     assert result.achieved_ratio == 1.0
     assert result.criterion == "p"
@@ -60,27 +74,24 @@ def test_greedy_ids_star_p_mode_picks_hub():
 def test_greedy_ids_k_clamps_to_community_size():
     g = clique_graph(3)
     c = whole_community(g)
-    result = greedy_ids(c, k=10)
+    result = k_set(greedy_ids, c, 10)
     assert result.size == 3
 
 
 def test_greedy_ids_p_one_with_disconnected_members_terminates():
     g = Graph([("a", "b"), ("c", "d"), ("e", "f")])
     c = Community("all", frozenset(range(g.node_count)), g)
-    result = greedy_ids(c, p=1.0)
+    result = p_set(greedy_ids, c, 1.0)
     assert result.achieved_ratio == 1.0
     assert result.size == 3  # one pick per component
 
 
-def test_greedy_requires_exactly_one_criterion():
-    g = clique_graph(3)
-    c = whole_community(g)
-    with pytest.raises(ConfigError):
-        greedy_ids(c)
-    with pytest.raises(ConfigError):
-        greedy_ids(c, k=1, p=0.5)
-    with pytest.raises(ConfigError):
-        greedy_ids(c, p=1.5)
+def test_greedy_checks_k_and_p_ranges():
+    c = whole_community(clique_graph(3))
+    for greedy in (greedy_ids, greedy_eds):
+        for k, p in ((0, 0.5), (1, 1.5), (1, -0.1), (1, float("nan"))):
+            with pytest.raises(ConfigError):
+                greedy(c, k, p)
 
 
 def test_greedy_eds_core_fixture_k1(core_graph, core_community):
@@ -89,7 +100,7 @@ def test_greedy_eds_core_fixture_k1(core_graph, core_community):
     best = max(
         (coverage.ratio({v}, "external"), -v) for v in core_community.members
     )
-    result = greedy_eds(core_community, k=1)
+    result = k_set(greedy_eds, core_community, 1)
     assert result.members == _indices(core_graph, "v0")
     assert result.achieved_ratio == pytest.approx(best[0])
 
@@ -97,8 +108,7 @@ def test_greedy_eds_core_fixture_k1(core_graph, core_community):
 def test_greedy_eds_closed_community_sentinel():
     g = Graph([("a", "b"), ("c", "d")])
     c = Community("pair", _indices(g, "a", "b"), g)
-    for kwargs in ({"k": 2}, {"p": 0.8}):
-        result = greedy_eds(c, **kwargs)
+    for result in greedy_eds(c, 2, 0.8):
         assert result.closed
         assert result.members == frozenset()
         assert result.achieved_ratio is None
@@ -106,9 +116,9 @@ def test_greedy_eds_closed_community_sentinel():
 
 def test_achieved_ratio_matches_recomputation(core_community):
     coverage = Coverage(CORE_FIXTURE_EDGES, core_community)
-    internal = greedy_ids(core_community, k=2)
+    internal = k_set(greedy_ids, core_community, 2)
     assert internal.achieved_ratio == pytest.approx(coverage.ratio(internal.members, "internal"))
-    external = greedy_eds(core_community, k=2)
+    external = k_set(greedy_eds, core_community, 2)
     assert external.achieved_ratio == pytest.approx(coverage.ratio(external.members, "external"))
 
 
@@ -129,7 +139,7 @@ def _random_community(rng: random.Random):
 
 
 def test_greedy_steps_monotone_and_gains_nonincreasing():
-    # the k-mode sets for k = 1, 2, ... are the greedy pick order's prefixes
+    # the k-sets for k = 1, 2, ... are prefixes of one greedy pick order
     rng = random.Random(17)
     checked = 0
     while checked < 30:
@@ -138,14 +148,14 @@ def test_greedy_steps_monotone_and_gains_nonincreasing():
             continue
         c, coverage = built
         for greedy, mode in ((greedy_ids, "internal"), (greedy_eds, "external")):
-            if greedy(c, k=1).closed:
+            if k_set(greedy, c, 1).closed:
                 continue
             previous: frozenset[int] = frozenset()
             covered = 0
             gains = []
             last_ratio = -1.0
             for k in range(1, c.size + 1):
-                result = greedy(c, k=k)
+                result = k_set(greedy, c, k)
                 assert previous <= result.members and len(result.members) == k
                 previous = result.members
                 gains.append(coverage.covered(previous, mode) - covered)
@@ -166,9 +176,9 @@ def test_p_size_at_most_k_size_when_k_suffices():
         if built is None:
             continue
         c, _ = built
-        k_result = greedy_ids(c, k=3)
+        k_result = k_set(greedy_ids, c, 3)
         if k_result.achieved_ratio >= 0.8:
-            assert greedy_ids(c, p=0.8).size <= k_result.size
+            assert p_set(greedy_ids, c, 0.8).size <= k_result.size
         checked += 1
 
 
@@ -186,8 +196,7 @@ def test_ratios_invariant_under_relabeling():
     c2 = Community("square", members2, g2)
 
     for greedy in (greedy_ids, greedy_eds):
-        for criterion in ({"k": 1}, {"p": 0.8}):
-            assert greedy(c, **criterion).achieved_ratio == greedy(c2, **criterion).achieved_ratio
+        assert [r.achieved_ratio for r in greedy(c, 1, 0.8)] == [r.achieved_ratio for r in greedy(c2, 1, 0.8)]
 
 
 def test_greedy_beats_two_thirds_of_optimum_small_sample():
@@ -202,7 +211,7 @@ def test_greedy_beats_two_thirds_of_optimum_small_sample():
         c, coverage = built
         for mode, run in (("internal", greedy_ids), ("external", greedy_eds)):
             for k in (1, 2):
-                result = run(c, k=k)
+                result = k_set(run, c, k)
                 if result.closed:
                     continue
                 greedy_cover = coverage.covered(result.members, mode)
@@ -212,3 +221,37 @@ def test_greedy_beats_two_thirds_of_optimum_small_sample():
                 )
                 assert greedy_cover >= bound * optimal - 1e-9
         checked += 1
+
+
+@st.composite
+def greedy_cases(draw):
+    """A graph on 2..9 nodes, a member subset (the whole graph included, so
+    closed communities occur), k up to |C| + 3 and p with both ends."""
+    n = draw(st.integers(2, 9))
+    labels = [f"n{i}" for i in range(n)]
+    pairs = list(itertools.combinations(labels, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    graph = Graph(edges, extra_nodes=labels)
+    members = draw(st.sets(st.sampled_from(labels), min_size=1, max_size=n))
+    community = Community("c", frozenset(map(graph.index, members)), graph)
+    k = draw(st.integers(1, len(members) + 3))
+    p = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    return community, k, p
+
+
+PATH4 = path_graph(4)
+OPEN3 = Community("open", frozenset({0, 1, 2}), PATH4)  # v3 lies outside
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(greedy_cases())
+@example((whole_community(PATH4), 9, 1.0))  # closed, k > |C|
+@example((OPEN3, 5, 0.0))  # p = 0: the empty prefix
+@example((OPEN3, 5, 1.0))
+def test_one_pick_order_gives_both_sets_of_the_separate_loops(case):
+    community, k, p = case
+    for mode, greedy in (("internal", greedy_ids), ("external", greedy_eds)):
+        assert greedy(community, k, p) == (
+            reference_greedy(community, mode, k=k),
+            reference_greedy(community, mode, p=p),
+        )

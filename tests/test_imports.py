@@ -143,9 +143,9 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_a_replaced_binding_shows_through_the_package(monkeypatch):
-    original = commkit.community.boundary
+    original = commkit.community.load_communities
     replacement = object()
-    monkeypatch.setattr(commkit.community, "boundary", replacement)
-    assert commkit.boundary is replacement
+    monkeypatch.setattr(commkit.community, "load_communities", replacement)
+    assert commkit.load_communities is replacement
     monkeypatch.undo()
-    assert commkit.boundary is original
+    assert commkit.load_communities is original

@@ -2,19 +2,22 @@ import random
 
 import pytest
 
+import commkit.pipeline
 from commkit import (
     Community,
     Graph,
+    RunConfig,
     aggregate_stats,
     clustering_coefficient,
     community_stats,
+    run_pipeline,
     triangle_split_analysis,
 )
 from commkit.errors import ConfigError
 from commkit.metrics import CommunityStats
 from commkit.slopes import SlopeResult
 from commkit.domsets import DomSetResult
-from graphs import clique_graph, fastest, path_graph, star_graph, whole_community
+from graphs import DATA_DIR, clique_graph, fastest, path_graph, star_graph, whole_community
 
 
 def test_apl_path_of_three():
@@ -79,9 +82,25 @@ def test_community_stats_boundary_size(core_community):
     assert community_stats(core_community).boundary_size == 3
 
 
-def test_community_stats_caches_no_split(core_community):
-    community_stats(core_community)
-    assert "adjacency" not in vars(core_community)
+def test_community_stats_caches_no_split(tmp_path, monkeypatch):
+    # the domsets, slopes, metrics and report stages all read splits; no community keeps one
+    original, loaded = commkit.pipeline.load_communities, []
+
+    def load(*args):
+        loaded.extend(original(*args))
+        return loaded
+
+    monkeypatch.setattr(commkit.pipeline, "load_communities", load)
+    data = DATA_DIR / "football"
+    config = RunConfig(
+        graph_path=str(data / "football.edges"),
+        communities_path=str(data / "football.conferences"),
+        out_dir=str(tmp_path),
+    )
+    assert run_pipeline(config, "all") is not None
+    assert len(loaded) == 12
+    for community in loaded:
+        assert set(vars(community)) == {"id", "members", "graph"}
 
 
 def test_stats_invariants_on_random_communities():
@@ -192,34 +211,24 @@ def _slope(community_id, kind, slope, closed=False):
     )
 
 
-def _bundle_lists(rows):
-    k_int = [_domset(cid, "internal", "k", idr_v, 5) for cid, idr_v, *_ in rows]
-    k_ext = [
-        _domset(cid, "external", "k", edr_v, 5, closed=closed)
+def _domset_pairs(rows):
+    """Internal and external (k-set, p-set) pairs of each (id, IDR, EDR, closed) row."""
+    internal = [
+        (_domset(cid, "internal", "k", idr_v, 5), _domset(cid, "internal", "p", 0.9, 2)) for cid, idr_v, *_ in rows
+    ]
+    external = [
+        (_domset(cid, "external", "k", edr_v, 5, closed=closed), _domset(cid, "external", "p", 0.9, 2, closed=closed))
         for cid, _, edr_v, closed in rows
     ]
-    p_int = [_domset(cid, "internal", "p", 0.9, 2) for cid, *_ in rows]
-    p_ext = [
-        _domset(cid, "external", "p", 0.9, 2, closed=closed)
-        for cid, _, _, closed in rows
-    ]
-    return k_int, k_ext, p_int, p_ext
+    return internal, external
 
 
 def test_aggregate_single_community_equals_its_stats():
     g = clique_graph(4)
     stats = [community_stats(whole_community(g))]
-    k_int, k_ext, p_int, p_ext = _bundle_lists([("all", 1.0, None, True)])
-    summary = aggregate_stats(
-        g,
-        stats,
-        k_int,
-        k_ext,
-        p_int,
-        p_ext,
-        [_slope("all", "internal", 0.0)],
-        [_slope("all", "external", None, closed=True)],
-    )
+    internal, external = _domset_pairs([("all", 1.0, None, True)])
+    slope_pairs = [(_slope("all", "internal", 0.0), _slope("all", "external", None, closed=True))]
+    summary = aggregate_stats(g, stats, internal, external, slope_pairs)
     assert summary.community_count == 1
     assert summary.mean_apl == stats[0].apl
     assert summary.mean_ccc == stats[0].ccc
@@ -229,22 +238,18 @@ def test_aggregate_single_community_equals_its_stats():
     assert summary.ncc == clustering_coefficient(g)
 
 
-def test_aggregate_means_two_communities():
-    g = clique_graph(4)
+def _two_communities():
     stats = [_stats("a", 0.4, 3, apl=1.0), _stats("b", 0.6, 5, apl=2.0)]
-    k_int, k_ext, p_int, p_ext = _bundle_lists(
-        [("a", 0.9, 0.5, False), ("b", 0.7, 0.7, False)]
-    )
-    summary = aggregate_stats(
-        g,
-        stats,
-        k_int,
-        k_ext,
-        p_int,
-        p_ext,
-        [_slope("a", "internal", 0.1), _slope("b", "internal", 0.3)],
-        [_slope("a", "external", 0.2), _slope("b", "external", 0.4)],
-    )
+    internal, external = _domset_pairs([("a", 0.9, 0.5, False), ("b", 0.7, 0.7, False)])
+    slope_pairs = [
+        (_slope("a", "internal", 0.1), _slope("a", "external", 0.2)),
+        (_slope("b", "internal", 0.3), _slope("b", "external", 0.4)),
+    ]
+    return stats, internal, external, slope_pairs
+
+
+def test_aggregate_means_two_communities():
+    summary = aggregate_stats(clique_graph(4), *_two_communities())
     assert summary.mean_apl == pytest.approx(1.5)
     assert summary.mean_idr == pytest.approx(0.8)
     assert summary.mean_edr == pytest.approx(0.6)
@@ -254,27 +259,11 @@ def test_aggregate_means_two_communities():
 
 def test_aggregate_order_invariant():
     g = clique_graph(4)
-    stats = [_stats("a", 0.4, 3, apl=1.0), _stats("b", 0.6, 5, apl=2.0)]
-    k_int, k_ext, p_int, p_ext = _bundle_lists(
-        [("a", 0.9, 0.5, False), ("b", 0.7, 0.7, False)]
-    )
-    islopes = [_slope("a", "internal", 0.1), _slope("b", "internal", 0.3)]
-    eslopes = [_slope("a", "external", 0.2), _slope("b", "external", 0.4)]
-    forward = aggregate_stats(g, stats, k_int, k_ext, p_int, p_ext, islopes, eslopes)
-    backward = aggregate_stats(
-        g,
-        stats[::-1],
-        k_int[::-1],
-        k_ext[::-1],
-        p_int[::-1],
-        p_ext[::-1],
-        islopes[::-1],
-        eslopes[::-1],
-    )
-    assert forward == backward
+    lists = _two_communities()
+    assert aggregate_stats(g, *lists) == aggregate_stats(g, *(records[::-1] for records in lists))
 
 
 def test_aggregate_empty_is_an_error():
     g = clique_graph(3)
     with pytest.raises(ConfigError):
-        aggregate_stats(g, [], [], [], [], [], [], [])
+        aggregate_stats(g, [], [], [], [])

@@ -163,8 +163,9 @@ def test_stage_outputs_can_be_read_back(inputs):
     communities_path.write_text(TWO_CLIQUE_COMMUNITIES + "whole: a0 a1 a2 a3 a4 b0 b1 b2 b3 b4\n")
     for fmt, blank in (("csv", ""), ("json", None)):
         run = Run(_config(graph_path, communities_path, tmp_path / fmt, fmt=fmt))
-        bundles, pairs = stage_domsets(run), stage_slopes(run)
-        assert pairs[-1][1].slope is None and bundles[-1].p_external.achieved_ratio is None
+        records, pairs = stage_domsets(run), stage_slopes(run)
+        assert pairs[-1][1].slope is None
+        assert (records[-1].mode, records[-1].criterion, records[-1].achieved_ratio) == ("external", "p", None)
         domsets = _read(run.out / f"domsets.{fmt}")
         slopes = _read(run.out / f"slopes.{fmt}")
         assert len(domsets) == 12 and len(slopes) == 6, fmt
@@ -175,9 +176,9 @@ def test_stage_outputs_can_be_read_back(inputs):
 @pytest.mark.parametrize(
     "command, built",
     [
-        ("all", ["eds k", "eds k", "eds p", "eds p", "ids k", "ids k", "ids p", "ids p"]),
-        ("slopes", ["eds p", "eds p", "ids p", "ids p"]),
-        ("keywords", ["ids p", "ids p"]),
+        ("all", ["eds left", "eds right", "ids left", "ids right"]),
+        ("slopes", ["eds left", "eds right", "ids left", "ids right"]),
+        ("keywords", ["ids left", "ids right"]),
     ],
 )
 def test_a_run_builds_each_greedy_set_once_and_only_those_its_stages_read(inputs, monkeypatch, command, built):
@@ -186,12 +187,12 @@ def test_a_run_builds_each_greedy_set_once_and_only_those_its_stages_read(inputs
     graph_path, communities_path, tmp_path = inputs
     metadata = tmp_path / "meta.tsv"
     metadata.write_text("a0\tA paper\tAn abstract\tspin glasses\n")
-    calls = []  # "ids p" for greedy_ids(community, p=...), and so on
+    calls = []  # "ids left" for greedy_ids(left, k, p), and so on: one call gives both sets
 
     def counted(greedy, tag):
-        def build(community, **mode):
-            calls.append(f"{tag} {next(iter(mode))}")
-            return greedy(community, **mode)
+        def build(community, k, p):
+            calls.append(f"{tag} {community.id}")
+            return greedy(community, k, p)
 
         return build
 

@@ -5,7 +5,7 @@ import pytest
 
 from commkit import Community, Graph, eslope, greedy_eds, greedy_ids, islope, random_subset_ratio
 from commkit.errors import ConfigError
-from graphs import clique_graph, p_ids, star_graph, whole_community
+from graphs import clique_graph, p_ids, p_set, star_graph, whole_community
 
 
 def test_expected_ratio_clique_k1_is_one():
@@ -83,7 +83,7 @@ def test_eslope_single_gatekeeper():
     edges += [("m0", "x0"), ("m0", "x1")]
     g = Graph(edges)
     c = Community("gate", frozenset(g.index(f"m{i}") for i in range(n)), g)
-    result = eslope(c, greedy_eds(c, p=0.8))
+    result = eslope(c, p_set(greedy_eds, c, 0.8))
     assert result.K == 1
     assert result.observed_ratio == 1.0
     assert result.slope == pytest.approx(1 - 1 / n)
@@ -96,7 +96,7 @@ def test_eslope_symmetric_boundary_is_zero():
     edges += [(f"m{i}", f"x{i}") for i in range(4)]
     g = Graph(edges)
     c = Community("ring", frozenset(g.index(f"m{i}") for i in range(4)), g)
-    result = eslope(c, greedy_eds(c, p=0.5))
+    result = eslope(c, p_set(greedy_eds, c, 0.5))
     assert result.K == 2
     assert result.slope == pytest.approx(0.0)
 
@@ -104,7 +104,7 @@ def test_eslope_symmetric_boundary_is_zero():
 def test_eslope_closed_community_sentinel():
     g = Graph([("a", "b"), ("x", "y")])
     c = Community("pair", frozenset({g.index("a"), g.index("b")}), g)
-    result = eslope(c, greedy_eds(c, p=0.8))
+    result = eslope(c, p_set(greedy_eds, c, 0.8))
     assert result.closed
     assert result.slope is None
 
@@ -168,8 +168,8 @@ def test_slope_rejects_a_set_of_another_mode_or_community():
     c = Community("gate", frozenset(g.index(f"m{i}") for i in range(4)), g)
     other = Community("other", c.members, g)
     with pytest.raises(ConfigError, match="internal set of community 'gate', got the external set"):
-        islope(c, greedy_eds(c, p=0.8))
+        islope(c, p_set(greedy_eds, c, 0.8))
     with pytest.raises(ConfigError, match="external set of community 'gate', got the internal set"):
-        eslope(c, greedy_ids(c, p=0.8))
+        eslope(c, p_set(greedy_ids, c, 0.8))
     with pytest.raises(ConfigError, match="community 'gate', got the internal set of community 'other'"):
         islope(c, p_ids(other))
