@@ -6,12 +6,13 @@ The id ends at the first colon followed by whitespace or the end of the
 line, so a label may hold a colon (``a:b``).
 Ids are unique within a file, and a given id is never empty (``: a b``).
 Communities may overlap; nothing here assumes disjointness.
-``Community.split()`` is the one place that splits the members' neighbors
+``Community.split`` is the one place that splits the members' neighbors
 into inside and outside, in one pass over their rows; the paper's N(S, C)
 and N(S, C̄) of a member subset S are unions of those parts.  Greedy sets,
-slope expectations, structural statistics and the induced subgraph all
-read a split.  None is cached: a community holds only its id, members and
-graph, so a run's memory does not grow with the volume of its communities.
+slope expectations and structural statistics take a split, so a run
+splits each community once for all its records.  None is cached: a
+community holds only its id, members and graph, so a run's memory does
+not grow with the volume of its communities.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ class Split(NamedTuple):
     Member ``i`` is ``nodes[i]``; the members are in index order.
     """
 
+    community_id: str
     nodes: list[int]
     inside: list[list[int]]  # member i's inside neighbors, as local indices
     masks: list[int]  # the same neighbors as a bitmask: bit j is member j
@@ -80,7 +82,7 @@ class Community:
         nodes = sorted(self.members)
         local = {v: i for i, v in enumerate(nodes)}
         rows = self.graph.adjacency
-        split = Split(nodes, [], [], [])
+        split = Split(self.id, nodes, [], [], [])
         for v in nodes:
             inside, mask, outside = [], 0, []
             for w in rows[v]:
@@ -106,7 +108,7 @@ def induced_subgraph(community: Community) -> Graph:
     isolated nodes.  The cost is O(vol(C)).
     """
     label = community.graph.label
-    nodes, inside, _, _ = community.split()
+    _, nodes, inside, _, _ = community.split()
     return Graph(
         ((label(nodes[i]), label(nodes[j])) for i, js in enumerate(inside) for j in js if i < j),
         extra_nodes=map(label, nodes),

@@ -209,10 +209,12 @@ def detect_communities(graph: Graph, params: DetectParams) -> list[DetectedCommu
     Pure function of (graph, params): candidates are collected per seed and
     reduced in a fixed order.  Seeds that sweep to the same member set give
     the same conductance, which is an integer cut over an integer volume, so
-    the set is a candidate once, with the lowest of those seeds.
+    the set is a candidate once, with the lowest of those seeds.  A
+    candidate is kept as its sorted member tuple only; a member set is built
+    once, for a kept community.
     """
     thresholds = ppr_thresholds(graph, params.epsilon)
-    candidates: dict[tuple[int, ...], tuple[SweepResult, int]] = {}
+    candidates: dict[tuple[int, ...], tuple[float, int]] = {}  # sorted members -> (conductance, seed)
     for seed in range(graph.node_count):
         ppr = approximate_ppr(graph, seed, params.alpha, thresholds)
         if not ppr.scores:
@@ -224,30 +226,27 @@ def detect_communities(graph: Graph, params: DetectParams) -> list[DetectedCommu
             continue
         key = tuple(sorted(sweep.members))
         if key not in candidates:
-            candidates[key] = (sweep, seed)
+            candidates[key] = (sweep.conductance, seed)
 
     # best-first greedy dedup; ordering makes the reduction deterministic
-    kept: list[tuple[SweepResult, int]] = []
+    kept: list[tuple[int, ...]] = []
     holders: dict[int, list[int]] = {}  # node -> indices into kept of the communities holding it
-    for key in sorted(candidates, key=lambda k: (candidates[k][0].conductance, len(k), k)):
-        sweep, seed = candidates[key]
+    for key in sorted(candidates, key=lambda k: (candidates[k][0], len(k), k)):
         size = len(key)
         shared = Counter(i for v in key for i in holders.get(v, ()))
         if any(
-            intersection / (size + len(kept[i][0].members) - intersection) > OVERLAP_JACCARD_MAX
+            intersection / (size + len(kept[i]) - intersection) > OVERLAP_JACCARD_MAX
             for i, intersection in shared.items()
         ):
             continue
         for v in key:
             holders.setdefault(v, []).append(len(kept))
-        kept.append((sweep, seed))
+        kept.append(key)
 
-    return [
-        DetectedCommunity(
-            community=Community(f"c{i}", sweep.members, graph),
-            conductance=sweep.conductance,
-            connected=_is_connected(graph, sweep.members),
-            seed=seed,
-        )
-        for i, (sweep, seed) in enumerate(kept)
-    ]
+    detected = []
+    for i, key in enumerate(kept):
+        members = frozenset(key)  # one set, for the community and its connectivity check
+        conductance, seed = candidates[key]
+        community = Community(f"c{i}", members, graph)
+        detected.append(DetectedCommunity(community, conductance, _is_connected(graph, members), seed))
+    return detected

@@ -1,10 +1,10 @@
 """Internal/external dominating ratios and greedy dominating sets.
 
 The internal ratio of a subset S in community C is |S ∪ N(S,C)| / |C|;
-the external ratio is |N(S,C̄)| / |N(C,C̄)|.  Greedy maximum coverage
-gives one pick order per direction, built from ``Community.split()``; the
-k-set is its first k picks and the p-set its shortest prefix whose ratio
-reaches p, so one call returns both.  A community with
+the external ratio is |N(S,C̄)| / |N(C,C̄)|.  Greedy maximum coverage of
+a community's split (``Community.split``) gives one pick order per
+direction; the k-set is its first k picks and the p-set its shortest
+prefix whose ratio reaches p, so one call returns both.  A community with
 no outgoing edges has no external ratio; those cases carry ``closed=True``
 and a ``None`` ratio rather than raising.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .community import Community
+from .community import Community, Split
 from .errors import ConfigError
 from .graph import Graph
 
@@ -33,14 +33,6 @@ class DomSetResult(NamedTuple):
     def size(self) -> int:
         return len(self.members)
 
-    def check_for(self, community: Community, mode: str) -> None:
-        """Raise :class:`ConfigError` unless this is the ``mode`` set of ``community``."""
-        if (self.mode, self.community_id) != (mode, community.id):
-            raise ConfigError(
-                f"expected the {mode} set of community {community.id!r}, "
-                f"got the {self.mode} set of community {self.community_id!r}"
-            )
-
 
 # kept only for bench/tests/test_bench.py, which checks that the tracer leaves it unwrapped
 def idr(graph: Graph, subset: Iterable[int], community: Community) -> float:
@@ -49,7 +41,7 @@ def idr(graph: Graph, subset: Iterable[int], community: Community) -> float:
     s = frozenset(subset)
     if not s <= community.members:
         raise ValueError(f"subset contains nodes outside community {community.id!r}: {sorted(s - community.members)}")
-    nodes, _, masks, _ = community.split()
+    _, nodes, _, masks, _ = community.split()
     covered = 0
     for i, v in enumerate(nodes):
         if v in s:
@@ -58,11 +50,11 @@ def idr(graph: Graph, subset: Iterable[int], community: Community) -> float:
 
 
 def _greedy(
-    community: Community, mode: str, nodes: list[int], covers: list[int], universe: int, k: int, p: float
+    split: Split, mode: str, covers: list[int], universe: int, k: int, p: float
 ) -> tuple[DomSetResult, DomSetResult]:
     """Greedy maximum coverage of ``universe`` items: the k- and p- sets.
 
-    ``covers[i]`` is the bitmask of the items that member ``nodes[i]``
+    ``covers[i]`` is the bitmask of the items that member ``split.nodes[i]``
     covers.  Each pick takes the largest gain, ties going to the lowest
     index, and zero gains are allowed.  The k-set is the first ``min(k, |C|)`` picks; the p-set is the
     shortest prefix whose coverage/universe reaches p.  An empty universe (a
@@ -73,6 +65,7 @@ def _greedy(
         raise ConfigError(f"k must be >= 1, got {k}")
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"p must be in [0, 1], got {p}")
+    nodes = split.nodes
     k_picks = min(k, len(nodes)) if universe else 0
 
     def reached(covered: int) -> bool:
@@ -90,7 +83,7 @@ def _greedy(
 
     def prefix(criterion: str, value: int | float, picks: int) -> DomSetResult:
         return DomSetResult(
-            community_id=community.id,
+            community_id=split.community_id,
             mode=mode,
             criterion=criterion,
             criterion_value=value,
@@ -102,16 +95,14 @@ def _greedy(
     return prefix("k", k, k_picks), prefix("p", p, p_picks)
 
 
-def greedy_ids(community: Community, k: int, p: float) -> tuple[DomSetResult, DomSetResult]:
-    """Greedy k- and p- internal dominating sets of a community."""
-    nodes, _, masks, _ = community.split()
-    covers = [mask | 1 << i for i, mask in enumerate(masks)]
-    return _greedy(community, "internal", nodes, covers, len(nodes), k, p)
+def greedy_ids(split: Split, k: int, p: float) -> tuple[DomSetResult, DomSetResult]:
+    """Greedy k- and p- internal dominating sets of the community ``split`` splits."""
+    covers = [mask | 1 << i for i, mask in enumerate(split.masks)]
+    return _greedy(split, "internal", covers, len(covers), k, p)
 
 
-def greedy_eds(community: Community, k: int, p: float) -> tuple[DomSetResult, DomSetResult]:
+def greedy_eds(split: Split, k: int, p: float) -> tuple[DomSetResult, DomSetResult]:
     """Greedy k- and p- external dominating sets; a closed community gives sentinels."""
-    nodes, _, _, outside = community.split()
-    bit = {w: 1 << j for j, w in enumerate(set().union(*outside))}  # the boundary, one bit per node
-    covers = [sum(map(bit.get, ws)) for ws in outside]
-    return _greedy(community, "external", nodes, covers, len(bit), k, p)
+    bit = {w: 1 << j for j, w in enumerate(set().union(*split.outside))}  # the boundary, one bit per node
+    covers = [sum(map(bit.get, ws)) for ws in split.outside]
+    return _greedy(split, "external", covers, len(bit), k, p)

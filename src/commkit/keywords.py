@@ -73,10 +73,8 @@ def build_keyword_list(
     in the pipeline), ordered by community-wide popularity.
 
     Ties break lexicographically.  Both popularity counts are kept so the
-    two possible readings of "popularity" stay observable.  A set of
-    another mode or community raises :class:`ConfigError`.
+    two possible readings of "popularity" stay observable.
     """
-    domset.check_for(community, "internal")
     ids_counts = _listings(domset.members, community.graph, metadata)
     community_counts = _listings(community.members, community.graph, metadata)
     ordered = sorted(ids_counts, key=lambda kw: (-community_counts[kw], kw))

@@ -1,17 +1,17 @@
 """Per-community and whole-network structural statistics.
 
-Distances never leave the community.  ``Community.split()`` gives each
-member's inside neighbors, as local indices and as a bitmask over the
-members, and its outside neighbors, whose union is the community's
-boundary.  Each member's reach set starts as itself plus its inside
-neighbors; every round ORs it with its neighbors' reach sets from the
-round before, so after round d it holds exactly the members within d
+Distances never leave the community.  Its split (``Community.split``)
+gives each member's inside neighbors, as local indices and as a bitmask
+over the members, and its outside neighbors, whose union is the
+community's boundary.  Each member's reach set starts as itself plus its
+inside neighbors; every round ORs it with its neighbors' reach sets from
+the round before, so after round d it holds exactly the members within d
 hops.  Pairs first reached in round d are at distance d, the last round
 in which any set grew is the diameter, and the distinct final sets are
-the connected components.  The rounds stop once
-every set is full (a full set is never ORed again) or once a round grows
-none, so a connected community takes diameter rounds and any other one
-diameter + 1.  Two distance conventions are reported side by side:
+the connected components.  The rounds stop once every set is full (a
+full set is never ORed again) or once a round grows none, so a connected
+community takes diameter rounds and any other one diameter + 1.  Two
+distance conventions are reported side by side:
 
 * reachable-pairs: mean/max over pairs that are connected inside the
   community (``apl``, ``diameter``), with the component count surfaced;
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .community import Community
+from .community import Split
 from .community import induced_subgraph  # noqa: F401  (bench/tests checks the tracer patches it here)
 from .distributions import mean
 from .errors import ConfigError
@@ -59,9 +59,10 @@ def clustering_coefficient(graph: Graph) -> float:
     return 3 * triangles / triples if triples > 0 else 0.0
 
 
-def community_stats(community: Community) -> CommunityStats:
-    _, nbrs, masks, outside = community.split()
-    n = community.size
+def community_stats(split: Split) -> CommunityStats:
+    """Distance, clustering and boundary statistics of the community ``split`` splits."""
+    _, _, nbrs, masks, outside = split
+    n = len(nbrs)
 
     # reach[i]: the members within `diameter` hops of member i; sums count ordered pairs
     reach = [mask | 1 << i for i, mask in enumerate(masks)]
@@ -93,7 +94,7 @@ def community_stats(community: Community) -> CommunityStats:
     )
     triples = sum(len(js) * (len(js) - 1) // 2 for js in nbrs)
     return CommunityStats(
-        community_id=community.id,
+        community_id=split.community_id,
         size=n,
         apl=distance_sum / reachable if reachable else 0.0,
         diameter=diameter,

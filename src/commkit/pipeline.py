@@ -1,29 +1,28 @@
 """Pipeline stages and their file formats.
 
 Every stage is a function of one :class:`Run`: the loaded inputs and the
-record lists computed from them.  A list is computed on first use, inside
-the stage that first needs it, and kept for the later stages of the same
-process, so ``all`` computes each list once and a staged subcommand only
-what its stage writes.  The greedy sets come as two lists of (k-set,
-p-set) pairs, ``Run.internal`` and ``Run.external``: one pick order per
-community and direction gives both sets.  No stage reads a table: each
-subcommand computes its records from its own ``--graph``,
-``--communities`` and ``--metadata``.
-:func:`run_pipeline` is the one loop behind ``all`` and every staged
-subcommand.  A NamedTuple record is already a row: its table's columns are
-its ``_fields``, and only tables whose columns are not a record's fields
-name them by hand.  Identical configuration must give
+record lists computed from them.  A run knows its stages before it runs,
+and the first stage after detection fills every list they read
+(:data:`READS`) in one pass, which splits each community once and
+computes all of its records from that split.  So ``all`` computes each
+list once, a staged subcommand only what its stage writes, and no process
+splits a community twice.  No stage reads a table: each subcommand
+computes its records from its own ``--graph``, ``--communities`` and
+``--metadata``.  :func:`run_pipeline` is the one loop behind ``all`` and
+every staged subcommand.  A NamedTuple record is already a row: its
+table's columns are its ``_fields``, and only tables whose columns are not
+a record's fields name them by hand.  Identical configuration must give
 byte-identical artifacts, so nothing here records timestamps and floats
 are serialized with ``repr``.
 
-Stages run serially: every record list is a plain comprehension over the
-communities, in their order.  At module level this imports only what
-configuration (:mod:`commkit.config`), loading and the table writer need.
-Each stage and each record list imports its own layer when it runs: a
-``commkit <stage>`` process then loads the layers of that stage and no
-other.  A call-time ``from .x import f`` reads
-the defining module's current binding, so a function replaced there (a
-test's monkeypatch, the benchmark's tracer) is the one the stage calls.
+Stages run serially, and every record list follows the communities'
+order.  At module level this imports only what configuration
+(:mod:`commkit.config`), loading and the table writer need.  Each stage,
+and the pass for each record list it reads, imports its own layer when it
+runs: a ``commkit <stage>`` process then loads the layers of that stage
+and no other.  A call-time ``from .x import f`` reads the defining
+module's current binding, so a function replaced there (a test's
+monkeypatch, the benchmark's tracer) is the one the stage calls.
 """
 
 from __future__ import annotations
@@ -31,9 +30,8 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import __version__
 from .community import Community, load_communities, write_communities
@@ -49,6 +47,15 @@ if TYPE_CHECKING:
 
 CURVE_LENGTHS = list(range(5, 55, 5))
 SPLIT_THRESHOLDS = (0.6, 0.8)
+
+STAGES = ("detect", "domsets", "slopes", "metrics", "keywords", "report")
+READS = {  # the per-community record lists each stage reads, by their names on Run
+    "domsets": ("internal", "external"),
+    "slopes": ("internal", "external", "slope_pairs"),
+    "metrics": ("stats",),
+    "keywords": ("internal",),
+    "report": ("internal", "external", "slope_pairs", "stats"),
+}
 
 
 def _fmt(value: object) -> str:
@@ -96,49 +103,53 @@ def load_inputs(config: RunConfig) -> tuple[Graph, list[Community], dict[str, No
 
 
 class Run:
-    """One run's loaded inputs and the per-community records computed from them.
+    """One process's loaded inputs and the per-community records its ``stages`` read.
 
-    Each record list is a ``cached_property``: it is computed when a stage
-    first reads it and shared by every later stage of the process.
+    The record lists, one item per community, start empty:
+    ``internal`` and ``external`` hold the greedy (k-set, p-set) pairs,
+    ``slope_pairs`` the (ISlope, ESlope) pairs from the p-sets and
+    ``stats`` the :class:`CommunityStats`.  :meth:`characterize` fills
+    those that ``stages`` read.
     """
 
-    def __init__(self, config: RunConfig):
+    def __init__(self, config: RunConfig, stages: Iterable[str] = STAGES):
         self.config = config
         self.out = Path(config.out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         self.graph, self.communities, self.metadata = load_inputs(config)
+        self.reads = {name for stage in stages for name in READS.get(stage, ())}
+        self.characterized = False
+        self.internal, self.external, self.slope_pairs, self.stats = [], [], [], []
 
-    @cached_property
-    def internal(self) -> list[tuple[DomSetResult, DomSetResult]]:
-        """The (k-set, p-set) internal greedy pair of each community."""
-        from .domsets import greedy_ids
+    def characterize(self) -> None:
+        """Fill the record lists in ``reads``, in one pass over the communities.
 
-        k, p = self.config.k, self.config.p
-        return [greedy_ids(c, k, p) for c in self.communities]
-
-    @cached_property
-    def external(self) -> list[tuple[DomSetResult, DomSetResult]]:
-        """The (k-set, p-set) external greedy pair of each community."""
-        from .domsets import greedy_eds
-
-        k, p = self.config.k, self.config.p
-        return [greedy_eds(c, k, p) for c in self.communities]
-
-    @cached_property
-    def slope_pairs(self) -> list[tuple[SlopeResult, SlopeResult]]:
-        """ISlope and ESlope of each community, from its p-sets."""
-        from .slopes import eslope, islope
-
-        return [
-            (islope(c, p_ids), eslope(c, p_eds))
-            for c, (_, p_ids), (_, p_eds) in zip(self.communities, self.internal, self.external)
-        ]
-
-    @cached_property
-    def stats(self) -> list[CommunityStats]:
-        from .metrics import community_stats
-
-        return [community_stats(c) for c in self.communities]
+        Each community is split once, its records are computed from that
+        split, and the split is dropped before the next one is built.  Every
+        stage after detection calls this first; only the first call computes.
+        """
+        if self.characterized:
+            return
+        self.characterized = True
+        reads, k, p = self.reads, self.config.k, self.config.p
+        if reads & {"internal", "external"}:
+            from .domsets import greedy_eds, greedy_ids
+        if "slope_pairs" in reads:
+            from .slopes import eslope, islope
+        if "stats" in reads:
+            from .metrics import community_stats
+        for community in self.communities:
+            split = community.split()
+            if "internal" in reads:
+                self.internal.append(greedy_ids(split, k, p))
+            if "external" in reads:
+                self.external.append(greedy_eds(split, k, p))
+            if "slope_pairs" in reads:
+                (_, p_ids), (_, p_eds) = self.internal[-1], self.external[-1]
+                self.slope_pairs.append((islope(split, p_ids), eslope(split, p_eds)))
+            if "stats" in reads:
+                self.stats.append(community_stats(split))
+            del split
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +161,9 @@ def stage_detect(run: Run) -> list[Community]:
     from .detect import detect_communities
 
     detected = detect_communities(run.graph, run.config.detect)
+    run.communities = [d.community for d in detected]
     with (run.out / "communities.txt").open("w") as f:
-        write_communities([d.community for d in detected], f)
+        write_communities(run.communities, f)
     write_table(
         run.out / "communities_meta",
         ["community_id", "size", "conductance", "connected", "seed_node"],
@@ -161,7 +173,6 @@ def stage_detect(run: Run) -> list[Community]:
         ],
         run.config.fmt,
     )
-    run.communities = [d.community for d in detected]
     return run.communities
 
 
@@ -175,6 +186,7 @@ def stage_domsets(run: Run) -> list[DomSetResult]:
                 raise CommkitError(f"node label {label!r} contains ';', which separates the members of a domsets cell")
         return ";".join(labels)
 
+    run.characterize()
     records = [r for (ki, pi), (ke, pe) in zip(run.internal, run.external) for r in (ki, ke, pi, pe)]
     write_table(
         run.out / "domsets",
@@ -190,6 +202,7 @@ def stage_domsets(run: Run) -> list[DomSetResult]:
 
 
 def stage_slopes(run: Run) -> list[tuple[SlopeResult, SlopeResult]]:
+    run.characterize()
     write_table(
         run.out / "slopes",
         ["community_id", "kind", "K", "observed", "expected", "slope", "estimator", "closed"],
@@ -208,6 +221,7 @@ def stage_slopes(run: Run) -> list[tuple[SlopeResult, SlopeResult]]:
 def stage_metrics(run: Run) -> list[CommunityStats]:
     from .metrics import CommunityStats
 
+    run.characterize()
     write_table(run.out / "community_stats", CommunityStats._fields, run.stats, run.config.fmt)
     return run.stats
 
@@ -216,16 +230,12 @@ def stage_keywords(run: Run) -> None:
     """Keyword predictions and curve, each community's candidates listed by its p-IDS."""
     from .keywords import build_keyword_list, predict_keywords, prediction_curve
 
-    metadata = run.metadata
-    candidate_lists = [
-        build_keyword_list(community, metadata, p_ids)
-        for community, (_, p_ids) in zip(run.communities, run.internal)
-    ]
-    scored = [
-        (candidates, predict_keywords(community, metadata, max(CURVE_LENGTHS), candidates))
-        for community, candidates in zip(run.communities, candidate_lists)
-        if candidates
-    ]
+    run.characterize()
+    scored = []
+    for community, (_, p_ids) in zip(run.communities, run.internal):
+        candidates = build_keyword_list(community, run.metadata, p_ids)
+        if candidates:
+            scored.append((candidates, predict_keywords(community, run.metadata, max(CURVE_LENGTHS), candidates)))
     with (run.out / "keyword_predictions.jsonl").open("w") as f:
         for _, report in scored:
             for pred in report.predictions:
@@ -239,6 +249,7 @@ def stage_report(run: Run) -> NetworkSummary:
     from .distributions import DistributionSummary, summarize
     from .metrics import NetworkSummary, TriangleSplit, aggregate_stats, triangle_split_analysis
 
+    run.characterize()
     out, fmt, stats, slope_pairs = run.out, run.config.fmt, run.stats, run.slope_pairs
     summary = aggregate_stats(run.graph, stats, run.internal, run.external, slope_pairs)
     write_table(out / "summary", NetworkSummary._fields, [summary], fmt)
@@ -270,7 +281,6 @@ def stage_report(run: Run) -> NetworkSummary:
 # ---------------------------------------------------------------------------
 # orchestration
 
-STAGES = ("detect", "domsets", "slopes", "metrics", "keywords", "report")
 NO_COMMUNITIES = "no communities; characterization skipped"
 
 
@@ -305,13 +315,13 @@ def run_pipeline(config: RunConfig, command: str = "all") -> object:
     communities: every stage but detect is skipped then, writing nothing
     and returning None.
     """
-    run = Run(config)
-    if command == "keywords" and run.metadata is None:
-        raise ConfigError("keywords stage needs --metadata")
     stages = [command] if command != "all" else [
         stage for stage in STAGES
-        if (stage != "detect" or not config.communities_path) and (stage != "keywords" or run.metadata is not None)
+        if (stage != "detect" or not config.communities_path) and (stage != "keywords" or config.metadata_path)
     ]
+    run = Run(config, stages)
+    if command == "keywords" and run.metadata is None:
+        raise ConfigError("keywords stage needs --metadata")
     records = None
     for stage in stages:
         # looked up at call time, so a replaced binding (the benchmark's tracer) is the one run

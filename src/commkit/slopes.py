@@ -3,8 +3,9 @@
 The expectation over all size-K subsets has an exact closed form by
 linearity of expectation: a node is missed exactly when the subset avoids
 all of its dominators in the community, so each node contributes one
-binomial coefficient.  Numerator and denominator are integers and the only
-rounding is the final division.
+binomial coefficient, read from the community's split (``Community.split``).
+Numerator and denominator are integers and the only rounding is the final
+division.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from collections import Counter
 from typing import NamedTuple
 
-from .community import Community
+from .community import Split
 from .domsets import DomSetResult
 from .errors import ConfigError
 
@@ -28,7 +29,7 @@ class SlopeResult(NamedTuple):
     closed: bool = False
 
 
-def random_subset_ratio(community: Community, K: int, kind: str) -> float | None:
+def random_subset_ratio(split: Split, K: int, kind: str) -> float | None:
     """Exact mean dominating ratio over all size-K subsets of the community.
 
     With ``c(a) = C(a, K)``, a member v is left uncovered by
@@ -38,40 +39,37 @@ def random_subset_ratio(community: Community, K: int, kind: str) -> float | None
     """
     if kind not in ("internal", "external"):
         raise ConfigError(f"kind must be internal or external, got {kind!r}")
-    if not 0 <= K <= community.size:
+    n = len(split.nodes)
+    if not 0 <= K <= n:
         raise ConfigError(f"K must be in [0, |C|], got {K}")
-    _, inside, _, outside = community.split()
     if kind == "internal":
-        dominators = [1 + len(js) for js in inside]
+        dominators = [1 + len(js) for js in split.inside]
     else:
         # |N(b) ∩ C| for every boundary node b
-        dominators = list(Counter(w for ws in outside for w in ws).values())
+        dominators = list(Counter(w for ws in split.outside for w in ws).values())
         if not dominators:
             return None
-    n = community.size
     total = len(dominators) * math.comb(n, K)
     missed = sum(math.comb(n - d, K) for d in dominators)
     return (total - missed) / total
 
 
-def islope(community: Community, domset: DomSetResult) -> SlopeResult:
+def islope(split: Split, domset: DomSetResult) -> SlopeResult:
     """Internal slope: the ratio of the community's greedy internal set
     ``domset`` (its p-IDS in the pipeline) minus the random-subset expectation."""
-    return _slope(community, domset, "internal")
+    return _slope(split, domset, "internal")
 
 
-def eslope(community: Community, domset: DomSetResult) -> SlopeResult:
+def eslope(split: Split, domset: DomSetResult) -> SlopeResult:
     """External slope from the community's greedy external set; closed
     communities give the sentinel result."""
-    return _slope(community, domset, "external")
+    return _slope(split, domset, "external")
 
 
-def _slope(community: Community, domset: DomSetResult, kind: str) -> SlopeResult:
-    """Slope of ``kind`` from the community's ``kind`` set; a set of
-    another mode or community raises :class:`ConfigError`."""
-    domset.check_for(community, kind)
+def _slope(split: Split, domset: DomSetResult, kind: str) -> SlopeResult:
+    """Slope of ``kind`` from ``domset``, the ``kind`` set built from ``split``."""
     if domset.closed:
-        return SlopeResult(community.id, kind, 0, None, None, None, closed=True)
+        return SlopeResult(split.community_id, kind, 0, None, None, None, closed=True)
     observed = domset.achieved_ratio
-    expected = random_subset_ratio(community, domset.size, kind)
-    return SlopeResult(community.id, kind, domset.size, observed, expected, observed - expected)
+    expected = random_subset_ratio(split, domset.size, kind)
+    return SlopeResult(split.community_id, kind, domset.size, observed, expected, observed - expected)

@@ -77,15 +77,17 @@ def networkx_graph(graph: Graph, edges: list[tuple[str, str]]) -> nx.Graph:
     return whole
 
 
-def planted_partition(seed: int) -> tuple[list[tuple[str, str]], list[Community]]:
-    """Edges and groups of a seeded 2000-node planted partition: 20 groups of 100.
+def planted_partition(seed: int, group_count: int = 20) -> tuple[list[tuple[str, str]], list[Community]]:
+    """Edges and groups of a seeded planted partition: ``group_count`` groups
+    of 100, so 2000 nodes by default.
 
     Nodes are dealt into the groups in a seeded random order.  Each group is
     a cycle plus uniform internal edges up to 500 in all (internal degree
-    10); then 2000 uniform edges join different groups (external degree 2).
+    10); then one uniform edge per node joins different groups (external
+    degree 2).
     """
     rng = random.Random(seed)
-    n, group_count = 2000, 20
+    n = 100 * group_count
     order = list(range(n))
     rng.shuffle(order)
     groups = [sorted(order[g::group_count]) for g in range(group_count)]
@@ -97,7 +99,7 @@ def planted_partition(seed: int) -> tuple[list[tuple[str, str]], list[Community]
             internal.add(tuple(sorted(rng.sample(members, 2))))
         pairs |= internal
     external = 0
-    while external < 2000:
+    while external < n:
         pair = tuple(sorted(rng.sample(range(n), 2)))
         if group_of[pair[0]] != group_of[pair[1]] and pair not in pairs:
             pairs.add(pair)
@@ -156,12 +158,12 @@ def whole_community(graph: Graph, community_id: str = "all") -> Community:
 
 def k_set(greedy, community: Community, k: int) -> DomSetResult:
     """The k-set of ``greedy_ids`` or ``greedy_eds``; p = 0 adds no picks to its order."""
-    return greedy(community, k, 0.0)[0]
+    return greedy(community.split(), k, 0.0)[0]
 
 
 def p_set(greedy, community: Community, p: float) -> DomSetResult:
     """The p-set of ``greedy_ids`` or ``greedy_eds``; k = 1 adds no picks past its first."""
-    return greedy(community, 1, p)[1]
+    return greedy(community.split(), 1, p)[1]
 
 
 def p_ids(community: Community, p: float = 0.8) -> DomSetResult:

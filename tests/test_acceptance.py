@@ -72,7 +72,7 @@ def test_criterion_1_network_clustering(football_graph):
 @pytest.fixture(scope="module")
 def conference_profile(football_conferences):
     start = time.perf_counter()
-    stats = [community_stats(c) for c in football_conferences]
+    stats = [community_stats(c.split()) for c in football_conferences]
     mean_idr = fmean(k_set(greedy_ids, c, 5).achieved_ratio for c in football_conferences)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"characterization took {elapsed:.2f}s"
@@ -115,7 +115,7 @@ def test_criterion_2d_mean_ccc(conference_profile):
 
 
 def test_criterion_3_three_degree_separation(football_conferences):
-    stats = [community_stats(c) for c in football_conferences]
+    stats = [community_stats(c.split()) for c in football_conferences]
     mean_apl = fmean(s.apl_penalized for s in stats)
     ok = mean_apl <= 3.3
     _report("3", "three-degree separation", ok, f"mean penalized apl={mean_apl:.4f}")
@@ -197,11 +197,11 @@ def test_criterion_5_analytic_slopes():
 
     for n in (4, 6, 9):
         clique = whole_community(clique_graph(n))
-        result = islope(clique, p_ids(clique))
+        result = islope(clique.split(), p_ids(clique))
         checks.append(result.slope == 0.0)
 
     star = whole_community(star_graph(9))
-    result = islope(star, p_ids(star))
+    result = islope(star.split(), p_ids(star))
     checks.append(result.K == 1)
     checks.append(abs(result.slope - 0.72) < 1e-12)
 
@@ -210,7 +210,7 @@ def test_criterion_5_analytic_slopes():
         edges += [("m0", "x0"), ("m0", "x1"), ("m0", "x2")]
         g = Graph(edges)
         community = Community("gate", frozenset(g.index(f"m{i}") for i in range(n)), g)
-        result = eslope(community, p_set(greedy_eds, community, 0.8))
+        result = eslope(community.split(), p_set(greedy_eds, community, 0.8))
         checks.append(abs(result.slope - (1 - 1 / n)) < 1e-12)
 
     ok = all(checks)
@@ -227,7 +227,7 @@ def test_criterion_6_estimator_consistency():
         members = sorted(community.members)
         for kind in ("internal", "external"):
             for K in range(1, community.size + 1):
-                closed_form = random_subset_ratio(community, K, kind)
+                closed_form = random_subset_ratio(community.split(), K, kind)
                 brute = fmean(coverage.ratio(s, kind) for s in itertools.combinations(members, K))
                 worst = max(worst, abs(closed_form - brute))
                 checks += 1

@@ -1,6 +1,10 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -304,6 +308,32 @@ def test_football_artifacts_match_golden_digests(tmp_path):
             if path.name != "manifest.json"
         }
         assert produced == digests, extra
+
+
+def test_all_is_byte_identical_across_hash_seeds(tmp_path):
+    # default detection on football, with metadata: every artifact but the manifest (which
+    # names the output directory) must not depend on string hashing
+    graph = DATA_DIR / "football" / "football.edges"
+    lines = graph.read_text().splitlines()
+    teams = sorted({team for line in lines if not line.startswith("#") for team in line.split()})
+    topics = ["option offense", "zone defense", "special teams"]
+    rows = [
+        f"{team}\t{team} on {topics[i % 3]}\tnotes\t" + ("" if i % 2 else f"{topics[i % 3]}; {team.lower()}")
+        for i, team in enumerate(teams)
+    ]
+    metadata = tmp_path / "meta.tsv"
+    metadata.write_text("\n".join(rows) + "\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    produced = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        argv = ["all", "--graph", str(graph), "--metadata", str(metadata), "--out", str(out)]
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", "commkit.cli", *argv], env=env, capture_output=True, text=True)
+        assert done.returncode == EXIT_OK, done.stderr
+        produced.append({path.name: path.read_bytes() for path in out.iterdir() if path.name != "manifest.json"})
+    assert produced[0] == produced[1]
+    assert produced[0]["keyword_predictions.jsonl"] and "communities.txt" in produced[0]
 
 
 def test_manifest_records_what_the_loader_dropped(workdir):

@@ -63,7 +63,7 @@ def networkx_stats(whole: nx.Graph, community: Community) -> CommunityStats:
 
 
 def assert_stats_match_networkx(whole: nx.Graph, community: Community) -> None:
-    stats, expected = community_stats(community), networkx_stats(whole, community)
+    stats, expected = community_stats(community.split()), networkx_stats(whole, community)
     assert stats._replace(ccc=0.0) == expected._replace(ccc=0.0)
     assert stats.ccc == pytest.approx(expected.ccc)
 
@@ -80,7 +80,7 @@ def test_community_stats_match_networkx(case):
     components = [sub.subgraph(nodes) for nodes in nx.connected_components(sub)]
     pairs = sum(math.comb(len(c), 2) for c in components)
     total = sum(nx.average_shortest_path_length(c) * math.comb(len(c), 2) for c in components)
-    assert community_stats(community).apl == pytest.approx(total / pairs if pairs else 0.0)
+    assert community_stats(community.split()).apl == pytest.approx(total / pairs if pairs else 0.0)
     assert induced_subgraph(community) == Graph(sub.edges(), extra_nodes=member_labels)
 
 
@@ -132,7 +132,8 @@ def test_split_matches_neighbor_queries(case):
     graph, edges, community = case
     whole = networkx_graph(graph, edges)
     member_labels = set(community.member_labels())
-    nodes, inside, masks, outside = community.split()
+    community_id, nodes, inside, masks, outside = community.split()
+    assert community_id == community.id
     assert nodes == sorted(community.members)
     for i, v in enumerate(nodes):
         neighbors = set(whole[graph.label(v)])
@@ -163,9 +164,9 @@ def test_per_community_paths_never_scan_the_whole_graph(monkeypatch):
     monkeypatch.setattr(Graph, "degrees", property(scan))
     with monkeypatch.context() as patch:
         patch.setattr(Graph, "__init__", build)
-        stats = community_stats(community)
+        stats = community_stats(community.split())
     assert (stats.triangles, stats.boundary_size) == (10, 1)
     assert k_set(greedy_ids, community, 1).achieved_ratio == 1.0
     assert p_set(greedy_eds, community, 0.8).members == {graph.index("a0")}
-    assert random_subset_ratio(community, 1, "internal") == 1.0
-    assert random_subset_ratio(community, 1, "external") == pytest.approx(0.2)
+    assert random_subset_ratio(community.split(), 1, "internal") == 1.0
+    assert random_subset_ratio(community.split(), 1, "external") == pytest.approx(0.2)

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import networkx as nx
 import pytest
 
-from commkit import Graph, approximate_ppr, detect, detect_communities, sweep_cut
+from commkit import Graph, approximate_ppr, detect, detect_communities, load_graph, sweep_cut
 from commkit.detect import DetectParams, SweepResult, ppr_thresholds
 from commkit.errors import ConfigError
-from graphs import TWO_CLIQUE_EDGES, clique_graph, two_clique_graph
+from graphs import TWO_CLIQUE_EDGES, clique_graph, planted_partition, two_clique_graph, write_input
 
 
 def test_params_validation():
@@ -233,3 +235,25 @@ def test_detect_empty_result_when_filters_exclude_everything():
     g = two_clique_graph()
     found = detect_communities(g, DetectParams(min_size=7, max_size=9))
     assert found == []
+
+
+def test_detection_peak_stays_a_small_multiple_of_the_graph(tmp_path):
+    # A member set kept per candidate put detection's traced peak at about 71x the
+    # graph's retained size on this 200-node graph; a sorted tuple per candidate and one
+    # set per kept community put it at about 22x (Python 3.11).
+    edges, _ = planted_partition(seed=1, group_count=2)
+    path = write_input(tmp_path, "".join(f"{a} {b}\n" for a, b in edges))
+    load_graph(path)  # the first load also imports the decoder, which the graph does not hold
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graph = load_graph(path)
+        retained = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        detected = detect_communities(graph, DetectParams(epsilon=3e-4))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert detected
+    assert peak < 40 * retained, f"detection peaked at {peak / retained:.1f}x the graph"

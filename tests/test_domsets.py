@@ -91,7 +91,7 @@ def test_greedy_checks_k_and_p_ranges():
     for greedy in (greedy_ids, greedy_eds):
         for k, p in ((0, 0.5), (1, 1.5), (1, -0.1), (1, float("nan"))):
             with pytest.raises(ConfigError):
-                greedy(c, k, p)
+                greedy(c.split(), k, p)
 
 
 def test_greedy_eds_core_fixture_k1(core_graph, core_community):
@@ -108,7 +108,7 @@ def test_greedy_eds_core_fixture_k1(core_graph, core_community):
 def test_greedy_eds_closed_community_sentinel():
     g = Graph([("a", "b"), ("c", "d")])
     c = Community("pair", _indices(g, "a", "b"), g)
-    for result in greedy_eds(c, 2, 0.8):
+    for result in greedy_eds(c.split(), 2, 0.8):
         assert result.closed
         assert result.members == frozenset()
         assert result.achieved_ratio is None
@@ -196,7 +196,8 @@ def test_ratios_invariant_under_relabeling():
     c2 = Community("square", members2, g2)
 
     for greedy in (greedy_ids, greedy_eds):
-        assert [r.achieved_ratio for r in greedy(c, 1, 0.8)] == [r.achieved_ratio for r in greedy(c2, 1, 0.8)]
+        ratios = [[r.achieved_ratio for r in greedy(community.split(), 1, 0.8)] for community in (c, c2)]
+        assert ratios[0] == ratios[1]
 
 
 def test_greedy_beats_two_thirds_of_optimum_small_sample():
@@ -251,7 +252,7 @@ OPEN3 = Community("open", frozenset({0, 1, 2}), PATH4)  # v3 lies outside
 def test_one_pick_order_gives_both_sets_of_the_separate_loops(case):
     community, k, p = case
     for mode, greedy in (("internal", greedy_ids), ("external", greedy_eds)):
-        assert greedy(community, k, p) == (
+        assert greedy(community.split(), k, p) == (
             reference_greedy(community, mode, k=k),
             reference_greedy(community, mode, p=p),
         )

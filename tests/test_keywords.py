@@ -6,7 +6,6 @@ from commkit import (
     Community,
     Graph,
     build_keyword_list,
-    greedy_eds,
     load_metadata,
     predict_keywords,
     prediction_curve,
@@ -14,7 +13,7 @@ from commkit import (
 from commkit.cli import EXIT_OK, main
 from commkit.errors import CommkitError, ConfigError
 from commkit.keywords import KeywordCandidate, NodeMetadata, normalize_keyword, tokenize
-from graphs import p_ids, p_set, write_input
+from graphs import p_ids, write_input
 
 # ---------------------------------------------------------------------------
 # 20-paper citation fixture.  Two hubs n01/n02 form the 0.8-IDS (n01 covers
@@ -309,14 +308,6 @@ def test_prediction_curve_counts_overlapping_paper_once(fixture_graph, fixture_m
     single = _curve([a], fixture_metadata, [3])
     double = _curve([a, b], fixture_metadata, [3])
     assert single == double
-
-
-def test_build_keyword_list_rejects_a_set_of_another_mode_or_community(fixture_graph, fixture_community, fixture_metadata):
-    other = Community("other", fixture_community.members, fixture_graph)
-    with pytest.raises(ConfigError, match="internal set of community 'hep', got the external set of community 'hep'"):
-        build_keyword_list(fixture_community, fixture_metadata, p_set(greedy_eds, fixture_community, 0.8))
-    with pytest.raises(ConfigError, match="internal set of community 'hep', got the internal set of community 'other'"):
-        build_keyword_list(fixture_community, fixture_metadata, p_ids(other))
 
 
 # sha256 of `commkit all --metadata` keyword artifacts on the fixture above, one community of

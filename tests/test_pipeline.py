@@ -7,7 +7,7 @@ from commkit import Community, DomSetResult, Graph, RunConfig, run_pipeline
 from commkit.detect import DetectParams
 from commkit.errors import ConfigError
 from commkit.cli import EXIT_OK, main
-from commkit.pipeline import Run, stage_domsets, stage_slopes, write_table
+from commkit.pipeline import STAGES, Run, stage_domsets, stage_slopes, write_table
 
 TWO_CLIQUE_EDGES = "\n".join(
     f"{u} {v}"
@@ -187,12 +187,12 @@ def test_a_run_builds_each_greedy_set_once_and_only_those_its_stages_read(inputs
     graph_path, communities_path, tmp_path = inputs
     metadata = tmp_path / "meta.tsv"
     metadata.write_text("a0\tA paper\tAn abstract\tspin glasses\n")
-    calls = []  # "ids left" for greedy_ids(left, k, p), and so on: one call gives both sets
+    calls = []  # "ids left" for greedy_ids(left's split, k, p), and so on: one call gives both sets
 
     def counted(greedy, tag):
-        def build(community, k, p):
-            calls.append(f"{tag} {community.id}")
-            return greedy(community, k, p)
+        def build(split, k, p):
+            calls.append(f"{tag} {split.community_id}")
+            return greedy(split, k, p)
 
         return build
 
@@ -202,6 +202,30 @@ def test_a_run_builds_each_greedy_set_once_and_only_those_its_stages_read(inputs
     config = _config(graph_path, communities_path, tmp_path / "out", metadata_path=str(metadata))
     run_pipeline(config, command)
     assert sorted(calls) == built
+
+
+@pytest.mark.parametrize("command", ["all", *STAGES])
+def test_a_process_splits_each_community_at_most_once(inputs, monkeypatch, command):
+    graph_path, communities_path, tmp_path = inputs
+    metadata = tmp_path / "meta.tsv"
+    metadata.write_text("a0\tA paper\tAn abstract\tspin glasses\n")
+    split, splits = Community.split, []
+
+    def counted(community):
+        splits.append(community.id)
+        return split(community)
+
+    monkeypatch.setattr(Community, "split", counted)
+    out = tmp_path / "out"
+    argv = ["--graph", str(graph_path), "--metadata", str(metadata), "--out", str(out)]
+    if command != "detect":
+        argv += ["--communities", str(communities_path)]
+    assert main([command, *argv]) == EXIT_OK
+    if command == "detect":
+        assert (out / "communities.txt").read_text()
+        assert splits == []
+    else:
+        assert sorted(splits) == ["left", "right"]
 
 
 def test_stages_are_worker_count_independent(inputs):
