@@ -2,9 +2,14 @@
 """Sweep detection parameters on the football network.
 
 For each teleport probability, reports how many communities come out of
-PPR-plus-sweep detection and how well they line up with the 12 known
-conferences (mean majority-label purity).  Useful when picking alpha and
-the size window for a new network.
+detection and how well they line up with the 12 known conferences (mean
+majority-label purity).  Detection pushes PPR only from a maximal
+independent set of seeds taken in degree order, sweeps each vector within
+a window of ``max_size + 1`` prefixes, so that a community of exactly
+``max_size`` nodes can be kept, and refines each community kept by the
+overlap dedup with single-node moves until no move lowers its
+conductance.  Useful when picking alpha and the size window for a new
+network.
 
 Usage:
     python scripts/detection_parameter_sweep.py

@@ -1,14 +1,23 @@
-"""Local community detection: PPR push plus conductance sweep.
+"""Local community detection: PPR push, conductance sweep, local refinement.
 
-Every node is a seed.  Each seed gets an approximate personalized-PageRank
-vector, which is swept in score/degree order for the prefix of minimum
-conductance.  Candidates are filtered by size, seeds that sweep to the same
-member set collapse to the lowest of them, and the distinct sets are
-deduplicated best-first by conductance: a set whose Jaccard overlap with a
-kept community exceeds :data:`OVERLAP_JACCARD_MAX` (0.5) is dropped.  Only
-kept communities are checked for connectivity.  Detection is deliberately
-pluggable: every downstream stage also accepts externally supplied
-community files.
+The seeds are a maximal independent set taken in degree order (the "spread
+hubs" of Whang, Gleich & Dhillon, CIKM 2013): nodes are taken by
+decreasing degree, ties to the lower index, and a node is taken when no
+neighbor has been.  Every node is a seed or a neighbor of one.  Each seed
+gets an approximate personalized-PageRank vector, which is swept in
+score/degree order for the prefix of minimum conductance within a window
+of ``max_size + 1`` prefixes, so that a minimum at ``max_size`` nodes is
+not on the window's edge.  Candidates are filtered by size, seeds that
+sweep to the same member set collapse to the lowest of them, and the
+distinct sets are deduplicated best-first by conductance: a set whose
+Jaccard overlap with a kept community exceeds :data:`OVERLAP_JACCARD_MAX`
+(0.5) is dropped.  Each kept community is then refined by single-node
+moves (:func:`refine`), in the spirit of the conductance-improving local
+moves of Andersen & Lang (SODA 2008).  The refined sets go through the
+size filter, the collapse to the lowest seed and the dedup again, and
+only the communities kept then are checked for connectivity.  Detection
+is deliberately pluggable: every downstream stage also accepts
+externally supplied community files.
 
 The vector is the PageRank of the lazy walk ``W = (I + D^-1 A)/2`` with
 teleport probability ``alpha``.  It is also the PageRank of the plain walk
@@ -22,7 +31,7 @@ residual is below ``epsilon * deg(v)``, with fewer than half the pushes.
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .community import Community
 from .config import DetectParams, _check_alpha, _check_epsilon
@@ -203,34 +212,97 @@ class DetectedCommunity(NamedTuple):
     seed: int
 
 
-def detect_communities(graph: Graph, params: DetectParams) -> list[DetectedCommunity]:
-    """Run PPR + sweep from every node, filter by size, deduplicate by overlap.
+def _spread_seeds(graph: Graph) -> list[int]:
+    """A maximal independent set taken in (-degree, index) order, in index order."""
+    degrees = graph.degrees
+    adjacency = graph.adjacency
+    blocked = bytearray(graph.node_count)
+    seeds = []
+    for v in sorted(range(graph.node_count), key=lambda v: -degrees[v]):  # stable: ties by index
+        if not blocked[v]:
+            seeds.append(v)
+            for w in adjacency[v]:
+                blocked[w] = 1
+    seeds.sort()
+    return seeds
 
-    Pure function of (graph, params): candidates are collected per seed and
-    reduced in a fixed order.  Seeds that sweep to the same member set give
-    the same conductance, which is an integer cut over an integer volume, so
-    the set is a candidate once, with the lowest of those seeds.  A
-    candidate is kept as its sorted member tuple only; a member set is built
-    once, for a kept community.
+
+def refine(graph: Graph, members: Iterable[int], max_size: int) -> SweepResult:
+    """Apply the best single-node move to ``members`` until no move lowers conductance.
+
+    A move adds a boundary node while the set has fewer than ``max_size``
+    members, or drops a member while it has more than one; a move that
+    leaves either side of the cut without volume is not made.  The best
+    move lowers conductance the most, ties to the lower node index.
+    Conductances ``cut / min(vol, vol(G) - vol)`` are compared exactly, as
+    integer cross-products, and the one returned is that float of the
+    final set's integers.  Each member and boundary node keeps its count
+    of neighbors inside the set, and a move updates only the moved node's
+    neighbors.
     """
-    thresholds = ppr_thresholds(graph, params.epsilon)
-    candidates: dict[tuple[int, ...], tuple[float, int]] = {}  # sorted members -> (conductance, seed)
-    for seed in range(graph.node_count):
-        ppr = approximate_ppr(graph, seed, params.alpha, thresholds)
-        if not ppr.scores:
-            continue
-        sweep = sweep_cut(graph, ppr.scores, params.max_size)
-        if sweep is None:
-            continue
-        if not params.min_size <= len(sweep.members) <= params.max_size:
-            continue
-        key = tuple(sorted(sweep.members))
-        if key not in candidates:
-            candidates[key] = (sweep.conductance, seed)
+    degrees = graph.degrees
+    adjacency = graph.adjacency
+    total_volume = 2 * graph.edge_count
+    chosen = set(members)
+    inside: dict[int, int] = dict.fromkeys(chosen, 0)  # member or boundary node -> neighbors in the set
+    for u in chosen:
+        for w in adjacency[u]:
+            inside[w] = inside.get(w, 0) + 1
+    volume = sum(degrees[u] for u in chosen)
+    cut = volume - sum(inside[u] for u in chosen)
+    denominator = min(volume, total_volume - volume)
+    if denominator <= 0:
+        raise ConfigError("refine needs a set with volume on both sides of its cut")
 
-    # best-first greedy dedup; ordering makes the reduction deterministic
+    while True:
+        size = len(chosen)
+        best = -1
+        best_cut, best_volume, best_denominator = cut, volume, denominator
+        for v, k in inside.items():
+            dv = degrees[v]
+            if v in chosen:
+                if size == 1:
+                    continue
+                moved_cut, moved_volume = cut - dv + 2 * k, volume - dv
+            elif size < max_size:
+                moved_cut, moved_volume = cut + dv - 2 * k, volume + dv
+            else:
+                continue
+            moved_denominator = min(moved_volume, total_volume - moved_volume)
+            if moved_denominator <= 0:
+                continue
+            moved_cross = moved_cut * best_denominator
+            best_cross = best_cut * moved_denominator
+            if moved_cross < best_cross or (moved_cross == best_cross and 0 <= v < best):
+                best, best_cut, best_volume, best_denominator = v, moved_cut, moved_volume, moved_denominator
+        if best < 0:
+            return SweepResult(members=frozenset(chosen), conductance=cut / denominator)
+        step = -1 if best in chosen else 1
+        if step > 0:
+            chosen.add(best)
+        else:
+            chosen.remove(best)
+            if not inside[best]:
+                del inside[best]  # no longer a member, and not a boundary node
+        for w in adjacency[best]:
+            k = inside.get(w, 0) + step
+            if k or w in chosen:
+                inside[w] = k
+            else:
+                del inside[w]
+        cut, volume, denominator = best_cut, best_volume, best_denominator
+
+
+def _dedup(candidates: dict[tuple[int, ...], tuple[float, int]]) -> list[tuple[int, ...]]:
+    """Best-first greedy overlap dedup of sorted member tuples keyed to (conductance, seed).
+
+    Candidates go in (conductance, size, members) order, which makes the
+    reduction deterministic; one whose Jaccard overlap with a kept set
+    exceeds :data:`OVERLAP_JACCARD_MAX` is dropped.  Overlap is tested only
+    against the kept sets that share a node with the candidate.
+    """
     kept: list[tuple[int, ...]] = []
-    holders: dict[int, list[int]] = {}  # node -> indices into kept of the communities holding it
+    holders: dict[int, list[int]] = {}  # node -> indices into kept of the sets holding it
     for key in sorted(candidates, key=lambda k: (candidates[k][0], len(k), k)):
         size = len(key)
         shared = Counter(i for v in key for i in holders.get(v, ()))
@@ -242,11 +314,53 @@ def detect_communities(graph: Graph, params: DetectParams) -> list[DetectedCommu
         for v in key:
             holders.setdefault(v, []).append(len(kept))
         kept.append(key)
+    return kept
+
+
+def detect_communities(graph: Graph, params: DetectParams) -> list[DetectedCommunity]:
+    """Push and sweep from the spread seeds, deduplicate, refine, deduplicate again.
+
+    Pure function of (graph, params): candidates are collected per seed and
+    reduced in a fixed order (see the module docstring).  Seeds that sweep
+    to the same member set give the same conductance, which is an integer
+    cut over an integer volume, so the set is a candidate once, with the
+    lowest of those seeds; kept communities that refine to the same set
+    collapse to the lowest of their seeds too.  A candidate is kept as its
+    sorted member tuple only; member sets are built only for the
+    communities the first dedup keeps (to refine them) and for those the
+    second keeps.
+    """
+    min_size, max_size = params.min_size, params.max_size
+    thresholds = ppr_thresholds(graph, params.epsilon)
+    candidates: dict[tuple[int, ...], tuple[float, int]] = {}  # sorted members -> (conductance, seed)
+    for seed in _spread_seeds(graph):
+        ppr = approximate_ppr(graph, seed, params.alpha, thresholds)
+        if not ppr.scores:
+            continue
+        # one prefix past max_size, so that a minimum at max_size is not on the window edge
+        sweep = sweep_cut(graph, ppr.scores, max_size + 1)
+        if sweep is None:
+            continue
+        if not min_size <= len(sweep.members) <= max_size:
+            continue
+        key = tuple(sorted(sweep.members))
+        if key not in candidates:
+            candidates[key] = (sweep.conductance, seed)
+
+    refined: dict[tuple[int, ...], tuple[float, int]] = {}
+    for key in _dedup(candidates):
+        seed = candidates[key][1]
+        result = refine(graph, key, max_size)
+        if not min_size <= len(result.members) <= max_size:
+            continue
+        moved = tuple(sorted(result.members))
+        if moved not in refined or seed < refined[moved][1]:
+            refined[moved] = (result.conductance, seed)
 
     detected = []
-    for i, key in enumerate(kept):
+    for i, key in enumerate(_dedup(refined)):
         members = frozenset(key)  # one set, for the community and its connectivity check
-        conductance, seed = candidates[key]
+        conductance, seed = refined[key]
         community = Community(f"c{i}", members, graph)
         detected.append(DetectedCommunity(community, conductance, _is_connected(graph, members), seed))
     return detected

@@ -281,18 +281,18 @@ GOLDEN_FOOTBALL = {
         "triangle_split.json": "3871091efe5637ab07b2e86318b705f87882dbeb5e51edc78c05d47faa3b2aed",
     },
     (): {
-        "communities.txt": "f2ccb5f8f15909903b385c8ceaf2ae0e8863a27abc1e3ab9a4df2b6e4110871e",
-        "communities_meta.csv": "3c0a0c72f6c449762640a10b1bec528fb35c4b3b1ee657b6696434a22c637cd3",
-        "community_stats.csv": "1149eb45f196ff260716f1786b6cf42ff9b20ef5ff18fd1496b2f04bf3ffd981",
-        "dist_ccc.csv": "59bcf3d160588f94d621aaf8abb208a7d9146bf187d22b8c63855bf6dad5134a",
-        "dist_eslope.csv": "fe80050b8c1f189fb0ae27acd79bfde295635d850ab4e561e84f048fa073efef",
-        "dist_islope.csv": "3e4f3e449856cf3612282e4a3113e7c9b09d6839b8584282d9f62698c331f9f1",
-        "dist_size.csv": "9e3ccec3a4a5241bc20333cd62180a799c2ae77357411c0d85fc19c7e4e7f382",
-        "distributions_summary.csv": "559efb78c6dbd4a20aa43adaff21179e04a12e1843da61b9d43723baaf67c3ce",
-        "domsets.csv": "d3aef269c1928f5571a0de70feabdc363f8202c227ec98c799aa65214fb0c4ac",
-        "slopes.csv": "105efebf576cda6cd44275e726a3ed411683e0e56519527ce967f3822969499f",
-        "summary.csv": "42605db72668d012db8b3bac501b8e16fc68c6f948a71728689e802b96c1affd",
-        "triangle_split.csv": "93c52df5ae43aa617a9605de151c9d25b07d7d678e6240b743a05d2b9c5fcb8b",
+        "communities.txt": "e4f7136c087a22003f0ce20b33fcf292f49c3007106bb1aa52259f4f4d51e844",
+        "communities_meta.csv": "6eb920fed84fa9dfec542a62787288816b8a90beba1e2ca6d608a856f75bf112",
+        "community_stats.csv": "032ec79de0ef06f9e40dd650ce31560570f2a605cb3397f32af2f56811a859d1",
+        "dist_ccc.csv": "a3c06f122aea9166c839fcd7d9d2b2bec82b5dfd13362cb546743f8047ee30d8",
+        "dist_eslope.csv": "496eb38c06c38b836276ce6b1e1e221d3b5f75a5cb229ebc36e9dc0ee9b03306",
+        "dist_islope.csv": "bae37ea8068534c6189de1f451098cb651a929261b6378065b95382e6f20bfa7",
+        "dist_size.csv": "5f0cc063efb2f0a872ae9f67ce92bb2b9c80f7d022a7c55bd06e9516a8d3c61d",
+        "distributions_summary.csv": "6a9e96bb90055ed8a48208fb398c42aa7a8bcbfeba5c887e34f73ab0e2923674",
+        "domsets.csv": "2618ab95a8b3b8664142e059ef16acd88c572d921f807ef3dd7a89f5405a6750",
+        "slopes.csv": "eca1538647c41574057a1a06bc365384ef1ff897c11d55568f6b1679ec8c6d7b",
+        "summary.csv": "1d2ddb0018c49a05ae1200ba9fa1c3727d3b4b192568c21275ad46005a928dae",
+        "triangle_split.csv": "1f5a6f829984b407486b7a4c902ecf27fd70c81911cf2f30be8e6c948712703d",
     },
 }
 

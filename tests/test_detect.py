@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 
 from commkit import Graph, approximate_ppr, detect, detect_communities, load_graph, sweep_cut
-from commkit.detect import DetectParams, SweepResult, ppr_thresholds
+from commkit.detect import DetectParams, SweepResult, ppr_thresholds, refine
 from commkit.errors import ConfigError
 from graphs import TWO_CLIQUE_EDGES, clique_graph, planted_partition, two_clique_graph, write_input
 
@@ -198,28 +198,110 @@ def test_detect_reports_verifiable_conductance_and_connectivity():
         assert d.connected
 
 
-def test_detect_reports_the_lowest_seed_of_a_set():
-    # every node of a clique sweeps to that clique; b0 is the lowest b-seed but not node 0
-    g = two_clique_graph()
+def octahedra_graph() -> Graph:
+    """Two octahedra (K6 minus a perfect matching) joined by the bridge a0-b5.
+
+    The spread seeds are a0 and a1 (a1 is a0's one non-neighbor) and b0 and b1:
+    b5 has degree 5 but touches a0, so it is never a seed.
+    """
+    missing = {frozenset((0, 1)), frozenset((2, 3)), frozenset((4, 5))}
+    edges = [
+        (f"{prefix}{i}", f"{prefix}{j}")
+        for prefix in ("a", "b")
+        for i in range(6)
+        for j in range(i + 1, 6)
+        if frozenset((i, j)) not in missing
+    ]
+    return Graph([*edges, ("a0", "b5")])
+
+
+def test_detect_reports_the_lowest_seed_of_a_set(monkeypatch):
+    # two seeds of each octahedron sweep to it; the set is reported once, with the lower seed
+    g = octahedra_graph()
     thresholds = ppr_thresholds(g, 1e-4)
-    seeds_of: dict[frozenset[int], list[int]] = {}
-    for seed in range(g.node_count):
-        members = sweep_cut(g, approximate_ppr(g, seed, 0.15, thresholds).scores, 10).members
-        seeds_of.setdefault(members, []).append(seed)
+    pushed: list[int] = []
+
+    def recorded(graph, seed, alpha, thresholds):
+        pushed.append(seed)
+        return approximate_ppr(graph, seed, alpha, thresholds)
+
+    monkeypatch.setattr(detect, "approximate_ppr", recorded)
     found = detect_communities(g, DetectParams(min_size=3, max_size=10))
-    assert [len(seeds_of[d.community.members]) for d in found] == [5, 5]
+    assert [g.label(v) for v in pushed] == ["a0", "a1", "b0", "b1"]
+    seeds_of: dict[frozenset[int], list[int]] = {}
+    for seed in pushed:
+        members = sweep_cut(g, approximate_ppr(g, seed, 0.15, thresholds).scores, 11).members
+        seeds_of.setdefault(members, []).append(seed)
+    assert [len(seeds_of[d.community.members]) for d in found] == [2, 2]
     assert sorted(g.label(d.seed) for d in found) == ["a0", "b0"]
     for d in found:
         assert d.seed == min(seeds_of[d.community.members])
 
 
 def test_detect_checks_connectivity_of_kept_communities(monkeypatch):
-    # every seed sweeps to one set that straddles the bridge without using it
-    g = two_clique_graph()
-    split = frozenset(g.index(label) for label in ("a1", "a2", "b1", "b2"))
-    monkeypatch.setattr(detect, "sweep_cut", lambda graph, scores, max_prefix: SweepResult(split, 0.5))
+    # every seed sweeps to two triangles with no edge between them or out of them: at
+    # conductance 0 no move improves the set, so refinement keeps it as it is
+    g = Graph(
+        [("x0", "x1"), ("x1", "x2"), ("x0", "x2"), ("y0", "y1"), ("y1", "y2"), ("y0", "y2")]
+        + [(f"z{i}", f"z{j}") for i in range(4) for j in range(i + 1, 4)]
+    )
+    split = frozenset(g.index(label) for label in ("x0", "x1", "x2", "y0", "y1", "y2"))
+    monkeypatch.setattr(detect, "sweep_cut", lambda graph, scores, max_prefix: SweepResult(split, 0.0))
     found = detect_communities(g, DetectParams(min_size=3, max_size=10))
-    assert [(d.community.members, d.connected, d.seed) for d in found] == [(split, False, 0)]
+    assert [(d.community.members, d.conductance, d.connected, d.seed) for d in found] == [
+        (split, 0.0, False, g.index("x0"))
+    ]
+
+
+def test_detect_keeps_communities_of_exactly_max_size():
+    # the sweep's window runs one prefix past max_size, so a 5-clique is kept at max_size 5
+    g = two_clique_graph()
+    found = detect_communities(g, DetectParams(min_size=3, max_size=5))
+    assert sorted(sorted(g.label(v) for v in d.community.members) for d in found) == [
+        [f"a{i}" for i in range(5)],
+        [f"b{i}" for i in range(5)],
+    ]
+
+
+def test_detect_pushes_only_from_a_maximal_independent_set(monkeypatch):
+    # degree order leaves 359 of the 2000 nodes of the 2k fixture as seeds
+    edges, groups = planted_partition(seed=1)
+    g = groups[0].graph
+    pushed: list[int] = []
+
+    def counted(graph, seed, alpha, thresholds):
+        pushed.append(seed)
+        return approximate_ppr(graph, seed, alpha, thresholds)
+
+    monkeypatch.setattr(detect, "approximate_ppr", counted)
+    detect_communities(g, DetectParams())
+    assert len(pushed) == 359
+    assert pushed == sorted(set(pushed))  # each seed once, in index order
+    seeds = set(pushed)
+    for v in range(g.node_count):
+        touched = seeds.intersection(g.adjacency[v])
+        if v in seeds:
+            assert not touched, (v, touched)  # no two seeds are adjacent
+        else:
+            assert touched, v  # every other node has a seed among its neighbors
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_detect_recovers_the_groups_of_the_2k_fixture(seed):
+    # twenty groups of 100 nodes at internal degree 10 and external degree 2, default parameters
+    edges, groups = planted_partition(seed)
+    found = detect_communities(groups[0].graph, DetectParams())
+    exact = {d.community.members for d in found} & {group.members for group in groups}
+    assert len(found) == 20
+    assert len(exact) == 19
+
+
+@pytest.mark.parametrize("labels", [["a0", "a1", "a2", "a3", "a4", "b0", "b1", "b2", "b3", "b4"], ["x"]])
+def test_refine_rejects_a_set_with_no_volume_on_a_side(labels):
+    # the whole graph leaves its complement no volume, an isolated node has none itself
+    g = Graph(TWO_CLIQUE_EDGES, extra_nodes=["x"])
+    with pytest.raises(ConfigError, match="volume on both sides"):
+        refine(g, [g.index(label) for label in labels], 10)
 
 
 def test_detect_is_deterministic():

@@ -1,17 +1,25 @@
-"""The push, the sweep and detection's reduction on random small graphs against
-dense, brute-force, reference-push and pairwise-reduction oracles."""
+"""The push, the sweep, the refinement and detection's reduction on random small
+graphs against dense, brute-force, reference-push, exact-fraction and
+pairwise-reduction oracles."""
 
 import itertools
 import math
 
 import networkx as nx
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from commkit import Graph, approximate_ppr, detect_communities, sweep_cut
-from commkit.detect import DetectParams, ppr_thresholds
+from commkit.detect import DetectParams, ppr_thresholds, refine
 from graphs import networkx_graph
-from test_detect_reference import bits, reference_approximate_ppr
+from test_detect_reference import (
+    bits,
+    reference_approximate_ppr,
+    reference_conductance,
+    reference_moves,
+    reference_refine,
+    reference_seeds,
+)
 
 
 @st.composite
@@ -174,25 +182,37 @@ def test_conductance_matches_networkx(case, alpha, epsilon):
 
 def reference_detect(graph: Graph, params: DetectParams) -> list[tuple[list[int], str, int]]:
     """Detection with the pairwise reduction: every candidate, equal member sets
-    included, tested against every kept community; (members, conductance hex, seed)."""
+    included, tested against every kept community, before refinement and after;
+    (members, conductance hex, seed)."""
     thresholds = ppr_thresholds(graph, params.epsilon)
-    candidates = []
-    for seed in range(graph.node_count):
+    swept = []
+    for seed in reference_seeds(graph):
         scores = approximate_ppr(graph, seed, params.alpha, thresholds).scores
         if not scores:
             continue
-        sweep = sweep_cut(graph, scores, params.max_size)
-        if sweep is None or not params.min_size <= len(sweep.members) <= params.max_size:
-            continue
-        key = tuple(sorted(sweep.members))
-        candidates.append((sweep.conductance, len(key), key, sweep, seed))
-    candidates.sort(key=lambda c: c[:3])  # stable: equal sets stay in seed order
+        sweep = sweep_cut(graph, scores, params.max_size + 1)
+        if sweep is not None and params.min_size <= len(sweep.members) <= params.max_size:
+            swept.append((sweep, seed))
+    refined = []
+    for members, _, seed in reference_reduce(swept):
+        result = reference_refine(graph, members, params.max_size)
+        if params.min_size <= len(result.members) <= params.max_size:
+            refined.append((result, seed))
+    return [(sorted(members), conductance.hex(), seed) for members, conductance, seed in reference_reduce(refined)]
+
+
+def reference_reduce(candidates):
+    """Best-first by (conductance, size, sorted members, seed), each candidate dropped
+    when its Jaccard overlap with a kept one exceeds 0.5: an equal set is kept
+    once, with its lowest seed."""
+    ordered = sorted(
+        candidates, key=lambda c: (c[0].conductance, len(c[0].members), sorted(c[0].members), c[1])
+    )
     kept = []
-    for _, _, _, sweep, seed in candidates:
-        if any(reference_jaccard(sweep.members, other.members) > 0.5 for other, _ in kept):
-            continue
-        kept.append((sweep, seed))
-    return [(sorted(sweep.members), sweep.conductance.hex(), seed) for sweep, seed in kept]
+    for result, seed in ordered:
+        if all(reference_jaccard(result.members, members) <= 0.5 for members, _, _ in kept):
+            kept.append((result.members, result.conductance, seed))
+    return kept
 
 
 def reference_jaccard(a: frozenset[int], b: frozenset[int]) -> float:
@@ -222,3 +242,28 @@ def test_detection_matches_the_pairwise_reduction(case):
     whole = networkx_graph(graph, edges)
     for d in found:
         assert d.connected == nx.is_connected(whole.subgraph(d.community.member_labels()))
+
+
+@st.composite
+def refine_cases(draw):
+    graph, edges = draw(small_graphs())
+    members = frozenset(draw(st.sets(st.integers(0, graph.node_count - 1), min_size=1)))
+    assume(reference_conductance(graph, members) is not None)
+    max_size = draw(st.integers(1, graph.node_count))
+    return graph, edges, members, max_size
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(refine_cases())
+def test_refined_set_is_a_local_minimum(case):
+    # no allowed single add or drop lowers the refined set's conductance, computed exactly
+    graph, edges, members, max_size = case
+    result = refine(graph, members, max_size)
+    value = reference_conductance(graph, result.members)
+    for _, moved in reference_moves(graph, result.members, max_size):
+        other = reference_conductance(graph, moved)
+        assert other is None or other >= value
+    assert result.conductance == float(value)
+    labels = [graph.label(v) for v in result.members]
+    assert result.conductance == nx.conductance(networkx_graph(graph, edges), labels)
+    assert result == reference_refine(graph, members, max_size)

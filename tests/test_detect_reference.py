@@ -1,7 +1,10 @@
-"""The push and sweep kernel against a plain reference copy, bit for bit.
+"""The push, sweep and refinement kernels against plain reference copies, bit for bit.
 
 ``reference_approximate_ppr`` is the textbook non-lazy push (Andersen, Chung
-& Lang, FOCS 2006) and ``reference_sweep_cut`` the per-neighbor sweep.  The
+& Lang, FOCS 2006), ``reference_sweep_cut`` the per-neighbor sweep,
+``reference_seeds`` the pairwise greedy independent set and
+``reference_refine`` a mover that recounts each candidate set's conductance
+as a ``Fraction``.  The
 reference push keeps its residual in a dict, a set of queued nodes, a check
 that skips a stale queue entry, and the threshold ``epsilon * degree``
 computed at each comparison, where ``approximate_ppr`` reads flat lists and
@@ -15,6 +18,7 @@ node's residual is compared.
 
 import random
 from collections import deque
+from fractions import Fraction
 
 import pytest
 
@@ -107,6 +111,49 @@ def reference_sweep_cut(
     return SweepResult(members=frozenset(order[:best_prefix]), conductance=best_value)
 
 
+def reference_seeds(graph: Graph) -> list[int]:
+    """Nodes by decreasing degree, ties to the lower index, each taken unless a
+    neighbor was taken before it; in index order."""
+    taken: list[int] = []
+    for v in sorted(range(graph.node_count), key=lambda v: (-graph.degrees[v], v)):
+        if all(v not in graph.adjacency[u] for u in taken):
+            taken.append(v)
+    return sorted(taken)
+
+
+def reference_conductance(graph: Graph, members: frozenset[int]) -> Fraction | None:
+    """cut / min(vol, vol(G) - vol) as a fraction, recounted; None if a side has no volume."""
+    cut = sum(1 for u in members for w in graph.adjacency[u] if w not in members)
+    volume = sum(graph.degrees[u] for u in members)
+    denominator = min(volume, 2 * graph.edge_count - volume)
+    return Fraction(cut, denominator) if denominator > 0 else None
+
+
+def reference_moves(graph: Graph, members: frozenset[int], max_size: int):
+    """(node, set) for every set one allowed move away: a boundary node added while
+    the set is below ``max_size``, a member dropped while it has more than one."""
+    if len(members) < max_size:
+        boundary = {w for u in members for w in graph.adjacency[u]} - members
+        yield from ((v, members | {v}) for v in boundary)
+    if len(members) > 1:
+        yield from ((v, members - {v}) for v in members)
+
+
+def reference_refine(graph: Graph, members, max_size: int) -> SweepResult:
+    """The move to the lowest conductance, ties to the lower node, while it lowers it."""
+    members = frozenset(members)
+    current = reference_conductance(graph, members)
+    while True:
+        better = []
+        for v, moved in reference_moves(graph, members, max_size):
+            value = reference_conductance(graph, moved)
+            if value is not None and value < current:
+                better.append((value, v, moved))
+        if not better:
+            return SweepResult(members=members, conductance=float(current))
+        current, _, members = min(better, key=lambda move: move[:2])
+
+
 def planted_graph() -> Graph:
     """300 nodes in ten groups of 30 (p_in 0.3, p_out 0.005), plus one isolated node."""
     rng = random.Random(2013)
@@ -171,8 +218,9 @@ def test_detected_communities_match_the_reference(graph, monkeypatch):
 
     monkeypatch.setattr(detect, "approximate_ppr", reference_push)
     monkeypatch.setattr(detect, "sweep_cut", reference_sweep_cut)
+    monkeypatch.setattr(detect, "refine", reference_refine)
     expected = detect_communities(graph, params)
-    assert seeds == list(range(graph.node_count))  # one reference push per node
+    assert seeds == reference_seeds(graph)  # one reference push per spread seed
     assert found
     assert [
         (sorted(d.community.members), d.conductance.hex(), d.connected, d.seed) for d in found
