@@ -4,12 +4,11 @@
 For each teleport probability, reports how many communities come out of
 detection and how well they line up with the 12 known conferences (mean
 majority-label purity).  Detection pushes PPR only from a maximal
-independent set of seeds taken in degree order, sweeps each vector within
-a window of ``max_size + 1`` prefixes, so that a community of exactly
-``max_size`` nodes can be kept, and refines each community kept by the
-overlap dedup with single-node moves until no move lowers its
-conductance.  Useful when picking alpha and the size window for a new
-network.
+independent set of seeds taken in degree order, sweeps each vector over
+its first ``max_size + 1`` prefixes, keeps the sets of ``min_size`` to
+``max_size`` nodes, and refines each community kept by the overlap dedup
+with single-node moves until no move lowers its conductance.  Useful
+when picking alpha and the size window for a new network.
 
 Usage:
     python scripts/detection_parameter_sweep.py

@@ -5,15 +5,15 @@ hubs" of Whang, Gleich & Dhillon, CIKM 2013): nodes are taken by
 decreasing degree, ties to the lower index, and a node is taken when no
 neighbor has been.  Every node is a seed or a neighbor of one.  Each seed
 gets an approximate personalized-PageRank vector, which is swept in
-score/degree order for the prefix of minimum conductance within a window
-of ``max_size + 1`` prefixes, so that a minimum at ``max_size`` nodes is
-not on the window's edge.  Candidates are filtered by size, seeds that
-sweep to the same member set collapse to the lowest of them, and the
-distinct sets are deduplicated best-first by conductance: a set whose
-Jaccard overlap with a kept community exceeds :data:`OVERLAP_JACCARD_MAX`
-(0.5) is dropped.  Each kept community is then refined by single-node
-moves (:func:`refine`), in the spirit of the conductance-improving local
-moves of Andersen & Lang (SODA 2008).  The refined sets go through the
+score/degree order for the prefix of minimum conductance among its first
+``max_size + 1`` prefixes.  Candidates are filtered by size, which drops
+a minimum on the last of those prefixes; seeds that sweep to the same
+member set collapse to the lowest of them, and the distinct sets are
+deduplicated best-first by conductance: a set whose Jaccard overlap with
+a kept community exceeds :data:`OVERLAP_JACCARD_MAX` (0.5) is dropped.
+Each kept community is then refined by single-node moves
+(:func:`refine`), in the spirit of the conductance-improving local moves
+of Andersen & Lang (SODA 2008).  The refined sets go through the
 size filter, the collapse to the lowest seed and the dedup again, and
 only the communities kept then are checked for connectivity.  Detection
 is deliberately pluggable: every downstream stage also accepts
@@ -139,10 +139,11 @@ def sweep_cut(graph: Graph, scores: dict[int, float], max_prefix: int) -> SweepR
     The conductance of a prefix S is cut(S) / min(vol(S), vol(V∖S)).
     Ordering ties break toward the lower node index.  ``max_prefix`` caps
     the prefix length, which keeps the cut local instead of drifting to a
-    global bisection; ``node_count`` sets no cap.  Returns ``None`` (no
-    local community) when the scores carry no local information: either
-    the minimizing prefix would be the whole graph, or every scored node
-    ties in score/degree so any cut would be arbitrary.
+    global bisection; ``node_count`` sets no cap.  A prefix with no volume
+    on one side of its cut, the whole graph among them, is skipped.
+    Returns ``None`` (no local community) when every prefix is skipped or
+    every node of the graph ties in score/degree, so that any cut would be
+    arbitrary.
     """
     if not scores:
         raise ConfigError("sweep_cut needs a nonempty score vector")
@@ -153,14 +154,13 @@ def sweep_cut(graph: Graph, scores: dict[int, float], max_prefix: int) -> SweepR
 
     degrees = graph.degrees
     adjacency = graph.adjacency
-    n = graph.node_count
     keyed = [
         (-(score / degrees[v]) if degrees[v] else float("-inf"), v)
         for v, score in scores.items()
     ]
     keyed.sort()
     order = [v for _, v in keyed]
-    if len(order) == n and len({k for k, _ in keyed}) == 1:
+    if len(order) == graph.node_count and len({k for k, _ in keyed}) == 1:
         return None  # uniform over the whole graph: degenerate
 
     total_volume = 2 * graph.edge_count
@@ -174,8 +174,6 @@ def sweep_cut(graph: Graph, scores: dict[int, float], max_prefix: int) -> SweepR
         cut += dv - 2 * len(in_set.intersection(adjacency[v]))
         volume += dv
         in_set.add(v)
-        if len(in_set) == n:
-            break  # whole graph is not a community
         denominator = min(volume, total_volume - volume)
         if denominator == 0:
             continue
@@ -184,10 +182,6 @@ def sweep_cut(graph: Graph, scores: dict[int, float], max_prefix: int) -> SweepR
             best_value = value
             best_prefix = i + 1
     if best_prefix == 0:
-        return None
-    if best_prefix == max_prefix < len(order):
-        # the conductance minimum sits on the window edge: not a local
-        # minimum, so no community of bounded size was actually found
         return None
     return SweepResult(members=frozenset(order[:best_prefix]), conductance=best_value)
 
@@ -231,8 +225,8 @@ def refine(graph: Graph, members: Iterable[int], max_size: int) -> SweepResult:
     """Apply the best single-node move to ``members`` until no move lowers conductance.
 
     A move adds a boundary node while the set has fewer than ``max_size``
-    members, or drops a member while it has more than one; a move that
-    leaves either side of the cut without volume is not made.  The best
+    members, or drops a member; a move that leaves either side of the cut
+    without volume, such as dropping the only member, is not made.  The best
     move lowers conductance the most, ties to the lower node index.
     Conductances ``cut / min(vol, vol(G) - vol)`` are compared exactly, as
     integer cross-products, and the one returned is that float of the
@@ -261,8 +255,6 @@ def refine(graph: Graph, members: Iterable[int], max_size: int) -> SweepResult:
         for v, k in inside.items():
             dv = degrees[v]
             if v in chosen:
-                if size == 1:
-                    continue
                 moved_cut, moved_volume = cut - dv + 2 * k, volume - dv
             elif size < max_size:
                 moved_cut, moved_volume = cut + dv - 2 * k, volume + dv
@@ -321,7 +313,9 @@ def detect_communities(graph: Graph, params: DetectParams) -> list[DetectedCommu
     """Push and sweep from the spread seeds, deduplicate, refine, deduplicate again.
 
     Pure function of (graph, params): candidates are collected per seed and
-    reduced in a fixed order (see the module docstring).  Seeds that sweep
+    reduced in a fixed order (see the module docstring).  The size filter
+    ``min_size <= |C| <= max_size``, applied to each sweep and to each
+    refined set, is the only size rule.  Seeds that sweep
     to the same member set give the same conductance, which is an integer
     cut over an integer volume, so the set is a candidate once, with the
     lowest of those seeds; kept communities that refine to the same set
@@ -337,7 +331,7 @@ def detect_communities(graph: Graph, params: DetectParams) -> list[DetectedCommu
         ppr = approximate_ppr(graph, seed, params.alpha, thresholds)
         if not ppr.scores:
             continue
-        # one prefix past max_size, so that a minimum at max_size is not on the window edge
+        # one prefix past max_size: a sweep still falling there gives a set the size filter drops
         sweep = sweep_cut(graph, ppr.scores, max_size + 1)
         if sweep is None:
             continue

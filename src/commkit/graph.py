@@ -113,9 +113,6 @@ class Graph:
             return NotImplemented
         return self._labels == other._labels and self._adjacency == other._adjacency
 
-    def __hash__(self) -> int:
-        return hash((self._labels, self._adjacency))
-
     def __repr__(self) -> str:
         return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
 

@@ -58,14 +58,11 @@ READS = {  # the per-community record lists each stage reads, by their names on 
 }
 
 
-def _fmt(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
+def _fmt(value: object) -> object:
+    """A bool's CSV spelling; csv writes None as an empty cell and a float as its repr."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return str(value)
+    return value
 
 
 def write_table(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]], fmt: str) -> Path:

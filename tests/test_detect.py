@@ -165,15 +165,18 @@ def test_sweep_cut_rejects_a_window_below_one(max_prefix):
         sweep_cut(g, {0: 1.0}, max_prefix)
 
 
-def test_sweep_cut_minimum_on_window_edge_is_rejected():
+def test_sweep_cut_keeps_a_minimum_on_the_last_prefix():
     # path scores decrease along the line, so every prefix conductance keeps
-    # falling; truncating mid-slope must not fabricate a community
+    # falling: the window's last prefix is its minimum, and sizing it is the
+    # caller's size filter's job
     g = Graph([(f"v{i}", f"v{i + 1}") for i in range(9)])
     scores = {
         g.index(f"v{i}"): g.degrees[g.index(f"v{i}")] * (1.0 - 0.05 * i)
         for i in range(10)
     }
-    assert sweep_cut(g, scores, max_prefix=4) is None
+    assert sweep_cut(g, scores, max_prefix=4) == SweepResult(
+        frozenset(g.index(f"v{i}") for i in range(4)), 1 / 7
+    )
     full = sweep_cut(g, scores, g.node_count)
     assert full is not None
 
@@ -261,6 +264,20 @@ def test_detect_keeps_communities_of_exactly_max_size():
         [f"a{i}" for i in range(5)],
         [f"b{i}" for i in range(5)],
     ]
+
+
+@pytest.mark.parametrize("max_size, kept", [(5, 0), (6, 0), (7, 0), (8, 2)])
+def test_detect_drops_sweeps_that_still_fall_past_max_size(max_size, kept):
+    # two 8-cliques joined by a0-b0: below 8 every seed's sweep still falls one
+    # prefix past max_size, and the size filter drops that set
+    g = Graph(
+        [(f"{prefix}{i}", f"{prefix}{j}") for prefix in ("a", "b") for i in range(8) for j in range(i + 1, 8)]
+        + [("a0", "b0")]
+    )
+    found = detect_communities(g, DetectParams(min_size=3, max_size=max_size))
+    assert sorted(sorted(g.label(v) for v in d.community.members) for d in found) == [
+        [f"{prefix}{i}" for i in range(8)] for prefix in ("a", "b")
+    ][:kept]
 
 
 def test_detect_pushes_only_from_a_maximal_independent_set(monkeypatch):

@@ -140,8 +140,6 @@ def brute_force_sweep(graph: Graph, edges: list[tuple[str, str]], scores: dict[i
         return None
     best = min(values)
     size = sizes[values.index(best)]
-    if len(order) > max_prefix and size == max_prefix:
-        return None
     return frozenset(order[:size]), best
 
 
@@ -241,6 +239,7 @@ def test_detection_matches_the_pairwise_reduction(case):
     )
     whole = networkx_graph(graph, edges)
     for d in found:
+        assert params.min_size <= len(d.community.members) <= params.max_size
         assert d.connected == nx.is_connected(whole.subgraph(d.community.member_labels()))
 
 

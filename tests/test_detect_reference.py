@@ -82,11 +82,8 @@ def reference_sweep_cut(
     volume = 0
     best_value = float("inf")
     best_prefix = 0
-    examined = 0
-    truncated = False
     for i, v in enumerate(order):
         if max_prefix is not None and i >= max_prefix:
-            truncated = True
             break
         internal = sum(1 for w in graph.adjacency[v] if w in in_set)
         cut += graph.degrees[v] - 2 * internal
@@ -94,7 +91,6 @@ def reference_sweep_cut(
         in_set.add(v)
         if len(in_set) == graph.node_count:
             break  # whole graph is not a community
-        examined = i + 1
         denominator = min(volume, total_volume - volume)
         if denominator == 0:
             continue
@@ -103,10 +99,6 @@ def reference_sweep_cut(
             best_value = value
             best_prefix = i + 1
     if best_prefix == 0:
-        return None
-    if truncated and best_prefix == examined:
-        # the conductance minimum sits on the window edge: not a local
-        # minimum, so no community of bounded size was actually found
         return None
     return SweepResult(members=frozenset(order[:best_prefix]), conductance=best_value)
 
