@@ -1,11 +1,12 @@
-"""Command-line interface.
+"""Command-line interface: ``commkit <command> --graph FILE [flags]``.
 
-Subcommands mirror the pipeline stages: detect, domsets, slopes, metrics,
-keywords, report, and all, which runs every stage.  Each computes the
+The command is a pipeline stage (detect, domsets, slopes, metrics,
+keywords, report) or all, which runs every stage.  Each computes the
 records it needs from its own --graph, --communities and --metadata and
-writes only its own tables, so subcommands can run in any order and into
-any --out; all of them run through :func:`commkit.pipeline.run_pipeline`.
-A flag that is not given keeps the default of its field in
+writes only its own tables, so commands can run in any order and into any
+--out; all of them run through :func:`commkit.pipeline.run_pipeline`,
+which rejects a command missing an input before it reads any file.  A
+flag that is not given keeps the default of its field in
 :mod:`commkit.config`.  Stages run serially; a hidden ``--workers N``
 still parses, for callers that pass it, and is ignored.
 
@@ -31,16 +32,22 @@ EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
 
 
-def _add_common(parser: argparse.ArgumentParser, need_communities: bool) -> None:
-    # each dest is a RunConfig or DetectParams field; the parser sets only the flags given
+def build_parser() -> argparse.ArgumentParser:
+    # each flag's dest is a RunConfig or DetectParams field; the parser sets only the flags given
+    parser = argparse.ArgumentParser(
+        prog="commkit",
+        description="Detect communities and characterize them by dominating sets, "
+        "slopes, keyword prediction, and distance/clustering statistics.",
+        argument_default=argparse.SUPPRESS,
+    )
+    parser.add_argument("command", choices=(*STAGES, "all"), help="one stage, or all of them")
     parser.add_argument("--graph", dest="graph_path", required=True, help="edge-list file")
     parser.add_argument(
         "--communities",
         dest="communities_path",
-        required=need_communities,
-        help="community file (one 'id: label label ...' line per community)",
+        help="community file (one 'id: label label ...' line per community); only detect and all run without it",
     )
-    parser.add_argument("--metadata", dest="metadata_path", help="tab-separated node metadata file")
+    parser.add_argument("--metadata", dest="metadata_path", help="tab-separated node metadata file; keywords needs it")
     parser.add_argument("--k", type=int, help="size for k-mode dominating sets")
     parser.add_argument("--p", type=float, help="ratio target for p-mode sets")
     parser.add_argument("--alpha", type=float, help="teleport probability of the lazy walk")
@@ -50,20 +57,8 @@ def _add_common(parser: argparse.ArgumentParser, need_communities: bool) -> None
     parser.add_argument("--bins", type=int, help="histogram bin count")
     parser.add_argument("--out", dest="out_dir", help="output directory")
     parser.add_argument("--format", dest="fmt", choices=("csv", "json"), help="table format")
-    # maps to no field: accepted so that existing command lines still parse
+    # maps to no field: accepted because the benchmark's staged workload still passes it
     parser.add_argument("--workers", type=int, help=argparse.SUPPRESS)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="commkit",
-        description="Detect communities and characterize them by dominating sets, "
-        "slopes, keyword prediction, and distance/clustering statistics.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in (*STAGES, "all"):
-        subparser = sub.add_parser(name, argument_default=argparse.SUPPRESS)
-        _add_common(subparser, need_communities=name not in ("detect", "all"))
     return parser
 
 

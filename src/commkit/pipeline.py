@@ -111,9 +111,9 @@ class Run:
 
     def __init__(self, config: RunConfig, stages: Iterable[str] = STAGES):
         self.config = config
+        self.graph, self.communities, self.metadata = load_inputs(config)
         self.out = Path(config.out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
-        self.graph, self.communities, self.metadata = load_inputs(config)
         self.reads = {name for stage in stages for name in READS.get(stage, ())}
         self.characterized = False
         self.internal, self.external, self.slope_pairs, self.stats = [], [], [], []
@@ -236,8 +236,7 @@ def stage_keywords(run: Run) -> None:
     with (run.out / "keyword_predictions.jsonl").open("w") as f:
         for _, report in scored:
             for pred in report.predictions:
-                json.dump({"community_id": report.community_id, **pred._asdict()}, f)
-                f.write("\n")
+                f.write(json.dumps({"community_id": report.community_id, **pred._asdict()}) + "\n")
     curve = prediction_curve(scored, CURVE_LENGTHS)
     write_table(run.out / "keyword_curve", ["keyword_number", "predicted_paper_number"], curve, run.config.fmt)
 
@@ -307,18 +306,23 @@ def write_manifest(run: Run, notes: list[str]) -> None:
 def run_pipeline(config: RunConfig, command: str = "all") -> object:
     """Run one of :data:`STAGES`, or ``all``, then write the manifest; returns the last stage's records.
 
-    ``all`` detects only without ``--communities``, finds keywords only with
-    ``--metadata``, and returns the summary, or None when there are no
-    communities: every stage but detect is skipped then, writing nothing
-    and returning None.
+    Before any file is read, every command but ``detect`` and ``all``
+    raises :class:`ConfigError` without ``--communities``, and ``keywords``
+    also without ``--metadata``.  ``all`` detects only without
+    ``--communities``, finds keywords only with ``--metadata``, and returns
+    the summary, or None when there are no communities: every stage but
+    detect is skipped then, writing nothing and returning None.
     """
+    if command not in ("detect", "all"):
+        if not config.communities_path:
+            raise ConfigError(f"{command} needs --communities")
+        if command == "keywords" and not config.metadata_path:
+            raise ConfigError("keywords needs --metadata")
     stages = [command] if command != "all" else [
         stage for stage in STAGES
         if (stage != "detect" or not config.communities_path) and (stage != "keywords" or config.metadata_path)
     ]
     run = Run(config, stages)
-    if command == "keywords" and run.metadata is None:
-        raise ConfigError("keywords stage needs --metadata")
     records = None
     for stage in stages:
         # looked up at call time, so a replaced binding (the benchmark's tracer) is the one run

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -10,7 +11,8 @@ import pytest
 
 from commkit.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, _config_from_args, build_parser, main
 from commkit.detect import DetectParams
-from commkit.pipeline import RunConfig
+from commkit.errors import ConfigError
+from commkit.pipeline import STAGES, RunConfig, run_pipeline
 from graphs import DATA_DIR
 
 GRAPH = "\n".join(
@@ -86,6 +88,7 @@ def test_missing_graph_is_input_error(workdir, capsys):
     )
     assert code == EXIT_INPUT
     assert "nope.edges" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
 
 
 def test_unknown_label_is_input_error(workdir, capsys):
@@ -109,6 +112,7 @@ def test_non_utf8_graph_is_input_error(workdir, capsys):
     code = main(_args(workdir, "all", communities=False))
     assert code == EXIT_INPUT
     assert "line 2: not valid UTF-8" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
 
 
 def _tables(out):
@@ -388,12 +392,48 @@ def test_non_finite_epsilon_is_config_error(workdir, capsys, value):
     assert "epsilon" in capsys.readouterr().err
 
 
-def test_keywords_without_metadata_is_config_error(workdir):
+def test_keywords_without_metadata_is_config_error(workdir, capsys):
+    (workdir / "graph.edges").unlink()  # a command that read its inputs would exit 1
     assert main(_args(workdir, "keywords")) == EXIT_CONFIG
+    assert "error: keywords needs --metadata" in capsys.readouterr().err
+    config = RunConfig(
+        graph_path=str(workdir / "graph.edges"),
+        communities_path=str(workdir / "communities.txt"),
+        out_dir=str(workdir / "out"),
+    )
+    with pytest.raises(ConfigError, match="keywords needs --metadata"):
+        run_pipeline(config, "keywords")
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["domsets", "slopes", "metrics", "keywords", "report"])
+def test_a_stage_without_communities_is_config_error_before_any_file_is_read(tmp_path, capsys, command):
+    # neither input exists, so a command that read one would exit 1
+    graph, metadata, out = (str(tmp_path / name) for name in ("missing.edges", "missing.tsv", "out"))
+    assert main([command, "--graph", graph, "--metadata", metadata, "--out", out]) == EXIT_CONFIG
+    assert f"error: {command} needs --communities" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=f"{command} needs --communities"):
+        run_pipeline(RunConfig(graph_path=graph, metadata_path=metadata, out_dir=out), command)
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_lists_every_command_from_one_parser(capsys, monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(parser, *args, **kwargs):
+        built.append(parser)
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    with pytest.raises(SystemExit) as exited:
+        main(["-h"])
+    assert exited.value.code == EXIT_OK and len(built) == 1
+    assert "{" + ",".join((*STAGES, "all")) + "}" in capsys.readouterr().out
 
 
 def test_a_flag_not_given_keeps_its_config_default():
-    args = build_parser().parse_args(["metrics", "--graph", "g", "--communities", "c"])
+    # flags may precede the command
+    args = build_parser().parse_args(["--graph", "g", "metrics", "--communities", "c"])
     assert _config_from_args(args) == RunConfig(graph_path="g", communities_path="c")
 
 
