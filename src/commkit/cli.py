@@ -5,15 +5,17 @@ keywords, report) or all, which runs every stage.  Each computes the
 records it needs from its own --graph, --communities and --metadata and
 writes only its own tables, so commands can run in any order and into any
 --out; all of them run through :func:`commkit.pipeline.run_pipeline`,
-which rejects a command missing an input before it reads any file.  A
-flag that is not given keeps the default of its field in
-:mod:`commkit.config`.  Stages run serially; a hidden ``--workers N``
-still parses, for callers that pass it, and is ignored.
+which rejects a command missing an input, or detect given --communities,
+before it reads any file.  A flag that is not given keeps the default of
+its field in :mod:`commkit.config`.  Stages run serially; a hidden
+``--workers N`` still parses, for callers that pass it, and is ignored.
 
 Exit codes: 0 success, 1 input error, 2 configuration error, 3 internal
-invariant failure.  Input errors include a malformed graph, community or
-metadata file, a community id used twice, and a node label holding the
-``;`` that separates the members of a domsets cell.
+invariant failure.  Input errors are :class:`~commkit.errors.InputError`
+(a malformed graph, community or metadata file, a community id used
+twice, a node label holding the ``;`` that separates the members of a
+domsets cell) and :class:`OSError` (a missing file); configuration errors
+are :class:`~commkit.errors.ConfigError`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import sys
 from pathlib import Path
 
 from .config import DetectParams, RunConfig
-from .errors import CommkitError, ConfigError
+from .errors import ConfigError, InputError
 from .pipeline import STAGES, run_pipeline
 
 EXIT_OK = 0
@@ -45,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--communities",
         dest="communities_path",
-        help="community file (one 'id: label label ...' line per community); only detect and all run without it",
+        help="community file (one 'id: label label ...' line per community); every command but detect and all "
+        "needs it, and detect refuses it",
     )
     parser.add_argument("--metadata", dest="metadata_path", help="tab-separated node metadata file; keywords needs it")
     parser.add_argument("--k", type=int, help="size for k-mode dominating sets")
@@ -85,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OSError, CommkitError) as err:
+    except (OSError, InputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as err:  # invariant failure

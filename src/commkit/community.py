@@ -21,7 +21,7 @@ import re
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
-from .errors import CommunityFileError
+from .errors import InputError
 from .graph import Graph, _read_lines
 
 _ID_END = re.compile(r":(?:\s|$)")
@@ -128,18 +128,18 @@ def load_communities(path: str | Path, graph: Graph) -> list[Community]:
         if id_end:
             community_id, line = line[: id_end.start()].strip(), line[id_end.end() :]
             if not community_id:
-                raise CommunityFileError(f"line {line_number}: empty community id")
+                raise InputError(f"line {line_number}: empty community id")
         first = first_line.setdefault(community_id, line_number)
         if first != line_number:
-            raise CommunityFileError(f"line {line_number}: community id {community_id!r} repeats line {first}")
+            raise InputError(f"line {line_number}: community id {community_id!r} repeats line {first}")
         labels = line.split()
         if not labels:
-            raise CommunityFileError(f"line {line_number}: community {community_id!r} is empty")
+            raise InputError(f"line {line_number}: community {community_id!r} is empty")
         members = frozenset(graph.index(label) for label in labels)
         if len(members) != len(labels):
             seen: set[str] = set()
             repeated = next(label for label in labels if label in seen or seen.add(label))
-            raise CommunityFileError(f"line {line_number}: community {community_id!r} repeats label {repeated!r}")
+            raise InputError(f"line {line_number}: community {community_id!r} repeats label {repeated!r}")
         communities.append(Community(community_id, members, graph))
     return communities
 

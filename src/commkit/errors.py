@@ -1,33 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per CLI exit code.
+
+:class:`InputError` (exit 1): an input file is malformed, not UTF-8, or
+names a node the graph lacks; an :class:`OSError`, such as a missing
+file, exits 1 too.  :class:`ConfigError` (exit 2): a parameter is out of
+range, or a command is unknown, lacks an input it needs or is given one it
+refuses.  Any other exception is an internal failure (exit 3).
+"""
 
 
 class CommkitError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class GraphParseError(CommkitError):
-    """Malformed edge-list input."""
-
-    def __init__(self, message: str, line_number: int):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
-
-
-class EmptyGraphError(CommkitError):
-    """The edge-list file contained no usable edges."""
-
-
-class UnknownLabelError(CommkitError):
-    """A node label could not be resolved against the graph."""
-
-    def __init__(self, label: str):
-        super().__init__(f"unknown node label: {label!r}")
-        self.label = label
-
-
-class CommunityFileError(CommkitError):
-    """Malformed community file."""
+class InputError(CommkitError):
+    """An input file's content is malformed."""
 
 
 class ConfigError(CommkitError):
-    """A parameter is outside its allowed range."""
+    """A parameter or command is outside what the run allows."""

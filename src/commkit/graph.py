@@ -20,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import EmptyGraphError, GraphParseError, UnknownLabelError
+from .errors import InputError
 
 
 class LoadReport(NamedTuple):
@@ -106,7 +106,7 @@ class Graph:
         try:
             return self._label_index[label]
         except KeyError:
-            raise UnknownLabelError(label) from None
+            raise InputError(f"unknown node label: {label!r}") from None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -127,11 +127,12 @@ def load_graph(path: str | Path) -> Graph:
     Lines starting with ``#`` and blank lines are ignored.  Self-loops are
     dropped, parallel and reversed duplicates are collapsed; the build counts
     them in ``graph.load_report``.  A line without exactly two tokens or with
-    bytes that are not UTF-8 raises :class:`GraphParseError` with its line
-    number; the first bad line is the one reported.  Each line's token pair
-    goes straight into the :class:`Graph` build, so the cost is one split
-    per line and one list append per edge end, plus one sort of the labels
-    and of each node's ids.
+    bytes that are not UTF-8 raises :class:`InputError` whose message starts
+    with ``line N: ``; the first bad line is the one reported, and an edge
+    list with no edge raises it too.  Each line's token pair goes straight
+    into the :class:`Graph` build, so the cost is one split per line and one
+    list append per edge end, plus one sort of the labels and of each node's
+    ids.
     """
 
     def pairs() -> Iterator[list[str]]:
@@ -140,12 +141,12 @@ def load_graph(path: str | Path) -> Graph:
             if not tokens or tokens[0][0] == "#":
                 continue
             if len(tokens) != 2:
-                raise GraphParseError(f"expected 2 tokens, got {len(tokens)}", line_number)
+                raise InputError(f"line {line_number}: expected 2 tokens, got {len(tokens)}")
             yield tokens
 
     graph = Graph(pairs())
     if not graph.edge_count:
-        raise EmptyGraphError("edge list is empty")
+        raise InputError("edge list is empty")
     return graph
 
 
@@ -164,7 +165,7 @@ def _read_lines(path: str | Path) -> Iterator[str]:
     read, which is at least as long as the carried part, so a long line is
     not copied once per chunk.  A byte that is not UTF-8 is decoded to a
     lone surrogate, so a chunk that does not encode back raises
-    :class:`GraphParseError` with the number of the line that holds it,
+    :class:`InputError` naming the line that holds it (``line N: ``),
     after the lines before it.
     """
     with open(path, encoding="utf-8-sig", errors="surrogateescape", newline=None) as file:
@@ -179,7 +180,7 @@ def _read_lines(path: str | Path) -> Iterator[str]:
                 except UnicodeEncodeError as err:
                     bad = text.count("\n", 0, err.start)
                     yield from lines[:bad]
-                    raise GraphParseError(f"not valid UTF-8 in {path}", line_number + bad + 1) from None
+                    raise InputError(f"line {line_number + bad + 1}: not valid UTF-8 in {path}") from None
             yield from lines
             line_number += len(lines)
         if tail:

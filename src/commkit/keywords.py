@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 
 from .community import Community
 from .domsets import DomSetResult
-from .errors import CommkitError, ConfigError
+from .errors import ConfigError, InputError
 from .graph import Graph, _read_lines
 
 _TOKEN_RE = re.compile(r"[^0-9a-z]+")
@@ -24,10 +24,6 @@ _TOKEN_RE = re.compile(r"[^0-9a-z]+")
 
 def normalize_keyword(text: str) -> str:
     return " ".join(_TOKEN_RE.split(text.lower())).strip()
-
-
-def tokenize(text: str) -> list[str]:
-    return [t for t in _TOKEN_RE.split(text.lower()) if t]
 
 
 class NodeMetadata(NamedTuple):
@@ -49,12 +45,12 @@ def load_metadata(path: str | Path) -> dict[str, NodeMetadata]:
             continue
         parts = line.split("\t")
         if len(parts) > 4:
-            raise CommkitError(f"line {line_number}: expected at most 4 tab-separated fields, got {len(parts)}")
+            raise InputError(f"line {line_number}: expected at most 4 tab-separated fields, got {len(parts)}")
         label, title, abstract, kw_field = parts + [""] * (4 - len(parts))
         label = label.strip()
         first = first_line.setdefault(label, line_number)
         if first != line_number:
-            raise CommkitError(f"line {line_number}: metadata label {label!r} repeats line {first}")
+            raise InputError(f"line {line_number}: metadata label {label!r} repeats line {first}")
         keywords = tuple(dict.fromkeys(filter(None, map(normalize_keyword, kw_field.split(";")))))
         records[label] = NodeMetadata(label, title, abstract, keywords)
     return records
@@ -88,7 +84,7 @@ def _listings(members: Iterable[int], graph: Graph, metadata: dict[str, NodeMeta
 
 def _padded(text: str) -> str:
     # tokens hold no space, so one padded text is in another only at whole, contiguous tokens
-    return f" {' '.join(tokenize(text))} "
+    return f" {normalize_keyword(text)} "
 
 
 class PaperPrediction(NamedTuple):
@@ -117,7 +113,7 @@ def predict_keywords(
     if prefix_length < 1:
         raise ConfigError(f"prefix_length must be >= 1, got {prefix_length}")
     # a candidate without tokens keeps its place in the prefix but never matches
-    needles = [(c.keyword, _padded(c.keyword)) for c in candidates[:prefix_length] if tokenize(c.keyword)]
+    needles = [(c.keyword, _padded(c.keyword)) for c in candidates[:prefix_length] if normalize_keyword(c.keyword)]
 
     predictions: list[PaperPrediction] = []
     skipped = 0

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from . import __version__
 from .community import Community, load_communities, write_communities
 from .config import RunConfig
-from .errors import CommkitError, ConfigError, UnknownLabelError
+from .errors import ConfigError, InputError
 from .graph import Graph, load_graph
 
 if TYPE_CHECKING:
@@ -154,7 +154,7 @@ class Run:
 
 
 def stage_detect(run: Run) -> list[Community]:
-    """Detect the run's communities, in place of any loaded ones."""
+    """Detect the run's communities."""
     from .detect import detect_communities
 
     detected = detect_communities(run.graph, run.config.detect)
@@ -180,7 +180,7 @@ def stage_domsets(run: Run) -> list[DomSetResult]:
         labels = sorted(run.graph.label(v) for v in members)
         for label in labels:
             if ";" in label:
-                raise CommkitError(f"node label {label!r} contains ';', which separates the members of a domsets cell")
+                raise InputError(f"node label {label!r} contains ';', which separates the members of a domsets cell")
         return ";".join(labels)
 
     run.characterize()
@@ -295,7 +295,7 @@ def write_manifest(run: Run, notes: list[str]) -> None:
         for label in run.metadata:
             try:
                 run.graph.index(label)
-            except UnknownLabelError:
+            except InputError:
                 missing += 1
         manifest["metadata"] = {"records": len(run.metadata), "labels_not_in_graph": missing}
     with (run.out / "manifest.json").open("w") as f:
@@ -306,14 +306,20 @@ def write_manifest(run: Run, notes: list[str]) -> None:
 def run_pipeline(config: RunConfig, command: str = "all") -> object:
     """Run one of :data:`STAGES`, or ``all``, then write the manifest; returns the last stage's records.
 
-    Before any file is read, every command but ``detect`` and ``all``
-    raises :class:`ConfigError` without ``--communities``, and ``keywords``
+    Before any file is read, :class:`ConfigError` is raised for a command
+    that is none of these, for ``detect`` with ``--communities``, for every
+    other command but ``all`` without ``--communities``, and for ``keywords``
     also without ``--metadata``.  ``all`` detects only without
     ``--communities``, finds keywords only with ``--metadata``, and returns
     the summary, or None when there are no communities: every stage but
     detect is skipped then, writing nothing and returning None.
     """
-    if command not in ("detect", "all"):
+    if command == "detect":
+        if config.communities_path:
+            raise ConfigError("detect reads no --communities; all characterizes them in place of detection")
+    elif command != "all":
+        if command not in STAGES:
+            raise ConfigError(f"unknown command {command!r}")
         if not config.communities_path:
             raise ConfigError(f"{command} needs --communities")
         if command == "keywords" and not config.metadata_path:

@@ -417,6 +417,27 @@ def test_a_stage_without_communities_is_config_error_before_any_file_is_read(tmp
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("communities", [False, True], ids=["without-communities", "with-communities"])
+def test_an_unknown_command_is_config_error_before_any_file_is_read(tmp_path, communities):
+    # neither input exists, so a command that read one would raise OSError
+    given = str(tmp_path / "missing.txt") if communities else None
+    config = RunConfig(graph_path=str(tmp_path / "missing.edges"), communities_path=given, out_dir=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match="unknown command 'bogus'"):
+        run_pipeline(config, "bogus")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("communities", [None, "x: a0 zz\n"], ids=["nonexistent", "malformed"])
+def test_detect_with_communities_is_config_error_before_any_file_is_read(workdir, capsys, communities):
+    given = workdir / "given.txt"
+    if communities is not None:
+        given.write_text(communities)
+    argv = ["detect", "--graph", str(workdir / "graph.edges"), "--communities", str(given), "--out", str(workdir / "out")]
+    assert main(argv) == EXIT_CONFIG
+    assert "error: detect reads no --communities" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
 def test_help_lists_every_command_from_one_parser(capsys, monkeypatch):
     built, init = [], argparse.ArgumentParser.__init__
 
@@ -567,12 +588,12 @@ _MALFORMED = {
 
 
 @pytest.mark.parametrize("name", list(_MALFORMED))
-def test_malformed_inputs_exit_1_or_2(tmp_path, capsys, name):
+def test_malformed_inputs_exit_1(tmp_path, capsys, name):
     files = _fuzz_inputs(tmp_path)
     target, corrupt = _MALFORMED[name]
     files[target] = corrupt(files[target])
     code, err, _ = _run_all(tmp_path / "run", files, capsys)
-    assert code in (EXIT_INPUT, EXIT_CONFIG), (code, err)
+    assert code == EXIT_INPUT, (code, err)
     assert err.startswith("error: ")
 
 

@@ -7,7 +7,7 @@ from commkit import (
     load_communities,
     write_communities,
 )
-from commkit.errors import CommunityFileError, UnknownLabelError
+from commkit.errors import InputError
 from graphs import write_input
 
 
@@ -79,20 +79,20 @@ def test_load_communities_with_and_without_ids(tmp_path):
 
 def test_load_communities_unknown_label(tmp_path):
     g = Graph([("a", "b")])
-    with pytest.raises(UnknownLabelError):
+    with pytest.raises(InputError, match="unknown node label: 'zzz'"):
         load_communities(write_input(tmp_path, "a zzz\n"), g)
 
 
 def test_load_communities_empty_line_after_id(tmp_path):
     g = Graph([("a", "b")])
-    with pytest.raises(CommunityFileError, match="line 1: community 'lonely' is empty"):
+    with pytest.raises(InputError, match="line 1: community 'lonely' is empty"):
         load_communities(write_input(tmp_path, "lonely:\n"), g)
 
 
 def test_load_communities_rejects_an_empty_id(tmp_path):
     # an empty id would be written as an empty cell, which reads as a missing value
     g = Graph([("a", "b"), ("b", "c")])
-    with pytest.raises(CommunityFileError, match="line 2: empty community id"):
+    with pytest.raises(InputError, match="line 2: empty community id"):
         load_communities(write_input(tmp_path, "x: a b\n: a b c\n"), g)
 
 
@@ -124,13 +124,13 @@ def test_load_communities_label_with_a_colon(tmp_path, text, community_id, label
 )
 def test_load_communities_rejects_repeated_ids(tmp_path, text, message):
     g = Graph([("a", "b"), ("b", "c"), ("c", "d")])
-    with pytest.raises(CommunityFileError, match=message):
+    with pytest.raises(InputError, match=message):
         load_communities(write_input(tmp_path, text), g)
 
 
 def test_load_communities_rejects_a_label_repeated_in_one_line(tmp_path):
     g = Graph([("a", "b"), ("b", "c"), ("c", "d")])
-    with pytest.raises(CommunityFileError, match="line 2: community 'x' repeats label 'a'"):
+    with pytest.raises(InputError, match="line 2: community 'x' repeats label 'a'"):
         load_communities(write_input(tmp_path, "w: a b\nx: a b c a\n"), g)
 
 

@@ -11,8 +11,8 @@ from commkit import (
     prediction_curve,
 )
 from commkit.cli import EXIT_OK, main
-from commkit.errors import CommkitError, ConfigError
-from commkit.keywords import KeywordCandidate, NodeMetadata, normalize_keyword, tokenize
+from commkit.errors import ConfigError, InputError
+from commkit.keywords import KeywordCandidate, NodeMetadata, normalize_keyword
 from graphs import p_ids, write_input
 
 # ---------------------------------------------------------------------------
@@ -94,8 +94,8 @@ def test_normalize_keyword():
     assert normalize_keyword("black-holes") == "black holes"
 
 
-def test_tokenize_strips_punctuation_and_case():
-    assert tokenize("Black hole, entropy!") == ["black", "hole", "entropy"]
+def test_normalize_keyword_strips_punctuation_and_case():
+    assert normalize_keyword("Black hole, entropy!") == "black hole entropy"
 
 
 def test_a_candidate_matches_contiguous_whole_tokens_only():
@@ -136,7 +136,7 @@ def test_load_metadata_tolerates_short_rows(tmp_path):
 
 def test_load_metadata_rejects_more_than_four_fields(tmp_path):
     # a tab inside the abstract would otherwise shift "a tab" into the keywords and drop "foo;bar"
-    with pytest.raises(CommkitError, match="line 2: expected at most 4 tab-separated fields, got 5"):
+    with pytest.raises(InputError, match="line 2: expected at most 4 tab-separated fields, got 5"):
         load_metadata(write_input(tmp_path, "p0\tT\tA\tk\np1\tTitle\tAbstract with\ta tab\tfoo;bar\n"))
 
 
@@ -146,7 +146,7 @@ def test_load_metadata_strips_the_label(tmp_path):
 
 
 def test_load_metadata_label_repeated_with_whitespace_is_an_error(tmp_path):
-    with pytest.raises(CommkitError, match="line 2: metadata label 'a' repeats line 1"):
+    with pytest.raises(InputError, match="line 2: metadata label 'a' repeats line 1"):
         load_metadata(write_input(tmp_path, "a\tT\tA\tfoo\na \tU\tB\tbar\n"))
 
 
