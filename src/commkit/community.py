@@ -135,7 +135,10 @@ def load_communities(path: str | Path, graph: Graph) -> list[Community]:
         labels = line.split()
         if not labels:
             raise InputError(f"line {line_number}: community {community_id!r} is empty")
-        members = frozenset(graph.index(label) for label in labels)
+        try:
+            members = frozenset(graph.index(label) for label in labels)
+        except InputError as err:
+            raise InputError(f"line {line_number}: {err}") from None
         if len(members) != len(labels):
             seen: set[str] = set()
             repeated = next(label for label in labels if label in seen or seen.add(label))

@@ -9,11 +9,13 @@ list once, a staged subcommand only what its stage writes, and no process
 splits a community twice.  No stage reads a table: each subcommand
 computes its records from its own ``--graph``, ``--communities`` and
 ``--metadata``.  :func:`run_pipeline` is the one loop behind ``all`` and
-every staged subcommand.  A NamedTuple record is already a row: its
-table's columns are its ``_fields``, and only tables whose columns are not
-a record's fields name them by hand.  Identical configuration must give
-byte-identical artifacts, so nothing here records timestamps and floats
-are serialized with ``repr``.
+every staged subcommand.  Every artifact is opened by name through
+:meth:`Run.create`, which makes ``--out`` on the first write, so a run
+that fails before it writes leaves no ``--out``.  A NamedTuple record is
+already a row: its table's columns are its ``_fields``, and only tables
+whose columns are not a record's fields name them by hand.  Identical
+configuration must give byte-identical artifacts, so nothing here
+records timestamps and floats are serialized with ``repr``.
 
 Stages run serially, and every record list follows the communities'
 order.  At module level this imports only what configuration
@@ -31,7 +33,7 @@ import csv
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Sequence
 
 from . import __version__
 from .community import Community, load_communities, write_communities
@@ -65,22 +67,19 @@ def _fmt(value: object) -> object:
     return value
 
 
-def write_table(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]], fmt: str) -> Path:
-    """Write rows as CSV or a JSON array of objects, depending on ``fmt``."""
-    if fmt == "csv":
-        target = path.with_suffix(".csv")
-        with target.open("w", newline="") as f:
+def write_table(run: Run, name: str, header: Sequence[str], rows: Sequence[Sequence[object]]) -> Path:
+    """Write ``name.<fmt>`` under the run's ``--out``: CSV, or a JSON array of objects; returns its path."""
+    fmt = run.config.fmt
+    with run.create(f"{name}.{fmt}") as f:
+        if fmt == "csv":
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(header)
             for row in rows:
                 writer.writerow([_fmt(v) for v in row])
-    else:
-        target = path.with_suffix(".json")
-        payload = [dict(zip(header, row)) for row in rows]
-        with target.open("w") as f:
-            json.dump(payload, f, indent=2)
+        else:
+            json.dump([dict(zip(header, row)) for row in rows], f, indent=2)
             f.write("\n")
-    return target
+    return Path(f.name)
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +105,14 @@ class Run:
     ``internal`` and ``external`` hold the greedy (k-set, p-set) pairs,
     ``slope_pairs`` the (ISlope, ESlope) pairs from the p-sets and
     ``stats`` the :class:`CommunityStats`.  :meth:`characterize` fills
-    those that ``stages`` read.
+    those that ``stages`` read.  :meth:`create` is the one place that
+    knows where an artifact goes.
     """
 
     def __init__(self, config: RunConfig, stages: Iterable[str] = STAGES):
         self.config = config
         self.graph, self.communities, self.metadata = load_inputs(config)
         self.out = Path(config.out_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
         self.reads = {name for stage in stages for name in READS.get(stage, ())}
         self.characterized = False
         self.internal, self.external, self.slope_pairs, self.stats = [], [], [], []
@@ -148,6 +147,11 @@ class Run:
                 self.stats.append(community_stats(split))
             del split
 
+    def create(self, name: str) -> IO[str]:
+        """Open ``name`` under ``--out``, made if missing, to write; ``newline=""`` keeps every line end ``\\n``."""
+        self.out.mkdir(parents=True, exist_ok=True)
+        return (self.out / name).open("w", newline="")
+
 
 # ---------------------------------------------------------------------------
 # stages: each writes its tables and returns its records
@@ -159,17 +163,11 @@ def stage_detect(run: Run) -> list[Community]:
 
     detected = detect_communities(run.graph, run.config.detect)
     run.communities = [d.community for d in detected]
-    with (run.out / "communities.txt").open("w") as f:
+    with run.create("communities.txt") as f:
         write_communities(run.communities, f)
-    write_table(
-        run.out / "communities_meta",
-        ["community_id", "size", "conductance", "connected", "seed_node"],
-        [
-            [d.community.id, d.community.size, d.conductance, d.connected, run.graph.label(d.seed)]
-            for d in detected
-        ],
-        run.config.fmt,
-    )
+    header = ["community_id", "size", "conductance", "connected", "seed_node"]
+    rows = [[d.community.id, d.community.size, d.conductance, d.connected, run.graph.label(d.seed)] for d in detected]
+    write_table(run, "communities_meta", header, rows)
     return run.communities
 
 
@@ -186,14 +184,13 @@ def stage_domsets(run: Run) -> list[DomSetResult]:
     run.characterize()
     records = [r for (ki, pi), (ke, pe) in zip(run.internal, run.external) for r in (ki, ke, pi, pe)]
     write_table(
-        run.out / "domsets",
+        run, "domsets",
         ["community_id", "mode", "criterion", "criterion_value", "set_size", "achieved_ratio", "closed", "members"],
         [
             [r.community_id, r.mode, r.criterion, r.criterion_value, r.size, r.achieved_ratio, r.closed]
             + [joined(r.members)]
             for r in records
         ],
-        run.config.fmt,
     )
     return records
 
@@ -201,7 +198,7 @@ def stage_domsets(run: Run) -> list[DomSetResult]:
 def stage_slopes(run: Run) -> list[tuple[SlopeResult, SlopeResult]]:
     run.characterize()
     write_table(
-        run.out / "slopes",
+        run, "slopes",
         ["community_id", "kind", "K", "observed", "expected", "slope", "estimator", "closed"],
         [
             # every open row is exact; readers such as bench/check.py still key on the column
@@ -210,7 +207,6 @@ def stage_slopes(run: Run) -> list[tuple[SlopeResult, SlopeResult]]:
             for pair in run.slope_pairs
             for s in pair
         ],
-        run.config.fmt,
     )
     return run.slope_pairs
 
@@ -219,7 +215,7 @@ def stage_metrics(run: Run) -> list[CommunityStats]:
     from .metrics import CommunityStats
 
     run.characterize()
-    write_table(run.out / "community_stats", CommunityStats._fields, run.stats, run.config.fmt)
+    write_table(run, "community_stats", CommunityStats._fields, run.stats)
     return run.stats
 
 
@@ -233,12 +229,12 @@ def stage_keywords(run: Run) -> None:
         candidates = build_keyword_list(community, run.metadata, p_ids)
         if candidates:
             scored.append((candidates, predict_keywords(community, run.metadata, max(CURVE_LENGTHS), candidates)))
-    with (run.out / "keyword_predictions.jsonl").open("w") as f:
+    with run.create("keyword_predictions.jsonl") as f:
         for _, report in scored:
             for pred in report.predictions:
                 f.write(json.dumps({"community_id": report.community_id, **pred._asdict()}) + "\n")
     curve = prediction_curve(scored, CURVE_LENGTHS)
-    write_table(run.out / "keyword_curve", ["keyword_number", "predicted_paper_number"], curve, run.config.fmt)
+    write_table(run, "keyword_curve", ["keyword_number", "predicted_paper_number"], curve)
 
 
 def stage_report(run: Run) -> NetworkSummary:
@@ -246,11 +242,11 @@ def stage_report(run: Run) -> NetworkSummary:
     from .metrics import NetworkSummary, TriangleSplit, aggregate_stats, triangle_split_analysis
 
     run.characterize()
-    out, fmt, stats, slope_pairs = run.out, run.config.fmt, run.stats, run.slope_pairs
+    stats, slope_pairs = run.stats, run.slope_pairs
     summary = aggregate_stats(run.graph, stats, run.internal, run.external, slope_pairs)
-    write_table(out / "summary", NetworkSummary._fields, [summary], fmt)
+    write_table(run, "summary", NetworkSummary._fields, [summary])
     splits = [triangle_split_analysis(stats, t) for t in SPLIT_THRESHOLDS]
-    write_table(out / "triangle_split", TriangleSplit._fields, splits, fmt)
+    write_table(run, "triangle_split", TriangleSplit._fields, splits)
 
     variables: dict[str, list[float]] = {
         "islope": [s.slope for s, _ in slope_pairs],
@@ -269,8 +265,8 @@ def stage_report(run: Run) -> NetworkSummary:
         ]
         rows += [["cumulative", "", "", "", v, frac] for v, frac in dist.cumulative]
         header = ["part", "bin_lower", "bin_width", "count", "value", "fraction_le"]
-        write_table(out / f"dist_{name}", header, rows, fmt)
-    write_table(out / "distributions_summary", DistributionSummary._fields[:-2], [d[:-2] for d in summaries], fmt)
+        write_table(run, f"dist_{name}", header, rows)
+    write_table(run, "distributions_summary", DistributionSummary._fields[:-2], [d[:-2] for d in summaries])
     return summary
 
 
@@ -298,7 +294,7 @@ def write_manifest(run: Run, notes: list[str]) -> None:
             except InputError:
                 missing += 1
         manifest["metadata"] = {"records": len(run.metadata), "labels_not_in_graph": missing}
-    with (run.out / "manifest.json").open("w") as f:
+    with run.create("manifest.json") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 

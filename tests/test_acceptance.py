@@ -41,6 +41,7 @@ from graphs import (
     k_set,
     p_ids,
     p_set,
+    planted_partition,
     star_graph,
     two_clique_graph,
     whole_community,
@@ -351,3 +352,21 @@ def test_criterion_10_distribution_properties():
             failures += 1
     ok = cases == 1000 and failures == 0
     _report("10", "distribution invariants", ok, f"{cases} cases, {failures} failures")
+
+
+# -- 11 ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("network", ["football", "planted-2k-seed-1", "planted-2k-seed-2"])
+def test_criterion_11_detected_communities(football_graph, network):
+    # the paper's closing findings, on what default detection returns: good
+    # communities amplify the network's clustering, and their members sit
+    # about three hops apart (read as criterion 3 reads it)
+    graph = football_graph if network == "football" else Graph(planted_partition(int(network[-1]))[0])
+    stats = [community_stats(d.community.split()) for d in detect_communities(graph, DetectParams())]
+    ncc = clustering_coefficient(graph)
+    mean_ccc = fmean(s.ccc for s in stats)
+    mean_apl = fmean(s.apl_penalized for s in stats)
+    ok = mean_ccc > ncc and mean_apl <= 3.3
+    detail = f"{len(stats)} communities, mean ccc={mean_ccc:.4f} > ncc={ncc:.4f}, mean penalized apl={mean_apl:.4f}"
+    _report("11", f"detected communities of {network}", ok, detail)

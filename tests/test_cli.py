@@ -221,7 +221,14 @@ def test_label_with_the_domsets_separator_is_input_error(workdir, capsys):
         for fmt in ("csv", "json"):
             assert main(_args(workdir, command, "--format", fmt)) == EXIT_INPUT
             assert "node label 'h;a' contains ';'" in capsys.readouterr().err
-            assert not (workdir / "out" / f"domsets.{fmt}").exists()
+            assert not (workdir / "out").exists()
+    # without --communities, detection has written its two files before domsets finds the label
+    for fmt in ("csv", "json"):
+        out = workdir / f"detected-{fmt}"
+        args = ["all", "--graph", str(workdir / "graph.edges"), "--min-size", "1", "--out", str(out), "--format", fmt]
+        assert main(args) == EXIT_INPUT
+        assert "node label 'h;a' contains ';'" in capsys.readouterr().err
+        assert {path.name for path in out.iterdir()} == {"communities.txt", f"communities_meta.{fmt}"}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -583,6 +590,7 @@ _MALFORMED = {
     "label repeated in one community": ("communities.txt", lambda d: d.replace(b"a4", b"a4 a0")),
     "repeated community id": ("communities.txt", lambda d: d.replace(b"right", b"left")),
     "empty community id": ("communities.txt", lambda d: d.replace(b"right:", b":")),
+    "unknown label in a community": ("communities.txt", lambda d: d.replace(b"b4", b"b5")),
     "metadata cut inside a character": ("meta.tsv", lambda d: d[: d.index("\u00e0".encode()) + 1]),
 }
 
@@ -595,6 +603,7 @@ def test_malformed_inputs_exit_1(tmp_path, capsys, name):
     code, err, _ = _run_all(tmp_path / "run", files, capsys)
     assert code == EXIT_INPUT, (code, err)
     assert err.startswith("error: ")
+    assert not (tmp_path / "run" / "out").exists()
 
 
 def test_cut_and_blanked_inputs_never_fail_internally(tmp_path, capsys):

@@ -79,7 +79,7 @@ def test_load_communities_with_and_without_ids(tmp_path):
 
 def test_load_communities_unknown_label(tmp_path):
     g = Graph([("a", "b")])
-    with pytest.raises(InputError, match="unknown node label: 'zzz'"):
+    with pytest.raises(InputError, match="^line 1: unknown node label: 'zzz'$"):
         load_communities(write_input(tmp_path, "a zzz\n"), g)
 
 

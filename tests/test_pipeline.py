@@ -91,20 +91,24 @@ def test_communities_compare_and_hash_by_id_and_members():
     assert community != ("c", frozenset({0}))
 
 
-def test_write_read_table_round_trip_csv(tmp_path):
+def test_write_read_table_round_trip_csv(inputs):
+    graph_path, communities_path, tmp_path = inputs
+    run = Run(_config(graph_path, communities_path, tmp_path / "out", fmt="csv"))
     header = ["name", "value", "flag", "blank"]
     rows = [["a", 0.1, True, None], ["b", 2.0, False, None]]
-    target = write_table(tmp_path / "t", header, rows, "csv")
+    target = write_table(run, "t", header, rows)
+    assert target == tmp_path / "out" / "t.csv"
     assert _read(target) == [
         {"name": "a", "value": "0.1", "flag": "true", "blank": ""},
         {"name": "b", "value": "2.0", "flag": "false", "blank": ""},
     ]
 
 
-def test_write_read_table_round_trip_json(tmp_path):
-    header = ["name", "value"]
-    target = write_table(tmp_path / "t", header, [["a", 1.5]], "json")
-    assert target.suffix == ".json"
+def test_write_read_table_round_trip_json(inputs):
+    graph_path, communities_path, tmp_path = inputs
+    run = Run(_config(graph_path, communities_path, tmp_path / "out", fmt="json"))
+    target = write_table(run, "t", ["name", "value"], [["a", 1.5]])
+    assert target == tmp_path / "out" / "t.json"
     assert _read(target) == [{"name": "a", "value": 1.5}]
 
 
