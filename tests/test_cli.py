@@ -321,12 +321,56 @@ def test_football_artifacts_match_golden_digests(tmp_path):
         assert produced == digests, extra
 
 
+def _football_teams():
+    lines = (DATA_DIR / "football" / "football.edges").read_text().splitlines()
+    return sorted({team for line in lines if not line.startswith("#") for team in line.split()})
+
+
+# sha256 of the keyword artifacts of `commkit all --metadata` on football, with default detection
+# and with the conferences: several keyword lists are longer than the curve's 50, so their cut
+# shows here too.
+GOLDEN_FOOTBALL_KEYWORDS = {
+    (): {
+        "keyword_predictions.jsonl": "28c2ade89d61ae600ee542bb0170ddbfa7cfcc4bc259b7ac94c443f582d7b225",
+        "keyword_curve.csv": "ad449eaba5f0c7961685e33123a137ead202af22541409fd93cb3c13ffdd43cc",
+    },
+    ("--format", "json"): {
+        "keyword_predictions.jsonl": "28c2ade89d61ae600ee542bb0170ddbfa7cfcc4bc259b7ac94c443f582d7b225",
+        "keyword_curve.json": "bd55daa0c4601c590a3afc1549223460c9e58c58c9ed4578bd46ac33e108df26",
+    },
+    CONFERENCES: {
+        "keyword_predictions.jsonl": "723922f41fa30d0b9e058adafba552110df484797ec923b1cca63d0de49aeeda",
+        "keyword_curve.csv": "00fd8dd7bc8d9fb2f8c5b79d697954b661cbaf5569c4979a6c97a934497c0d9e",
+    },
+    (*CONFERENCES, "--format", "json"): {
+        "keyword_predictions.jsonl": "723922f41fa30d0b9e058adafba552110df484797ec923b1cca63d0de49aeeda",
+        "keyword_curve.json": "131c1ef5ebcb8a0eba10b0cd439cdd2d53e2b6b3d8a3637a79f6852f4d18bc4a",
+    },
+}
+
+
+def test_football_keyword_artifacts_match_golden_digests(tmp_path):
+    # even-numbered teams list 40 keywords each; odd ones list none and name one in the title, one in the abstract
+    rows = [
+        f"{team}\t{team} on w{i * 7 % 150}\tand w{i * 11 % 150}\t" if i % 2
+        else f"{team}\t{team}\tnotes\t" + "; ".join(f"w{(i * 5 + j) % 150}" for j in range(40))
+        for i, team in enumerate(_football_teams())
+    ]
+    metadata = tmp_path / "meta.tsv"
+    metadata.write_text("\n".join(rows) + "\n")
+    graph = str(DATA_DIR / "football" / "football.edges")
+    for i, (extra, digests) in enumerate(GOLDEN_FOOTBALL_KEYWORDS.items()):
+        out = tmp_path / str(i)
+        assert main(["all", "--graph", graph, "--metadata", str(metadata), *extra, "--out", str(out)]) == EXIT_OK
+        produced = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests}
+        assert produced == digests, extra
+
+
 def test_all_is_byte_identical_across_hash_seeds(tmp_path):
     # default detection on football, with metadata: every artifact but the manifest (which
     # names the output directory) must not depend on string hashing
     graph = DATA_DIR / "football" / "football.edges"
-    lines = graph.read_text().splitlines()
-    teams = sorted({team for line in lines if not line.startswith("#") for team in line.split()})
+    teams = _football_teams()
     topics = ["option offense", "zone defense", "special teams"]
     rows = [
         f"{team}\t{team} on {topics[i % 3]}\tnotes\t" + ("" if i % 2 else f"{topics[i % 3]}; {team.lower()}")
@@ -471,6 +515,16 @@ def test_every_detect_param_is_set_by_its_flag(workdir):
     flags = [arg for name, value in wanted.items() for arg in (f"--{name.replace('_', '-')}", str(value))]
     args = build_parser().parse_args(_args(workdir, "detect", *flags, communities=False))
     assert _config_from_args(args).detect._asdict() == wanted
+    # and so would a RunConfig field: each but detect is set, off its default, by the flag whose dest it is
+    wanted = {
+        "graph_path": "g", "communities_path": "c", "metadata_path": "m", "k": 10, "p": 0.4, "out_dir": "o", "fmt": "json"
+    }
+    assert sorted(wanted) == sorted(set(RunConfig._fields) - {"detect"})
+    parser = build_parser()
+    flag_of = {action.dest: action.option_strings[0] for action in parser._actions if action.option_strings}
+    flags = [arg for name, value in wanted.items() for arg in (flag_of[name], str(value))]
+    config = _config_from_args(parser.parse_args(["metrics", *flags]))
+    assert {name: getattr(config, name) for name in wanted} == wanted
 
 
 @pytest.mark.parametrize("command", ["domsets", "slopes", "metrics", "keywords", "report"])
@@ -592,6 +646,7 @@ _MALFORMED = {
     "empty community id": ("communities.txt", lambda d: d.replace(b"right:", b":")),
     "unknown label in a community": ("communities.txt", lambda d: d.replace(b"b4", b"b5")),
     "metadata cut inside a character": ("meta.tsv", lambda d: d[: d.index("\u00e0".encode()) + 1]),
+    "empty metadata label": ("meta.tsv", lambda d: d.replace(b"a1\t", b"\t")),
 }
 
 

@@ -12,7 +12,8 @@ from commkit import (
 )
 from commkit.cli import EXIT_OK, main
 from commkit.errors import ConfigError, InputError
-from commkit.keywords import KeywordCandidate, NodeMetadata, normalize_keyword
+from commkit.domsets import DomSetResult
+from commkit.keywords import NodeMetadata, normalize_keyword
 from graphs import p_ids, write_input
 
 # ---------------------------------------------------------------------------
@@ -29,7 +30,7 @@ from graphs import p_ids, write_input
 #   prefix 2: + n07, n19                              (6 papers)
 #   prefix 3: + n08, n16, then saturated              (8 papers)
 # n09 ("Blackholes"), n11 ("gauge theories"), n12 ("black hole") and n20
-# never match; n10 has no title or abstract and is skipped; n17 no overlap.
+# never match; n10 has no title or abstract; n17 no overlap.
 
 FIXTURE_EDGES = (
     [("n01", f"n{i:02d}") for i in range(3, 13)]
@@ -109,17 +110,15 @@ def test_a_candidate_matches_contiguous_whole_tokens_only():
     g = Graph([("hub", label) for label in papers])
     community = Community("c", frozenset(range(g.node_count)), g)
     metadata = {label: NodeMetadata(label, title, abstract, ()) for label, (title, abstract) in papers.items()}
-    # a hand-built candidate without tokens keeps its place in the prefix and never matches
-    candidates = [KeywordCandidate(kw, 1, 1) for kw in ("--", "a c", "a b", "b c", "b")]
-    report = predict_keywords(community, metadata, 5, candidates)
-    got = {p.label: dict(zip(p.predicted, p.matched_fields)) for p in report.predictions}
+    # a hand-built keyword without tokens keeps its place in the list and never matches
+    keywords = ["--", "a c", "a b", "b c", "b"]
+    got = {p.label: dict(zip(p.predicted, p.matched_fields)) for p in predict_keywords(community, metadata, keywords)}
     assert got == {
         "p1": {"a b": "title", "b c": "title", "b": "title"},
         "p3": {"a b": "abstract", "b": "abstract"},
         "p4": {"a b": "title", "b": "title"},
     }
-    assert report.skipped_paper_count == 0
-    assert predict_keywords(community, metadata, 2, candidates).predictions == ()
+    assert predict_keywords(community, metadata, keywords[:2]) == []
 
 
 def test_load_metadata_normalizes_and_dedupes(tmp_path):
@@ -150,6 +149,12 @@ def test_load_metadata_label_repeated_with_whitespace_is_an_error(tmp_path):
         load_metadata(write_input(tmp_path, "a\tT\tA\tfoo\na \tU\tB\tbar\n"))
 
 
+def test_load_metadata_rejects_an_empty_label(tmp_path):
+    # one such line alone would otherwise pass as a record that names no node
+    with pytest.raises(InputError, match="^line 2: empty metadata label$"):
+        load_metadata(write_input(tmp_path, "a\tT\tA\tfoo\n \tT one\tabs\tfoo\n"))
+
+
 def test_load_metadata_skips_indented_comments(tmp_path):
     records = load_metadata(write_input(tmp_path, "  # note\tfoo\n\t# tabbed\n# plain\n \t \na\tT\n"))
     assert list(records) == ["a"]
@@ -165,18 +170,21 @@ def test_load_metadata_strips_a_byte_order_mark(tmp_path):
 
 
 def test_build_keyword_list_order(fixture_graph, fixture_community, fixture_metadata):
-    candidates = candidates_of(fixture_community, fixture_metadata)
-    assert [c.keyword for c in candidates] == [
+    assert candidates_of(fixture_community, fixture_metadata) == [
         "black holes",
         "gauge theory",
         "string theory",
     ]
-    by_name = {c.keyword: c for c in candidates}
-    assert by_name["black holes"].community_frequency == 3
-    assert by_name["black holes"].ids_frequency == 2
-    assert by_name["gauge theory"].community_frequency == 3
-    assert by_name["gauge theory"].ids_frequency == 1
-    assert by_name["string theory"].community_frequency == 2
+
+
+def test_build_keyword_list_ranks_by_community_count_not_set_count():
+    # the set {h1, h2} lists x twice and y once, but the community lists y four times and x twice
+    g = Graph([("h1", "a"), ("h1", "b"), ("h2", "c"), ("h1", "h2")])
+    community = Community("c", frozenset(range(g.node_count)), g)
+    domset = DomSetResult("c", "internal", "p", 0.8, frozenset({g.index("h1"), g.index("h2")}), 1.0)
+    listed = {"h1": ("x", "y"), "h2": ("x",), "a": ("y",), "b": ("y",), "c": ("y",)}
+    metadata = {label: NodeMetadata(label, "", "", keywords) for label, keywords in listed.items()}
+    assert build_keyword_list(community, metadata, domset) == ["y", "x"]
 
 
 def test_build_keyword_list_excludes_non_ids_keywords(
@@ -184,7 +192,7 @@ def test_build_keyword_list_excludes_non_ids_keywords(
 ):
     # n05 lists "cosmology" but no dominating-set member does
     candidates = candidates_of(fixture_community, fixture_metadata)
-    assert "cosmology" not in [c.keyword for c in candidates]
+    assert "cosmology" not in candidates
 
 
 def test_build_keyword_list_empty_without_metadata(fixture_community):
@@ -195,20 +203,18 @@ def test_tie_breaks_lexicographically(tmp_path):
     g = Graph([("hub", "a"), ("hub", "b")])
     c = Community("c", frozenset(range(g.node_count)), g)
     metadata = load_metadata(write_input(tmp_path, "hub\tT\tA\tzeta; alpha\n"))
-    candidates = candidates_of(c, metadata)
-    assert [x.keyword for x in candidates] == ["alpha", "zeta"]
+    assert candidates_of(c, metadata) == ["alpha", "zeta"]
 
 
 def test_predict_prefix_one(fixture_community, fixture_metadata, fixture_candidates):
-    report = predict_keywords(fixture_community, fixture_metadata, 1, fixture_candidates)
-    assert report.confirmed_paper_count == 4
-    assert {p.label for p in report.predictions} == {"n06", "n14", "n15", "n18"}
-    assert report.skipped_paper_count == 1
+    predictions = predict_keywords(fixture_community, fixture_metadata, fixture_candidates[:1])
+    assert len(predictions) == 4
+    assert {p.label for p in predictions} == {"n06", "n14", "n15", "n18"}
 
 
 def test_predict_prefix_two(fixture_community, fixture_metadata, fixture_candidates):
-    report = predict_keywords(fixture_community, fixture_metadata, 2, fixture_candidates)
-    assert {p.label for p in report.predictions} == {
+    predictions = predict_keywords(fixture_community, fixture_metadata, fixture_candidates[:2])
+    assert {p.label for p in predictions} == {
         "n06",
         "n07",
         "n14",
@@ -219,7 +225,7 @@ def test_predict_prefix_two(fixture_community, fixture_metadata, fixture_candida
 
 
 def test_predict_prefix_three_full_oracle(fixture_community, fixture_metadata, fixture_candidates):
-    report = predict_keywords(fixture_community, fixture_metadata, 3, fixture_candidates)
+    predictions = predict_keywords(fixture_community, fixture_metadata, fixture_candidates[:3])
     expected = {
         "n06": (("black holes",), ("title",)),
         "n07": (("gauge theory",), ("title",)),
@@ -230,35 +236,28 @@ def test_predict_prefix_three_full_oracle(fixture_community, fixture_metadata, f
         "n18": (("black holes",), ("title",)),
         "n19": (("gauge theory",), ("abstract",)),
     }
-    got = {p.label: (p.predicted, p.matched_fields) for p in report.predictions}
+    got = {p.label: (p.predicted, p.matched_fields) for p in predictions}
     assert got == expected
-    assert report.confirmed_paper_count == 8
-    assert report.skipped_paper_count == 1
+    assert len(predictions) == 8
 
 
 def test_labeled_papers_never_predicted(fixture_community, fixture_metadata, fixture_candidates):
     # n03's title matches "gauge theory" but its authors listed keywords
-    report = predict_keywords(fixture_community, fixture_metadata, 3, fixture_candidates)
-    assert "n03" not in {p.label for p in report.predictions}
+    predictions = predict_keywords(fixture_community, fixture_metadata, fixture_candidates[:3])
+    assert "n03" not in {p.label for p in predictions}
 
 
 def test_predictions_only_from_candidate_prefix(fixture_community, fixture_metadata, fixture_candidates):
-    report = predict_keywords(fixture_community, fixture_metadata, 1, fixture_candidates)
-    for prediction in report.predictions:
+    for prediction in predict_keywords(fixture_community, fixture_metadata, fixture_candidates[:1]):
         assert set(prediction.predicted) <= {"black holes"}
 
 
-def test_predict_requires_positive_prefix(fixture_community, fixture_metadata, fixture_candidates):
-    with pytest.raises(ConfigError):
-        predict_keywords(fixture_community, fixture_metadata, 0, fixture_candidates)
-
-
 def _curve(communities, metadata, lengths):
+    # as the pipeline does: each keyword list cut to the longest length
     scored = []
     for community in communities:
-        candidates = candidates_of(community, metadata)
-        report = predict_keywords(community, metadata, max(lengths), candidates)
-        scored.append((candidates, report))
+        keywords = candidates_of(community, metadata)[: max(lengths)]
+        scored.append((keywords, predict_keywords(community, metadata, keywords)))
     return prediction_curve(scored, lengths)
 
 
@@ -274,7 +273,7 @@ def test_prediction_curve_equals_predictions_per_length(fixture_graph, fixture_m
     lengths = [1, 2, 3, 4]
     candidates = {c: candidates_of(c, fixture_metadata) for c in (a, b)}
     per_length = [
-        (length, len({p.label for c in (a, b) for p in predict_keywords(c, fixture_metadata, length, candidates[c]).predictions}))
+        (length, len({p.label for c in (a, b) for p in predict_keywords(c, fixture_metadata, candidates[c][:length])}))
         for length in lengths
     ]
     assert per_length[0] == (1, 6)
@@ -290,15 +289,6 @@ def test_prediction_curve_is_monotone(fixture_community, fixture_metadata):
 def test_prediction_curve_rejects_unsorted_lengths(fixture_community, fixture_metadata):
     with pytest.raises(ConfigError):
         _curve([fixture_community], fixture_metadata, [3, 1])
-
-
-def test_prediction_curve_rejects_predictions_shorter_than_lengths(
-    fixture_community, fixture_metadata
-):
-    candidates = candidates_of(fixture_community, fixture_metadata)
-    report = predict_keywords(fixture_community, fixture_metadata, 2, candidates)
-    with pytest.raises(ConfigError):
-        prediction_curve([(candidates, report)], [1, 3])
 
 
 def test_prediction_curve_counts_overlapping_paper_once(fixture_graph, fixture_metadata):

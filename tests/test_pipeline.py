@@ -54,8 +54,6 @@ def test_config_validation(tmp_path):
         RunConfig(graph_path="g", p=1.5)
     with pytest.raises(ConfigError):
         RunConfig(graph_path="g", k=0)
-    with pytest.raises(ConfigError):
-        RunConfig(graph_path="g", bins=0)
 
 
 def test_a_replaced_field_is_checked():
