@@ -6,17 +6,21 @@ neighbors and degree from the ``adjacency`` and ``degrees`` tuples, and its
 label from ``label(u)``.
 
 Every input file (edge lists here, community and metadata files in their
-modules) is a path, read one line at a time by :func:`_read_lines`: UTF-8,
-a leading byte-order mark dropped, lines ending at ``\\n``, ``\\r\\n`` or
-``\\r``.  No loader holds the whole file.  :func:`load_graph` streams each
-line's label pair into the one :class:`Graph` build, which interns labels
-to ints as it goes, appends each edge end to a per-node neighbor-id list,
-and sorts the labels once at the end.
+modules) is a path, read a chunk of lines at a time by :func:`_read_chunks`:
+UTF-8, a leading byte-order mark dropped, lines ending at ``\\n``,
+``\\r\\n`` or ``\\r``.  No loader holds the whole file.  :func:`load_graph`
+splits each chunk's lines into token rows with C-level ``map`` and
+``filter`` and chains them into the one :class:`Graph` build, so no Python
+frame runs per line.  The build interns labels to ints as it goes, appends
+each edge end to a per-node neighbor-id list, sorts the labels once, and
+then finishes each node's row in one sorted pass.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import chain, cycle, islice
+from operator import eq, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -45,8 +49,10 @@ class Graph:
     def __init__(self, edges: Iterable[tuple[str, str]], extra_nodes: Iterable[str] = ()):
         # Intern labels to ids in order of first sight and append each edge
         # end to a per-node neighbor-id list (a set per node takes about four
-        # times the memory); then sort the labels once, renumber every id by
-        # its label's rank and drop each node's repeated neighbors.
+        # times the memory); then sort the labels once and build each node's
+        # row, in label order, by renumbering its ids by their labels' ranks
+        # and sorting them.  A row with a repeated neighbor holds two equal
+        # adjacent ends, so one scan over all rows finds every duplicate edge.
         ids: dict[str, int] = {}
         neighbors: list[list[int]] = []
         self_loops = 0
@@ -68,17 +74,22 @@ class Graph:
                 neighbors.append([])
             neighbors[u].append(v)
             neighbors[v].append(u)
+        pairs = sum(map(len, neighbors)) // 2  # each pair that is not a self-loop was appended at both ends
         labels = sorted(ids)
         index = dict(zip(labels, range(len(labels))))
         rank = list(map(index.__getitem__, ids))  # id -> rank, sharing the index's ints
+        adjacency: list[tuple[int, ...]] = []
+        for i in map(ids.__getitem__, labels):
+            adjacency.append(tuple(sorted(map(rank.__getitem__, neighbors[i]))))
+            neighbors[i] = ()  # the shared empty tuple: drop the list now
+        if any(map(eq, _ends(adjacency), islice(_ends(adjacency), 1, None))):
+            for u, row in enumerate(adjacency):
+                adjacency[u] = tuple(sorted(set(row)))
         self._labels: tuple[str, ...] = tuple(labels)
         self._label_index: dict[str, int] = index
-        self._adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(set(map(rank.__getitem__, neighbors[ids[label]])))) for label in labels
-        )
+        self._adjacency: tuple[tuple[int, ...], ...] = tuple(adjacency)
         self._degrees: tuple[int, ...] = tuple(map(len, self._adjacency))
         self._num_edges = sum(self._degrees) // 2
-        pairs = sum(map(len, neighbors)) // 2  # each pair that is not a self-loop was appended at both ends
         self.load_report = LoadReport(pairs + self_loops, self_loops, pairs - self._num_edges)
 
     @property
@@ -117,34 +128,54 @@ class Graph:
         return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
 
 
+def _ends(rows: list[tuple[int, ...]]) -> Iterator[int]:
+    """Every row's ends in order, with a negative sentinel after each row;
+    the sentinels alternate, so no two adjacent ends of different rows are
+    equal, even around an empty row."""
+    return chain.from_iterable(chain.from_iterable(zip(rows, cycle(((-1,), (-2,))))))
+
+
 def load_graph(path: str | Path) -> Graph:
     """Parse the whitespace-separated edge list at ``path`` into a :class:`Graph`.
 
-    The file is read one line at a time by :func:`_read_lines` (UTF-8, a
-    leading byte-order mark stripped, lines ending in ``\\n``, ``\\r\\n``
-    or ``\\r``).
+    The file is read a chunk of lines at a time by :func:`_read_chunks`
+    (UTF-8, a leading byte-order mark stripped, lines ending in ``\\n``,
+    ``\\r\\n`` or ``\\r``).
 
     Lines starting with ``#`` and blank lines are ignored.  Self-loops are
     dropped, parallel and reversed duplicates are collapsed; the build counts
     them in ``graph.load_report``.  A line without exactly two tokens or with
     bytes that are not UTF-8 raises :class:`InputError` whose message starts
     with ``line N: ``; the first bad line is the one reported, and an edge
-    list with no edge raises it too.  Each line's token pair goes straight
-    into the :class:`Graph` build, so the cost is one split per line and one
-    list append per edge end, plus one sort of the labels and of each node's
-    ids.
+    list with no edge raises it too.  Each chunk's lines become token rows
+    through ``filter(None, map(str.split, lines))``, and the rows of every
+    chunk are chained straight into the :class:`Graph` build; only a chunk
+    whose text holds ``#`` is filtered for comment rows.  So the cost is one
+    C-level split per line and one list append per edge end, plus one sort
+    of the labels and of each node's row.  A row of other than two tokens
+    fails the build's unpacking, and only then is the chunk being read
+    scanned for the line to name.
     """
+    chunk: tuple[int, str, list[str]] = (1, "", [])
 
-    def pairs() -> Iterator[list[str]]:
-        for line_number, line in enumerate(_read_lines(path), start=1):
+    def rows() -> Iterator[Iterable[list[str]]]:
+        nonlocal chunk
+        for chunk in _read_chunks(path):
+            _, text, lines = chunk
+            tokens = filter(None, map(str.split, lines))
+            yield [row for row in tokens if row[0][0] != "#"] if "#" in text else tokens
+
+    chunk_rows = rows()
+    try:
+        graph = Graph(chain.from_iterable(chunk_rows))
+    except ValueError:  # a row of other than two tokens
+        chunk_rows.close()
+        first, _, lines = chunk
+        for line_number, line in enumerate(lines, start=first):
             tokens = line.split()
-            if not tokens or tokens[0][0] == "#":
-                continue
-            if len(tokens) != 2:
-                raise InputError(f"line {line_number}: expected 2 tokens, got {len(tokens)}")
-            yield tokens
-
-    graph = Graph(pairs())
+            if tokens and tokens[0][0] != "#" and len(tokens) != 2:
+                raise InputError(f"line {line_number}: expected 2 tokens, got {len(tokens)}") from None
+        raise
     if not graph.edge_count:
         raise InputError("edge list is empty")
     return graph
@@ -153,8 +184,9 @@ def load_graph(path: str | Path) -> Graph:
 _CHUNK = 1 << 15  # characters decoded per read
 
 
-def _read_lines(path: str | Path) -> Iterator[str]:
-    """The text lines of the file at ``path``, one at a time, without their line ends.
+def _read_chunks(path: str | Path) -> Iterator[tuple[int, str, list[str]]]:
+    """The text of the file at ``path``, a chunk at a time: each chunk's first
+    line number, its text and its lines, without their line ends.
 
     Bytes are decoded as UTF-8 and a leading byte-order mark is dropped.
     Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` (universal newlines) and
@@ -163,13 +195,14 @@ def _read_lines(path: str | Path) -> Iterator[str]:
     and each chunk is split in one call, which is cheaper than a Python step
     per line.  A line that runs past its chunk is carried into the next
     read, which is at least as long as the carried part, so a long line is
-    not copied once per chunk.  A byte that is not UTF-8 is decoded to a
-    lone surrogate, so a chunk that does not encode back raises
-    :class:`InputError` naming the line that holds it (``line N: ``),
-    after the lines before it.
+    not copied once per chunk.  A chunk's text holds every one of its lines,
+    and may hold the start of the next chunk's first line too.  A byte that
+    is not UTF-8 is decoded to a lone surrogate, so a chunk that does not
+    encode back raises :class:`InputError` naming the line that holds it
+    (``line N: ``), after a last chunk of the lines before it.
     """
     with open(path, encoding="utf-8-sig", errors="surrogateescape", newline=None) as file:
-        line_number, tail = 0, ""
+        line_number, tail = 1, ""
         while chunk := file.read(max(_CHUNK, len(tail))):
             text = tail + chunk
             lines = text.split("\n")
@@ -179,12 +212,18 @@ def _read_lines(path: str | Path) -> Iterator[str]:
                     text.encode("utf-8")
                 except UnicodeEncodeError as err:
                     bad = text.count("\n", 0, err.start)
-                    yield from lines[:bad]
-                    raise InputError(f"line {line_number + bad + 1}: not valid UTF-8 in {path}") from None
-            yield from lines
+                    yield line_number, text, lines[:bad]
+                    raise InputError(f"line {line_number + bad}: not valid UTF-8 in {path}") from None
+            yield line_number, text, lines
             line_number += len(lines)
         if tail:
-            yield tail
+            yield line_number, tail, [tail]
+
+
+def _read_lines(path: str | Path) -> Iterator[str]:
+    """The text lines of the file at ``path``, one at a time, without their
+    line ends: the lines of :func:`_read_chunks`, chained."""
+    return chain.from_iterable(map(itemgetter(2), _read_chunks(path)))
 
 
 def count_triangles(graph: Graph) -> tuple[int, int]:

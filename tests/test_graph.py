@@ -31,6 +31,26 @@ def test_graph_build_reports_its_pairs():
     assert Graph([], extra_nodes=["a"]).load_report == LoadReport(0, 0, 0)
 
 
+def test_the_duplicate_scan_stops_at_row_boundaries(monkeypatch):
+    # rows a and b both hold only c, and the empty rows of d and e sit side by side:
+    # equal ends of different rows are no duplicate, so no row is rebuilt through a set
+    rebuilt = []
+
+    def recording_set(*args):
+        rebuilt.append(args)
+        return set(*args)
+
+    monkeypatch.setattr(graph_module, "set", recording_set, raising=False)
+    g = Graph([("a", "c"), ("b", "c")], extra_nodes=["d", "e"])
+    assert g.load_report == LoadReport(2, 0, 0)
+    assert g.adjacency == ((2,), (2,), (0, 1), (), ())
+    assert not rebuilt
+    g = Graph([("a", "b"), ("b", "a"), ("a", "b")])
+    assert g.load_report == LoadReport(3, 0, 2)
+    assert g.adjacency == ((1,), (0,))
+    assert rebuilt
+
+
 def test_load_skips_comments_and_blank_lines(tmp_path):
     g = load_graph(write_input(tmp_path, "# header\n\na b\n  \n# tail\nb c\n"))
     assert g.node_count == 3
@@ -104,7 +124,8 @@ def _labels(g: Graph) -> list[str]:
     return [g.label(u) for u in range(g.node_count)]
 
 
-_LABELS = st.sampled_from(["a", "b", "c", "d", "e", "10", "9", "\u00e9t\u00e9"])
+# "a#b" puts a "#" in chunks without comments, which then take the comment filter
+_LABELS = st.sampled_from(["a", "b", "c", "d", "e", "10", "9", "\u00e9t\u00e9", "a#b"])
 _LINE_ENDS = ("\n", "\r\n", "\r")
 # reads of a few characters split lines, \r\n pairs and multibyte labels across chunks
 _CHUNK_SIZES = st.sampled_from([1, 2, 3, 8, graph_module._CHUNK])
@@ -174,6 +195,19 @@ def test_load_reports_the_line_of_a_bad_byte(tmp_path_factory, lines, data):
             with pytest.raises(InputError) as err:
                 load_graph(write_input(directory, end.encode().join(raw)))
             assert str(err.value).startswith(f"line {k}: "), end
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(edge_list_lines(), st.data())
+def test_load_reports_the_line_of_a_malformed_row(tmp_path_factory, lines, data):
+    k = data.draw(st.integers(1, len(lines)))
+    lines = lines[: k - 1] + ["x y z"] + lines[k:]
+    directory = tmp_path_factory.mktemp("malformed")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "_CHUNK", data.draw(_CHUNK_SIZES))
+        for end in _LINE_ENDS:
+            with pytest.raises(InputError, match=f"^line {k}: expected 2 tokens, got 3$"):
+                load_graph(write_input(directory, end.join(lines)))
 
 
 def test_load_reads_a_file_of_many_chunks(tmp_path):
@@ -365,6 +399,15 @@ def test_a_load_that_raises_leaves_its_file_closed(tmp_path, monkeypatch, bad_li
         load_graph(target)
     [file] = opened
     assert file.closed
+    # a bad line many chunks in names its own line, from the one open, which is left
+    # closed even while the error, and so the loader's frame, is still held
+    opened.clear()
+    monkeypatch.setattr(graph_module, "_CHUNK", 8)
+    later = write_input(tmp_path, b"a b\n" * 30 + bad_line + b"\nb c\n", "later.edges")
+    with pytest.raises(InputError, match="^line 31: ") as err:
+        load_graph(later)
+    [file] = opened
+    assert file.closed, err
 
 
 def test_count_triangles_needs_no_whole_graph_copy(tmp_path):
