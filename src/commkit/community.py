@@ -119,7 +119,6 @@ def load_communities(path: str | Path, graph: Graph) -> list[Community]:
     """Read communities from the file at ``path``, one line at a time, resolving labels against ``graph``."""
     communities: list[Community] = []
     first_line: dict[str, int] = {}
-    resolve = graph._label_index.__getitem__  # one C-level lookup per label, as Graph.index does
     for line_number, raw in enumerate(_read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -137,9 +136,9 @@ def load_communities(path: str | Path, graph: Graph) -> list[Community]:
         if not labels:
             raise InputError(f"line {line_number}: community {community_id!r} is empty")
         try:
-            members = frozenset(map(resolve, labels))
-        except KeyError as err:
-            raise InputError(f"line {line_number}: unknown node label: {err.args[0]!r}") from None
+            members = graph.indices(labels)
+        except InputError as err:
+            raise InputError(f"line {line_number}: {err}") from None
         if len(members) != len(labels):
             seen: set[str] = set()
             repeated = next(label for label in labels if label in seen or seen.add(label))

@@ -33,14 +33,16 @@ def test_graph_build_reports_its_pairs():
 
 def test_the_duplicate_scan_stops_at_row_boundaries(monkeypatch):
     # rows a and b both hold only c, and the empty rows of d and e sit side by side:
-    # equal ends of different rows are no duplicate, so no row is rebuilt through a set
+    # equal ends of different rows are no duplicate, so no row is rebuilt
     rebuilt = []
 
-    def recording_set(*args):
-        rebuilt.append(args)
-        return set(*args)
+    class RecordingDict(dict):
+        @classmethod
+        def fromkeys(cls, *args):
+            rebuilt.append(args)
+            return dict.fromkeys(*args)
 
-    monkeypatch.setattr(graph_module, "set", recording_set, raising=False)
+    monkeypatch.setattr(graph_module, "dict", RecordingDict, raising=False)
     g = Graph([("a", "c"), ("b", "c")], extra_nodes=["d", "e"])
     assert g.load_report == LoadReport(2, 0, 0)
     assert g.adjacency == ((2,), (2,), (0, 1), (), ())
@@ -237,6 +239,9 @@ def test_label_index_bijection():
         assert g.index(g.label(u)) == u
     with pytest.raises(InputError, match="unknown node label: 'w'"):
         g.index("w")
+    assert g.indices(["z", "x", "z"]) == {g.index("x"), g.index("z")}
+    with pytest.raises(InputError, match="^unknown node label: 'w'$"):
+        g.indices(["x", "w", "y"])
 
 
 def test_degree_sum_is_twice_edge_count():
