@@ -13,14 +13,16 @@ splits each chunk's lines into token rows with C-level ``map`` and
 ``filter`` and chains them into the one :class:`Graph` build, so no Python
 frame runs per line.  The build interns labels to ints as it goes, appends
 each edge end to a per-node neighbor-id list, sorts the labels once, and
-then finishes each node's row in one sorted pass.
+then finishes each node's row in one sorted pass.  A repeated edge shows as
+a row whose set of ends is smaller than the row, so the rows' set sizes,
+summed in C, say whether any row needs its repeats dropped.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import chain, cycle, islice
-from operator import eq, itemgetter
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -51,11 +53,10 @@ class Graph:
         # end to a per-node neighbor-id list (a set per node takes about four
         # times the memory); then sort the labels once and build each node's
         # row, in label order, by renumbering its ids by their labels' ranks
-        # and sorting them.  A row with a repeated neighbor holds two equal
-        # adjacent ends, so one scan over all rows finds every duplicate edge;
-        # only then is every row rebuilt, keeping the first of each run of
-        # equal ends (on a list that writes each edge both ways, still less
-        # work than a set per row).
+        # and sorting them.  A row with a repeated neighbor has fewer distinct
+        # ends than ends, so the sum of the rows' set sizes falls short of the
+        # ends appended only when some edge was given twice; only then is
+        # every row rebuilt, keeping the first of each run of equal ends.
         ids: dict[str, int] = {}
         neighbors: list[list[int]] = []
         self_loops = 0
@@ -85,7 +86,7 @@ class Graph:
         for i in map(ids.__getitem__, labels):
             adjacency.append(tuple(sorted(map(rank.__getitem__, neighbors[i]))))
             neighbors[i] = ()  # the shared empty tuple: drop the list now
-        if any(map(eq, _ends(adjacency), islice(_ends(adjacency), 1, None))):
+        if sum(map(len, map(frozenset, adjacency))) != 2 * pairs:
             for u, row in enumerate(adjacency):
                 adjacency[u] = tuple(dict.fromkeys(row))
         self._labels: tuple[str, ...] = tuple(labels)
@@ -138,13 +139,6 @@ class Graph:
         return f"Graph(nodes={self.node_count}, edges={self.edge_count})"
 
 
-def _ends(rows: list[tuple[int, ...]]) -> Iterator[int]:
-    """Every row's ends in order, with a negative sentinel after each row;
-    the sentinels alternate, so no two adjacent ends of different rows are
-    equal, even around an empty row."""
-    return chain.from_iterable(chain.from_iterable(zip(rows, cycle(((-1,), (-2,))))))
-
-
 def load_graph(path: str | Path) -> Graph:
     """Parse the whitespace-separated edge list at ``path`` into a :class:`Graph`.
 
@@ -162,7 +156,8 @@ def load_graph(path: str | Path) -> Graph:
     chunk are chained straight into the :class:`Graph` build; only a chunk
     whose text holds ``#`` is filtered for comment rows.  So the cost is one
     C-level split per line and one list append per edge end, plus one sort
-    of the labels and of each node's row.  A row of other than two tokens
+    of the labels and of each node's row, and one set of each row's ends to
+    check for repeated edges.  A row of other than two tokens
     fails the build's unpacking, and only then is the chunk being read
     scanned for the line to name.
     """

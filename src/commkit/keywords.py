@@ -13,12 +13,14 @@ from __future__ import annotations
 import re
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .community import Community
-from .domsets import DomSetResult
 from .errors import ConfigError, InputError
 from .graph import Graph, _read_lines
+
+if TYPE_CHECKING:  # annotations only: loading metadata needs no dominating set
+    from .domsets import DomSetResult
 
 _TOKEN_RE = re.compile(r"[^0-9a-z]+")
 

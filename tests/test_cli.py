@@ -1,5 +1,6 @@
 import argparse
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -9,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from commkit.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, _config_from_args, build_parser, main
+from commkit.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, _config_from_args, _process_main, build_parser, main
+from commkit.community import write_communities
 from commkit.detect import DetectParams
 from commkit.errors import ConfigError
 from commkit.pipeline import STAGES, RunConfig, run_pipeline
-from graphs import DATA_DIR
+from graphs import DATA_DIR, planted_partition
 
 GRAPH = "\n".join(
     f"a{i} a{j}" for i in range(5) for j in range(i + 1, 5)
@@ -678,3 +680,44 @@ def test_cut_and_blanked_inputs_never_fail_internally(tmp_path, capsys):
     codes = {_run_all(tmp_path / str(i), variant, capsys)[0] for i, variant in enumerate(variants)}
     assert codes <= {EXIT_OK, EXIT_INPUT, EXIT_CONFIG}
     assert EXIT_OK in codes and EXIT_INPUT in codes
+
+
+@pytest.fixture
+def collector():
+    """Put the cyclic collector back as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(workdir, collector, enabled):
+    (gc.enable if enabled else gc.disable)()
+    assert main(_args(workdir, "all")) == EXIT_OK
+    assert gc.isenabled() is enabled
+
+
+def test_the_process_entry_runs_without_the_collector(workdir, collector, monkeypatch):
+    gc.enable()
+    monkeypatch.setattr(sys, "argv", ["commkit", *_args(workdir, "metrics")])
+    assert _process_main() == EXIT_OK
+    assert not gc.isenabled()
+
+
+def test_cyclic_garbage_does_not_grow_with_the_input(tmp_path, collector):
+    # a commkit process runs without the cyclic collector, so what only the
+    # collector frees must be the same fixed set on a small and a large input
+    edges, groups = planted_partition(seed=1)
+    planted = tmp_path / "planted.edges"
+    planted.write_text("".join(f"{a} {b}\n" for a, b in edges))
+    with open(tmp_path / "planted.txt", "w") as sink:
+        write_communities(groups, sink)
+    football = ["all", "--graph", str(DATA_DIR / "football" / "football.edges"), "--out", str(tmp_path / "football")]
+    metrics = ["metrics", "--graph", str(planted), "--communities", str(tmp_path / "planted.txt")]
+    found = []
+    gc.disable()
+    for argv in (football, [*metrics, "--out", str(tmp_path / "planted")]):
+        gc.collect()
+        assert main(argv) == EXIT_OK
+        found.append(gc.collect())
+    assert found[0] == found[1]

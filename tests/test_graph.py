@@ -31,7 +31,7 @@ def test_graph_build_reports_its_pairs():
     assert Graph([], extra_nodes=["a"]).load_report == LoadReport(0, 0, 0)
 
 
-def test_the_duplicate_scan_stops_at_row_boundaries(monkeypatch):
+def test_the_set_size_check_rebuilds_only_for_a_repeat_within_a_row(monkeypatch):
     # rows a and b both hold only c, and the empty rows of d and e sit side by side:
     # equal ends of different rows are no duplicate, so no row is rebuilt
     rebuilt = []

@@ -41,7 +41,7 @@ STAGE_LAYERS = {
     "detect": {"commkit.detect"},
     "domsets": {"commkit.domsets"},
     "slopes": {"commkit.domsets", "commkit.slopes"},
-    "metrics": {"commkit.metrics", "commkit.distributions"},
+    "metrics": {"commkit.metrics"},
     "keywords": {"commkit.domsets", "commkit.keywords"},
     "report": {"commkit.domsets", "commkit.slopes", "commkit.metrics", "commkit.distributions"},
 }
@@ -111,6 +111,14 @@ def _stage_argv(stage, out, metadata):
 def test_each_stage_loads_its_layers_and_no_pool_with_one_worker(football_run, stage):
     loaded = _main(*_stage_argv(stage, *football_run))
     assert loaded & {*OPTIONAL, POOL, *SLOW} == STAGE_LAYERS[stage]
+
+
+def test_loading_metadata_loads_no_dominating_sets(football_run):
+    out, metadata = football_run
+    body = "from commkit.pipeline import RunConfig, load_inputs\nload_inputs(RunConfig(*sys.argv[1:]))"
+    loaded = _loaded(body, str(FOOTBALL / "football.edges"), str(out / "communities.txt"), str(metadata))
+    assert "commkit.keywords" in loaded
+    assert "commkit.domsets" not in loaded
 
 
 def test_workers_flag_loads_no_pool(football_run):
