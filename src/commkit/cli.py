@@ -24,8 +24,9 @@ collector off before :func:`main` runs.  Reference counting still frees
 every record, since no record holds a reference cycle; the only cycles a
 run leaves are the argument parser's and the JSON encoder's, the same
 whatever the input.  So the collector would only rescan the freshly built
-graph and sweep the heap at exit.  A caller of :func:`main` in its own
-process keeps its collector as it was.
+graph and sweep the heap at exit.  :func:`main` leaves the collector
+alone: it is a setting of the whole process, which a library call cannot
+switch off and back safely while other code of its caller runs.
 """
 
 from __future__ import annotations
@@ -107,7 +108,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _process_main() -> int:
-    """The process entry point: :func:`main` on ``sys.argv``, without the cyclic collector."""
+    """The process entry point: :func:`main` on ``sys.argv``, without the cyclic collector.
+
+    Private: it changes a setting of the whole process for good, so only
+    the console script and the ``__main__`` check below call it.
+    """
     gc.disable()
     return main()
 

@@ -81,7 +81,6 @@ class Community:
         """One pass over the members' rows; every list is in index order."""
         nodes = sorted(self.members)
         local = {v: i for i, v in enumerate(nodes)}
-        bits = [1 << i for i in range(len(nodes))]  # one int per member, not one per inside edge
         rows = self.graph.adjacency
         split = Split(self.id, nodes, [], [], [])
         for v in nodes:
@@ -92,7 +91,7 @@ class Community:
                     outside.append(w)
                 else:
                     inside.append(j)
-                    mask |= bits[j]
+                    mask |= 1 << j
             split.inside.append(inside)
             split.masks.append(mask)
             split.outside.append(outside)

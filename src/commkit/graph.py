@@ -14,15 +14,16 @@ splits each chunk's lines into token rows with C-level ``map`` and
 frame runs per line.  The build interns labels to ints as it goes, appends
 each edge end to a per-node neighbor-id list, sorts the labels once, and
 then finishes each node's row in one sorted pass.  A repeated edge shows as
-a row whose set of ends is smaller than the row, so the rows' set sizes,
-summed in C, say whether any row needs its repeats dropped.
+a row whose set of ends is smaller than the row, so comparing each row's
+set size with its length, in C and stopping at the first row that differs,
+says whether any row needs its repeats dropped.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import chain
-from operator import itemgetter
+from operator import itemgetter, ne
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -54,9 +55,9 @@ class Graph:
         # times the memory); then sort the labels once and build each node's
         # row, in label order, by renumbering its ids by their labels' ranks
         # and sorting them.  A row with a repeated neighbor has fewer distinct
-        # ends than ends, so the sum of the rows' set sizes falls short of the
-        # ends appended only when some edge was given twice; only then is
-        # every row rebuilt, keeping the first of each run of equal ends.
+        # ends than ends, so the check stops at the first row whose set is
+        # smaller than the row; only when there is one is every row rebuilt,
+        # keeping the first of each run of equal ends.
         ids: dict[str, int] = {}
         neighbors: list[list[int]] = []
         self_loops = 0
@@ -86,7 +87,7 @@ class Graph:
         for i in map(ids.__getitem__, labels):
             adjacency.append(tuple(sorted(map(rank.__getitem__, neighbors[i]))))
             neighbors[i] = ()  # the shared empty tuple: drop the list now
-        if sum(map(len, map(frozenset, adjacency))) != 2 * pairs:
+        if any(map(ne, map(len, map(frozenset, adjacency)), map(len, adjacency))):
             for u, row in enumerate(adjacency):
                 adjacency[u] = tuple(dict.fromkeys(row))
         self._labels: tuple[str, ...] = tuple(labels)
@@ -157,9 +158,9 @@ def load_graph(path: str | Path) -> Graph:
     whose text holds ``#`` is filtered for comment rows.  So the cost is one
     C-level split per line and one list append per edge end, plus one sort
     of the labels and of each node's row, and one set of each row's ends to
-    check for repeated edges.  A row of other than two tokens
-    fails the build's unpacking, and only then is the chunk being read
-    scanned for the line to name.
+    check for repeated edges, up to the first row that repeats one.  A row
+    of other than two tokens fails the build's unpacking, and only then is
+    the chunk being read scanned for the line to name.
     """
     chunk: tuple[int, str, list[str]] = (1, "", [])
 

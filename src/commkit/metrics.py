@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .community import Split
 from .community import induced_subgraph  # noqa: F401  (bench/tests checks the tracer patches it here)
+from .distributions import mean
 from .errors import ConfigError
 from .graph import Graph, count_triangles
 
@@ -124,8 +125,6 @@ def triangle_split_analysis(
     stats: list[CommunityStats], threshold: float
 ) -> TriangleSplit:
     """Partition communities at ``ccc > threshold`` and compare triangle mass."""
-    from .distributions import mean  # at call time: only the report stage reads a mean
-
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"threshold must be in [0, 1], got {threshold}")
     above = [s.triangles for s in stats if s.ccc > threshold]
@@ -170,8 +169,6 @@ def aggregate_stats(
 ) -> NetworkSummary:
     """Network summary row from each community's (k-set, p-set) pairs and
     (ISlope, ESlope) pair; order of the input lists is immaterial."""
-    from .distributions import mean  # at call time: only the report stage reads a mean
-
     if not stats:
         raise ConfigError("no communities to aggregate")
 

@@ -310,17 +310,16 @@ GOLDEN_FOOTBALL = {
 }
 
 
+def _digests(out):
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir() if path.name != "manifest.json"}
+
+
 def test_football_artifacts_match_golden_digests(tmp_path):
     graph = str(DATA_DIR / "football" / "football.edges")
     for i, (extra, digests) in enumerate(GOLDEN_FOOTBALL.items()):
         out = tmp_path / str(i)
         assert main(["all", "--graph", graph, *extra, "--out", str(out)]) == EXIT_OK
-        produced = {
-            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in out.iterdir()
-            if path.name != "manifest.json"
-        }
-        assert produced == digests, extra
+        assert _digests(out) == digests, extra
 
 
 def _football_teams():
@@ -697,11 +696,14 @@ def test_main_leaves_the_collector_as_it_found_it(workdir, collector, enabled):
     assert gc.isenabled() is enabled
 
 
-def test_the_process_entry_runs_without_the_collector(workdir, collector, monkeypatch):
+def test_the_process_entry_runs_without_the_collector(tmp_path, collector, monkeypatch):
+    # the configuration a commkit process ships with gives the golden artifacts
     gc.enable()
-    monkeypatch.setattr(sys, "argv", ["commkit", *_args(workdir, "metrics")])
+    graph = str(DATA_DIR / "football" / "football.edges")
+    monkeypatch.setattr(sys, "argv", ["commkit", "all", "--graph", graph, "--out", str(tmp_path)])
     assert _process_main() == EXIT_OK
     assert not gc.isenabled()
+    assert _digests(tmp_path) == GOLDEN_FOOTBALL[()]
 
 
 def test_cyclic_garbage_does_not_grow_with_the_input(tmp_path, collector):

@@ -41,7 +41,7 @@ STAGE_LAYERS = {
     "detect": {"commkit.detect"},
     "domsets": {"commkit.domsets"},
     "slopes": {"commkit.domsets", "commkit.slopes"},
-    "metrics": {"commkit.metrics"},
+    "metrics": {"commkit.metrics", "commkit.distributions"},
     "keywords": {"commkit.domsets", "commkit.keywords"},
     "report": {"commkit.domsets", "commkit.slopes", "commkit.metrics", "commkit.distributions"},
 }
