@@ -4,11 +4,14 @@
 For each teleport probability, reports how many communities come out of
 detection and how well they line up with the 12 known conferences (mean
 majority-label purity).  Detection pushes PPR only from a maximal
-independent set of seeds taken in degree order, sweeps each vector over
-its first ``max_size + 1`` prefixes, keeps the sets of ``min_size`` to
-``max_size`` nodes, and refines each community kept by the overlap dedup
-with single-node moves until no move lowers its conductance.  Useful
-when picking alpha and the size window for a new network.
+independent set of seeds taken in degree order and sweeps each vector
+over its first ``max_size + 1`` prefixes.  The sweeps go through one
+candidate rule, in this order: sets outside ``min_size`` to
+``max_size`` nodes are dropped, the rest taken best first by
+conductance, and a set overlapping a kept one by Jaccard above 0.5
+dropped.  Each kept set is refined with single-node moves until no move
+lowers its conductance, and the refined sets go through the rule again.
+Useful when picking alpha and the size window for a new network.
 
 Usage:
     python scripts/detection_parameter_sweep.py

@@ -6,18 +6,19 @@ decreasing degree, ties to the lower index, and a node is taken when no
 neighbor has been.  Every node is a seed or a neighbor of one.  Each seed
 gets an approximate personalized-PageRank vector, which is swept in
 score/degree order for the prefix of minimum conductance among its first
-``max_size + 1`` prefixes.  Candidates are filtered by size, which drops
-a minimum on the last of those prefixes; seeds that sweep to the same
-member set collapse to the lowest of them, and the distinct sets are
-deduplicated best-first by conductance: a set whose Jaccard overlap with
-a kept community exceeds :data:`OVERLAP_JACCARD_MAX` (0.5) is dropped.
-Each kept community is then refined by single-node moves
+``max_size + 1`` prefixes.  The sweeps go through the candidate rule
+below, each set it keeps is refined by single-node moves
 (:func:`refine`), in the spirit of the conductance-improving local moves
-of Andersen & Lang (SODA 2008).  The refined sets go through the
-size filter, the collapse to the lowest seed and the dedup again, and
-only the communities kept then are checked for connectivity.  Detection
-is deliberately pluggable: every downstream stage also accepts
-externally supplied community files.
+of Andersen & Lang (SODA 2008), and the refined sets go through the rule
+again.  The rule, in the order it is applied: a set of fewer than
+``min_size`` or more than ``max_size`` members is dropped, which drops a
+sweep whose minimum is on its last prefix; the rest are taken best first
+by (conductance, size, sorted members, seed); and a set whose Jaccard
+overlap with a kept one exceeds :data:`OVERLAP_JACCARD_MAX` (0.5) is
+dropped.  An equal set overlaps by 1, so it is kept once, with the
+lowest of its seeds.  Only the communities the second pass keeps are
+checked for connectivity.  Detection is deliberately pluggable: every
+downstream stage also accepts externally supplied community files.
 
 The vector is the PageRank of the lazy walk ``W = (I + D^-1 A)/2`` with
 teleport probability ``alpha``.  It is also the PageRank of the plain walk
@@ -207,7 +208,7 @@ class DetectedCommunity(NamedTuple):
 
 
 def _spread_seeds(graph: Graph) -> list[int]:
-    """A maximal independent set taken in (-degree, index) order, in index order."""
+    """A maximal independent set taken in (-degree, index) order, in that order."""
     degrees = graph.degrees
     adjacency = graph.adjacency
     blocked = bytearray(graph.node_count)
@@ -217,7 +218,6 @@ def _spread_seeds(graph: Graph) -> list[int]:
             seeds.append(v)
             for w in adjacency[v]:
                 blocked[w] = 1
-    seeds.sort()
     return seeds
 
 
@@ -285,76 +285,66 @@ def refine(graph: Graph, members: Iterable[int], max_size: int) -> SweepResult:
         cut, volume, denominator = best_cut, best_volume, best_denominator
 
 
-def _dedup(candidates: dict[tuple[int, ...], tuple[float, int]]) -> list[tuple[int, ...]]:
-    """Best-first greedy overlap dedup of sorted member tuples keyed to (conductance, seed).
+def _dedup(
+    results: Iterable[tuple[int, SweepResult | None]], min_size: int, max_size: int
+) -> list[tuple[list[int], float, int]]:
+    """Detection's candidate rule: ``(seed, result)`` pairs to ``(sorted members, conductance, seed)``.
 
-    Candidates go in (conductance, size, members) order, which makes the
-    reduction deterministic; one whose Jaccard overlap with a kept set
-    exceeds :data:`OVERLAP_JACCARD_MAX` is dropped.  Overlap is tested only
-    against the kept sets that share a node with the candidate.
+    A ``None`` result and a set of fewer than ``min_size`` or more than
+    ``max_size`` members are dropped.  The rest go best first, in
+    (conductance, size, sorted members, seed) order, and one whose Jaccard
+    overlap with a kept set exceeds :data:`OVERLAP_JACCARD_MAX` is dropped.
+    Overlap is tested only against the kept sets that share a node with
+    the candidate.  Returns the kept sets, best first.
     """
-    kept: list[tuple[int, ...]] = []
+    ordered = sorted(
+        (result.conductance, len(result.members), sorted(result.members), seed)
+        for seed, result in results
+        if result is not None and min_size <= len(result.members) <= max_size
+    )
+    # an equal set comes right after its lowest seed's copy and overlaps it by 1, so
+    # it is kept once, with that seed: this needs OVERLAP_JACCARD_MAX < 1
+    kept: list[tuple[list[int], float, int]] = []
     holders: dict[int, list[int]] = {}  # node -> indices into kept of the sets holding it
-    for key in sorted(candidates, key=lambda k: (candidates[k][0], len(k), k)):
-        size = len(key)
-        shared = Counter(i for v in key for i in holders.get(v, ()))
+    for conductance, size, members, seed in ordered:
+        shared = Counter(i for v in members for i in holders.get(v, ()))
         if any(
-            intersection / (size + len(kept[i]) - intersection) > OVERLAP_JACCARD_MAX
+            intersection / (size + len(kept[i][0]) - intersection) > OVERLAP_JACCARD_MAX
             for i, intersection in shared.items()
         ):
             continue
-        for v in key:
+        for v in members:
             holders.setdefault(v, []).append(len(kept))
-        kept.append(key)
+        kept.append((members, conductance, seed))
     return kept
 
 
 def detect_communities(graph: Graph, params: DetectParams) -> list[DetectedCommunity]:
-    """Push and sweep from the spread seeds, deduplicate, refine, deduplicate again.
+    """Push and sweep from the spread seeds, apply the candidate rule, refine, apply it again.
 
-    Pure function of (graph, params): candidates are collected per seed and
-    reduced in a fixed order (see the module docstring).  The size filter
-    ``min_size <= |C| <= max_size``, applied to each sweep and to each
-    refined set, is the only size rule.  Seeds that sweep
-    to the same member set give the same conductance, which is an integer
-    cut over an integer volume, so the set is a candidate once, with the
-    lowest of those seeds; kept communities that refine to the same set
-    collapse to the lowest of their seeds too.  A candidate is kept as its
-    sorted member tuple only; member sets are built only for the
-    communities the first dedup keeps (to refine them) and for those the
-    second keeps.
+    Pure function of (graph, params), whatever order the seeds are pushed
+    in.  Both passes apply the candidate rule of the module docstring, in
+    its order, through :func:`_dedup`: the size filter, the only size
+    rule; best first by (conductance, size, sorted members, seed); the
+    overlap dedup.  Seeds that give the same member set give it the same
+    conductance, an integer cut over an integer volume, so the set is kept
+    once, with the lowest of those seeds.  A candidate is held as its
+    sorted member list, and a member set is built again only for a
+    community the second pass keeps.
     """
     min_size, max_size = params.min_size, params.max_size
     thresholds = ppr_thresholds(graph, params.epsilon)
-    candidates: dict[tuple[int, ...], tuple[float, int]] = {}  # sorted members -> (conductance, seed)
-    for seed in _spread_seeds(graph):
-        ppr = approximate_ppr(graph, seed, params.alpha, thresholds)
-        if not ppr.scores:
-            continue
-        # one prefix past max_size: a sweep still falling there gives a set the size filter drops
-        sweep = sweep_cut(graph, ppr.scores, max_size + 1)
-        if sweep is None:
-            continue
-        if not min_size <= len(sweep.members) <= max_size:
-            continue
-        key = tuple(sorted(sweep.members))
-        if key not in candidates:
-            candidates[key] = (sweep.conductance, seed)
-
-    refined: dict[tuple[int, ...], tuple[float, int]] = {}
-    for key in _dedup(candidates):
-        seed = candidates[key][1]
-        result = refine(graph, key, max_size)
-        if not min_size <= len(result.members) <= max_size:
-            continue
-        moved = tuple(sorted(result.members))
-        if moved not in refined or seed < refined[moved][1]:
-            refined[moved] = (result.conductance, seed)
+    pushes = (
+        (seed, approximate_ppr(graph, seed, params.alpha, thresholds).scores) for seed in _spread_seeds(graph)
+    )
+    # one prefix past max_size: a sweep still falling there gives a set the size filter drops
+    sweeps = ((seed, sweep_cut(graph, scores, max_size + 1)) for seed, scores in pushes if scores)
+    kept = _dedup(sweeps, min_size, max_size)
+    refined = _dedup(((seed, refine(graph, members, max_size)) for members, _, seed in kept), min_size, max_size)
 
     detected = []
-    for i, key in enumerate(_dedup(refined)):
-        members = frozenset(key)  # one set, for the community and its connectivity check
-        conductance, seed = refined[key]
-        community = Community(f"c{i}", members, graph)
-        detected.append(DetectedCommunity(community, conductance, _is_connected(graph, members), seed))
+    for i, (members, conductance, seed) in enumerate(refined):
+        member_set = frozenset(members)  # one set, for the community and its connectivity check
+        community = Community(f"c{i}", member_set, graph)
+        detected.append(DetectedCommunity(community, conductance, _is_connected(graph, member_set), seed))
     return detected

@@ -31,7 +31,12 @@ from .errors import InputError
 
 
 class LoadReport(NamedTuple):
-    """The label pairs a :class:`Graph` was built from, and what it dropped or collapsed."""
+    """How many label pairs a :class:`Graph` was built from, and what it dropped or collapsed.
+
+    ``lines_read`` counts the pairs, self-loops and repeats included; for
+    :func:`load_graph` those are the edge lines, not the comment or blank
+    lines (football's 615 lines hold 613 edges).
+    """
 
     lines_read: int = 0
     self_loops_dropped: int = 0

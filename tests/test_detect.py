@@ -230,7 +230,7 @@ def test_detect_reports_the_lowest_seed_of_a_set(monkeypatch):
 
     monkeypatch.setattr(detect, "approximate_ppr", recorded)
     found = detect_communities(g, DetectParams(min_size=3, max_size=10))
-    assert [g.label(v) for v in pushed] == ["a0", "a1", "b0", "b1"]
+    assert sorted(g.label(v) for v in pushed) == ["a0", "a1", "b0", "b1"]
     seeds_of: dict[frozenset[int], list[int]] = {}
     for seed in pushed:
         members = sweep_cut(g, approximate_ppr(g, seed, 0.15, thresholds).scores, 11).members
@@ -239,6 +239,41 @@ def test_detect_reports_the_lowest_seed_of_a_set(monkeypatch):
     assert sorted(g.label(d.seed) for d in found) == ["a0", "b0"]
     for d in found:
         assert d.seed == min(seeds_of[d.community.members])
+
+
+def test_detect_does_not_depend_on_the_push_order(monkeypatch):
+    # pushing the spread seeds in reverse reports the same sets, conductances and seeds:
+    # a0 and b0, not a1 and b1, whose sweeps give the same octahedra
+    g, params = octahedra_graph(), DetectParams(min_size=3, max_size=10)
+
+    def reported(found):
+        return [(d.community.members, d.conductance.hex(), d.seed) for d in found]
+
+    forward = reported(detect_communities(g, params))
+    spread = detect._spread_seeds
+    monkeypatch.setattr(detect, "_spread_seeds", lambda graph: spread(graph)[::-1])
+    assert reported(detect_communities(g, params)) == forward
+
+
+def test_detect_keeps_a_refined_set_once_with_the_lowest_kept_seed(monkeypatch):
+    # refinement maps every kept sweep to one set, which the second pass keeps once,
+    # with the lowest seed of the kept sweeps, not the seed of the best of them
+    _, groups = planted_partition(seed=1)
+    g, params = groups[0].graph, DetectParams()
+    monkeypatch.setattr(detect, "refine", lambda graph, members, max_size: SweepResult(frozenset(members), 0.0))
+    seed_of = {d.community.members: d.seed for d in detect_communities(g, params)}
+    fixed = groups[0].members
+    given: list[frozenset[int]] = []
+
+    def to_fixed(graph, members, max_size):
+        given.append(frozenset(members))
+        return SweepResult(fixed, 0.25)
+
+    monkeypatch.setattr(detect, "refine", to_fixed)
+    found = detect_communities(g, params)
+    assert sorted(given, key=sorted) == sorted(seed_of, key=sorted)  # each kept sweep refined once
+    assert seed_of[given[0]] != min(seed_of.values())  # the best kept sweep has a higher seed
+    assert [(d.community.members, d.conductance, d.seed) for d in found] == [(fixed, 0.25, min(seed_of.values()))]
 
 
 def test_detect_checks_connectivity_of_kept_communities(monkeypatch):
@@ -293,7 +328,7 @@ def test_detect_pushes_only_from_a_maximal_independent_set(monkeypatch):
     monkeypatch.setattr(detect, "approximate_ppr", counted)
     detect_communities(g, DetectParams())
     assert len(pushed) == 359
-    assert pushed == sorted(set(pushed))  # each seed once, in index order
+    assert len(set(pushed)) == len(pushed)  # each seed once
     seeds = set(pushed)
     for v in range(g.node_count):
         touched = seeds.intersection(g.adjacency[v])
