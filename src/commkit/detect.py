@@ -285,13 +285,15 @@ def refine(graph: Graph, members: Iterable[int], max_size: int) -> SweepResult:
         cut, volume, denominator = best_cut, best_volume, best_denominator
 
 
-def _dedup(
+def _candidates(
     results: Iterable[tuple[int, SweepResult | None]], min_size: int, max_size: int
 ) -> list[tuple[list[int], float, int]]:
-    """Detection's candidate rule: ``(seed, result)`` pairs to ``(sorted members, conductance, seed)``.
+    """One pass of the candidate rule: size filter, best-first order, overlap dedup.
 
-    A ``None`` result and a set of fewer than ``min_size`` or more than
-    ``max_size`` members are dropped.  The rest go best first, in
+    Takes ``(seed, result)`` pairs and returns ``(sorted members,
+    conductance, seed)`` triples.  A ``None`` result and a set of fewer
+    than ``min_size`` or more than ``max_size`` members are dropped, the
+    only size rule of detection.  The rest go best first, in
     (conductance, size, sorted members, seed) order, and one whose Jaccard
     overlap with a kept set exceeds :data:`OVERLAP_JACCARD_MAX` is dropped.
     Overlap is tested only against the kept sets that share a node with
@@ -324,7 +326,7 @@ def detect_communities(graph: Graph, params: DetectParams) -> list[DetectedCommu
 
     Pure function of (graph, params), whatever order the seeds are pushed
     in.  Both passes apply the candidate rule of the module docstring, in
-    its order, through :func:`_dedup`: the size filter, the only size
+    its order, through :func:`_candidates`: the size filter, the only size
     rule; best first by (conductance, size, sorted members, seed); the
     overlap dedup.  Seeds that give the same member set give it the same
     conductance, an integer cut over an integer volume, so the set is kept
@@ -339,8 +341,8 @@ def detect_communities(graph: Graph, params: DetectParams) -> list[DetectedCommu
     )
     # one prefix past max_size: a sweep still falling there gives a set the size filter drops
     sweeps = ((seed, sweep_cut(graph, scores, max_size + 1)) for seed, scores in pushes if scores)
-    kept = _dedup(sweeps, min_size, max_size)
-    refined = _dedup(((seed, refine(graph, members, max_size)) for members, _, seed in kept), min_size, max_size)
+    kept = _candidates(sweeps, min_size, max_size)
+    refined = _candidates(((seed, refine(graph, members, max_size)) for members, _, seed in kept), min_size, max_size)
 
     detected = []
     for i, (members, conductance, seed) in enumerate(refined):
