@@ -18,7 +18,7 @@ its undoing.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "community": ("Community", "induced_subgraph", "load_communities", "write_communities"),
+    "community": ("Community", "induced_subgraph", "load_communities", "split", "write_communities"),
     "config": ("DetectParams", "RunConfig"),
     "detect": ("approximate_ppr", "detect_communities", "ppr_thresholds", "sweep_cut"),
     "distributions": ("DistributionSummary", "summarize"),

@@ -347,6 +347,6 @@ def detect_communities(graph: Graph, params: DetectParams) -> list[DetectedCommu
     detected = []
     for i, (members, conductance, seed) in enumerate(refined):
         member_set = frozenset(members)  # one set, for the community and its connectivity check
-        community = Community(f"c{i}", member_set, graph)
+        community = Community(f"c{i}", member_set)
         detected.append(DetectedCommunity(community, conductance, _is_connected(graph, member_set), seed))
     return detected

@@ -2,7 +2,7 @@
 
 The internal ratio of a subset S in community C is |S ∪ N(S,C)| / |C|;
 the external ratio is |N(S,C̄)| / |N(C,C̄)|.  Greedy maximum coverage of
-a community's split (``Community.split``) gives one pick order per
+a community's split (``community.split``) gives one pick order per
 direction; the k-set is its first k picks and the p-set its shortest
 prefix whose ratio reaches p, so one call returns both.  A community with
 no outgoing edges has no external ratio; those cases carry ``closed=True``
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .community import Community, Split
+from .community import Community, Split, split
 from .errors import ConfigError
 from .graph import Graph
 
@@ -36,12 +36,11 @@ class DomSetResult(NamedTuple):
 
 # kept only for bench/tests/test_bench.py, which checks that the tracer leaves it unwrapped
 def idr(graph: Graph, subset: Iterable[int], community: Community) -> float:
-    """Fraction of the community covered by the subset and its internal
-    neighbors; ``graph`` is the community's graph."""
+    """Fraction of the community that the subset and its internal neighbors in ``graph`` cover."""
     s = frozenset(subset)
     if not s <= community.members:
         raise ValueError(f"subset contains nodes outside community {community.id!r}: {sorted(s - community.members)}")
-    _, nodes, _, masks, _ = community.split()
+    _, nodes, _, masks, _ = split(community, graph)
     covered = 0
     for i, v in enumerate(nodes):
         if v in s:

@@ -62,12 +62,14 @@ def load_metadata(path: str | Path) -> dict[str, NodeMetadata]:
     return records
 
 
-def build_keyword_list(community: Community, metadata: dict[str, NodeMetadata], domset: DomSetResult) -> list[str]:
+def build_keyword_list(
+    community: Community, graph: Graph, metadata: dict[str, NodeMetadata], domset: DomSetResult
+) -> list[str]:
     """Keywords listed by the community's internal set ``domset`` (its p-IDS
     in the pipeline), ordered by how many community members list them; ties
     break lexicographically."""
-    community_counts = _listings(community.members, community.graph, metadata)
-    return sorted(_listings(domset.members, community.graph, metadata), key=lambda kw: (-community_counts[kw], kw))
+    community_counts = _listings(community.members, graph, metadata)
+    return sorted(_listings(domset.members, graph, metadata), key=lambda kw: (-community_counts[kw], kw))
 
 
 def _listings(members: Iterable[int], graph: Graph, metadata: dict[str, NodeMetadata]) -> Counter[str]:
@@ -87,7 +89,7 @@ class PaperPrediction(NamedTuple):
 
 
 def predict_keywords(
-    community: Community, metadata: dict[str, NodeMetadata], keywords: list[str]
+    community: Community, graph: Graph, metadata: dict[str, NodeMetadata], keywords: list[str]
 ) -> list[PaperPrediction]:
     """Confirm ``keywords`` (a prefix of :func:`build_keyword_list`) against
     the title and abstract of each community paper without keywords, in
@@ -99,7 +101,7 @@ def predict_keywords(
     needles = [(keyword, _padded(keyword)) for keyword in keywords if normalize_keyword(keyword)]
     predictions: list[PaperPrediction] = []
     for member in sorted(community.members):
-        meta = metadata.get(community.graph.label(member))
+        meta = metadata.get(graph.label(member))
         if meta is None or meta.keywords:
             continue
         title, abstract = _padded(meta.title), _padded(meta.abstract)

@@ -1,6 +1,6 @@
 """Per-community and whole-network structural statistics.
 
-Distances never leave the community.  Its split (``Community.split``)
+Distances never leave the community.  Its split (``community.split``)
 gives each member's inside neighbors, as local indices and as a bitmask
 over the members, and its outside neighbors, whose union is the
 community's boundary.  Each member's reach set starts as itself plus its

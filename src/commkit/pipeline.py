@@ -134,18 +134,19 @@ class Run:
             from .slopes import eslope, islope
         if "stats" in reads:
             from .metrics import community_stats
+        from .community import split
         for community in self.communities:
-            split = community.split()
+            parts = split(community, self.graph)
             if "internal" in reads:
-                self.internal.append(greedy_ids(split, k, p))
+                self.internal.append(greedy_ids(parts, k, p))
             if "external" in reads:
-                self.external.append(greedy_eds(split, k, p))
+                self.external.append(greedy_eds(parts, k, p))
             if "slope_pairs" in reads:
                 (_, p_ids), (_, p_eds) = self.internal[-1], self.external[-1]
-                self.slope_pairs.append((islope(split, p_ids), eslope(split, p_eds)))
+                self.slope_pairs.append((islope(parts, p_ids), eslope(parts, p_eds)))
             if "stats" in reads:
-                self.stats.append(community_stats(split))
-            del split
+                self.stats.append(community_stats(parts))
+            del parts
 
     def create(self, name: str) -> IO[str]:
         """Open ``name`` under ``--out``, made if missing, to write; ``newline=""`` keeps every line end ``\\n``."""
@@ -164,7 +165,7 @@ def stage_detect(run: Run) -> list[Community]:
     detected = detect_communities(run.graph, run.config.detect)
     run.communities = [d.community for d in detected]
     with run.create("communities.txt") as f:
-        write_communities(run.communities, f)
+        write_communities(run.communities, run.graph, f)
     header = ["community_id", "size", "conductance", "connected", "seed_node"]
     rows = [[d.community.id, d.community.size, d.conductance, d.connected, run.graph.label(d.seed)] for d in detected]
     write_table(run, "communities_meta", header, rows)
@@ -228,8 +229,8 @@ def stage_keywords(run: Run) -> None:
     run.characterize()
     scored = []
     for community, (_, p_ids) in zip(run.communities, run.internal):
-        keywords = build_keyword_list(community, run.metadata, p_ids)[: max(CURVE_LENGTHS)]
-        scored.append((community.id, keywords, predict_keywords(community, run.metadata, keywords)))
+        keywords = build_keyword_list(community, run.graph, run.metadata, p_ids)[: max(CURVE_LENGTHS)]
+        scored.append((community.id, keywords, predict_keywords(community, run.graph, run.metadata, keywords)))
     with run.create("keyword_predictions.jsonl") as f:
         for community_id, _, predictions in scored:
             for pred in predictions:

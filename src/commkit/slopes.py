@@ -3,7 +3,7 @@
 The expectation over all size-K subsets has an exact closed form by
 linearity of expectation: a node is missed exactly when the subset avoids
 all of its dominators in the community, so each node contributes one
-binomial coefficient, read from the community's split (``Community.split``).
+binomial coefficient, read from the community's split (``community.split``).
 Numerator and denominator are integers and the only rounding is the final
 division.
 """

@@ -14,7 +14,7 @@ def core_graph() -> Graph:
 @pytest.fixture
 def core_community(core_graph: Graph) -> Community:
     members = frozenset(core_graph.index(f"v{i}") for i in range(6))
-    return Community("core", members, core_graph)
+    return Community("core", members)
 
 
 @pytest.fixture(scope="session")

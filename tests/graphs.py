@@ -10,7 +10,8 @@ from pathlib import Path
 
 import networkx as nx
 
-from commkit import Community, DomSetResult, Graph, greedy_ids
+from commkit import Community, DomSetResult, Graph, greedy_ids, split
+from commkit.community import Split
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -77,8 +78,8 @@ def networkx_graph(graph: Graph, edges: list[tuple[str, str]]) -> nx.Graph:
     return whole
 
 
-def planted_partition(seed: int, group_count: int = 20) -> tuple[list[tuple[str, str]], list[Community]]:
-    """Edges and groups of a seeded planted partition: ``group_count`` groups
+def planted_partition(seed: int, group_count: int = 20) -> tuple[list[tuple[str, str]], Graph, list[Community]]:
+    """Edges, graph and groups of a seeded planted partition: ``group_count`` groups
     of 100, so 2000 nodes by default.
 
     Nodes are dealt into the groups in a seeded random order.  Each group is
@@ -106,9 +107,8 @@ def planted_partition(seed: int, group_count: int = 20) -> tuple[list[tuple[str,
             external += 1
     edges = [(f"n{a:04d}", f"n{b:04d}") for a, b in sorted(pairs)]
     graph = Graph(edges)
-    return edges, [
-        Community(f"g{g:02d}", frozenset(graph.index(f"n{v:04d}") for v in members), graph)
-        for g, members in enumerate(groups)
+    return edges, graph, [
+        Community(f"g{g:02d}", frozenset(graph.index(f"n{v:04d}") for v in members)) for g, members in enumerate(groups)
     ]
 
 
@@ -121,9 +121,9 @@ class Coverage:
     every subset of a fixture stays cheap.  Subsets hold node indices.
     """
 
-    def __init__(self, edges: list[tuple[str, str]], community: Community):
-        whole = networkx_graph(community.graph, edges)
-        label = community.graph.label
+    def __init__(self, edges: list[tuple[str, str]], community: Community, graph: Graph):
+        whole = networkx_graph(graph, edges)
+        label = graph.label
         members = set(map(label, community.members))
         self.reach: dict[str, dict[int, set[str]]] = {"internal": {}, "external": {}}
         for v in community.members:
@@ -153,25 +153,32 @@ def fastest(call) -> float:
 
 
 def whole_community(graph: Graph, community_id: str = "all") -> Community:
-    return Community(community_id, frozenset(range(graph.node_count)), graph)
+    return Community(community_id, frozenset(range(graph.node_count)))
 
 
-def k_set(greedy, community: Community, k: int) -> DomSetResult:
+def whole_split(graph: Graph) -> Split:
+    """The split of the community that holds every node of ``graph``."""
+    return split(whole_community(graph), graph)
+
+
+def k_set(greedy, community: Community, graph: Graph, k: int) -> DomSetResult:
     """The k-set of ``greedy_ids`` or ``greedy_eds``; p = 0 adds no picks to its order."""
-    return greedy(community.split(), k, 0.0)[0]
+    return greedy(split(community, graph), k, 0.0)[0]
 
 
-def p_set(greedy, community: Community, p: float) -> DomSetResult:
+def p_set(greedy, community: Community, graph: Graph, p: float) -> DomSetResult:
     """The p-set of ``greedy_ids`` or ``greedy_eds``; k = 1 adds no picks past its first."""
-    return greedy(community.split(), 1, p)[1]
+    return greedy(split(community, graph), 1, p)[1]
 
 
-def p_ids(community: Community, p: float = 0.8) -> DomSetResult:
+def p_ids(community: Community, graph: Graph, p: float = 0.8) -> DomSetResult:
     """The community's greedy p-internal dominating set, as the pipeline builds it."""
-    return p_set(greedy_ids, community, p)
+    return p_set(greedy_ids, community, graph, p)
 
 
-def reference_greedy(community: Community, mode: str, k: int | None = None, p: float | None = None) -> DomSetResult:
+def reference_greedy(
+    community: Community, graph: Graph, mode: str, k: int | None = None, p: float | None = None
+) -> DomSetResult:
     """One greedy set by its own loop, in k-mode or p-mode: the oracle for ``greedy_ids`` and ``greedy_eds``.
 
     Covers are read from the graph's rows.  Each pick takes the largest gain,
@@ -179,7 +186,7 @@ def reference_greedy(community: Community, mode: str, k: int | None = None, p: f
     ``min(k, |C|)`` picks; p-mode stops as soon as coverage/|universe|
     reaches p.  An empty universe gives the closed sentinel.
     """
-    members, rows = community.members, community.graph.adjacency
+    members, rows = community.members, graph.adjacency
     if mode == "internal":
         cover_of = {v: frozenset((v, *(w for w in rows[v] if w in members))) for v in members}
         universe = members

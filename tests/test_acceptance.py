@@ -31,6 +31,7 @@ from commkit import (
     prediction_curve,
     random_subset_ratio,
     run_pipeline,
+    split,
     summarize,
 )
 from commkit.detect import DetectParams
@@ -71,10 +72,10 @@ def test_criterion_1_network_clustering(football_graph):
 
 
 @pytest.fixture(scope="module")
-def conference_profile(football_conferences):
+def conference_profile(football_graph, football_conferences):
     start = time.perf_counter()
-    stats = [community_stats(c.split()) for c in football_conferences]
-    mean_idr = fmean(k_set(greedy_ids, c, 5).achieved_ratio for c in football_conferences)
+    stats = [community_stats(split(c, football_graph)) for c in football_conferences]
+    mean_idr = fmean(k_set(greedy_ids, c, football_graph, 5).achieved_ratio for c in football_conferences)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"characterization took {elapsed:.2f}s"
     return stats, mean_idr
@@ -115,8 +116,8 @@ def test_criterion_2d_mean_ccc(conference_profile):
 # -- 3 ----------------------------------------------------------------------
 
 
-def test_criterion_3_three_degree_separation(football_conferences):
-    stats = [community_stats(c.split()) for c in football_conferences]
+def test_criterion_3_three_degree_separation(football_graph, football_conferences):
+    stats = [community_stats(split(c, football_graph)) for c in football_conferences]
     mean_apl = fmean(s.apl_penalized for s in stats)
     ok = mean_apl <= 3.3
     _report("3", "three-degree separation", ok, f"mean penalized apl={mean_apl:.4f}")
@@ -125,12 +126,12 @@ def test_criterion_3_three_degree_separation(football_conferences):
 # -- 4 ----------------------------------------------------------------------
 
 
-def _check_greedy_bound(community: Community, coverage: Coverage) -> int:
+def _check_greedy_bound(community: Community, graph: Graph, coverage: Coverage) -> int:
     bound = 1.0 - 1.0 / math.e
     violations = 0
     for mode, run in (("internal", greedy_ids), ("external", greedy_eds)):
         for k in (1, 2, 3):
-            result = k_set(run, community, k)
+            result = k_set(run, community, graph, k)
             if result.closed:
                 continue
             greedy = coverage.covered(result.members, mode)
@@ -159,8 +160,8 @@ def _atlas_fixtures():
             for member in rng.sample(labels, rng.randint(1, len(labels))):
                 edges.append((ext, member))
         g = Graph(edges, extra_nodes=labels)
-        community = Community(f"atlas{index}", frozenset(g.index(label) for label in labels), g)
-        yield community, Coverage(edges, community)
+        community = Community(f"atlas{index}", frozenset(g.index(label) for label in labels))
+        yield g, community, Coverage(edges, community, g)
 
 
 def _random_fixtures():
@@ -171,15 +172,15 @@ def _random_fixtures():
         edges = [(f"v{u}", f"v{v}") for u, v in nx_graph.edges]
         g = Graph(edges, extra_nodes=[f"v{i}" for i in range(n)])
         size = rng.randint(3, 10)
-        community = Community(f"rand{t}", frozenset(g.index(f"v{i}") for i in rng.sample(range(n), size)), g)
-        yield community, Coverage(edges, community)
+        community = Community(f"rand{t}", frozenset(g.index(f"v{i}") for i in rng.sample(range(n), size)))
+        yield g, community, Coverage(edges, community, g)
 
 
 def test_criterion_4_greedy_vs_exhaustive():
     violations = 0
     cases = 0
-    for community, coverage in itertools.chain(_atlas_fixtures(), _random_fixtures()):
-        violations += _check_greedy_bound(community, coverage)
+    for graph, community, coverage in itertools.chain(_atlas_fixtures(), _random_fixtures()):
+        violations += _check_greedy_bound(community, graph, coverage)
         cases += 1
     ok = violations == 0 and cases > 1000
     _report(
@@ -197,12 +198,14 @@ def test_criterion_5_analytic_slopes():
     checks = []
 
     for n in (4, 6, 9):
-        clique = whole_community(clique_graph(n))
-        result = islope(clique.split(), p_ids(clique))
+        g = clique_graph(n)
+        clique = whole_community(g)
+        result = islope(split(clique, g), p_ids(clique, g))
         checks.append(result.slope == 0.0)
 
-    star = whole_community(star_graph(9))
-    result = islope(star.split(), p_ids(star))
+    g = star_graph(9)
+    star = whole_community(g)
+    result = islope(split(star, g), p_ids(star, g))
     checks.append(result.K == 1)
     checks.append(abs(result.slope - 0.72) < 1e-12)
 
@@ -210,8 +213,8 @@ def test_criterion_5_analytic_slopes():
         edges = [(f"m{i}", f"m{j}") for i in range(n) for j in range(i + 1, n)]
         edges += [("m0", "x0"), ("m0", "x1"), ("m0", "x2")]
         g = Graph(edges)
-        community = Community("gate", frozenset(g.index(f"m{i}") for i in range(n)), g)
-        result = eslope(community.split(), p_set(greedy_eds, community, 0.8))
+        community = Community("gate", frozenset(g.index(f"m{i}") for i in range(n)))
+        result = eslope(split(community, g), p_set(greedy_eds, community, g, 0.8))
         checks.append(abs(result.slope - (1 - 1 / n)) < 1e-12)
 
     ok = all(checks)
@@ -224,11 +227,12 @@ def test_criterion_5_analytic_slopes():
 def test_criterion_6_estimator_consistency():
     worst = 0.0
     checks = 0
-    for community, coverage in itertools.chain(_atlas_fixtures(), _random_fixtures()):
+    for graph, community, coverage in itertools.chain(_atlas_fixtures(), _random_fixtures()):
         members = sorted(community.members)
+        parts = split(community, graph)
         for kind in ("internal", "external"):
             for K in range(1, community.size + 1):
-                closed_form = random_subset_ratio(community.split(), K, kind)
+                closed_form = random_subset_ratio(parts, K, kind)
                 brute = fmean(coverage.ratio(s, kind) for s in itertools.combinations(members, K))
                 worst = max(worst, abs(closed_form - brute))
                 checks += 1
@@ -277,22 +281,22 @@ def test_criterion_8_keyword_oracle(tmp_path):
     from commkit import load_metadata
 
     g = Graph(FIXTURE_EDGES)
-    community = Community("hep", frozenset(g.index(f"n{i:02d}") for i in range(1, 21)), g)
+    community = Community("hep", frozenset(g.index(f"n{i:02d}") for i in range(1, 21)))
     metadata = load_metadata(write_input(tmp_path, FIXTURE_METADATA))
 
-    candidates = candidates_of(community, metadata)
+    candidates = candidates_of(community, g, metadata)
     oracle = {1: 4, 2: 6, 3: 8}
     counts_ok = all(
-        len(predict_keywords(community, metadata, candidates[:length])) == count
+        len(predict_keywords(community, g, metadata, candidates[:length])) == count
         for length, count in oracle.items()
     )
-    predictions = predict_keywords(community, metadata, candidates[:3])
+    predictions = predict_keywords(community, g, metadata, candidates[:3])
     detail_ok = {p.label for p in predictions} == {
         "n06", "n07", "n08", "n14", "n15", "n16", "n18", "n19"
     }
 
     longest = candidates[:8]
-    curve = prediction_curve([(longest, predict_keywords(community, metadata, longest))], list(range(1, 9)))
+    curve = prediction_curve([(longest, predict_keywords(community, g, metadata, longest))], list(range(1, 9)))
     counts = [count for _, count in curve]
     monotone = counts == sorted(counts)
     saturates = counts[2:] == [counts[2]] * len(counts[2:])
@@ -362,8 +366,8 @@ def test_criterion_11_detected_communities(football_graph, network):
     # the paper's closing findings, on what default detection returns: good
     # communities amplify the network's clustering, and their members sit
     # about three hops apart (read as criterion 3 reads it)
-    graph = football_graph if network == "football" else Graph(planted_partition(int(network[-1]))[0])
-    stats = [community_stats(d.community.split()) for d in detect_communities(graph, DetectParams())]
+    graph = football_graph if network == "football" else planted_partition(int(network[-1]))[1]
+    stats = [community_stats(split(d.community, graph)) for d in detect_communities(graph, DetectParams())]
     ncc = clustering_coefficient(graph)
     mean_ccc = fmean(s.ccc for s in stats)
     mean_apl = fmean(s.apl_penalized for s in stats)

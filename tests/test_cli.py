@@ -709,11 +709,11 @@ def test_the_process_entry_runs_without_the_collector(tmp_path, collector, monke
 def test_cyclic_garbage_does_not_grow_with_the_input(tmp_path, collector):
     # a commkit process runs without the cyclic collector, so what only the
     # collector frees must be the same fixed set on a small and a large input
-    edges, groups = planted_partition(seed=1)
+    edges, graph, groups = planted_partition(seed=1)
     planted = tmp_path / "planted.edges"
     planted.write_text("".join(f"{a} {b}\n" for a, b in edges))
     with open(tmp_path / "planted.txt", "w") as sink:
-        write_communities(groups, sink)
+        write_communities(groups, graph, sink)
     football = ["all", "--graph", str(DATA_DIR / "football" / "football.edges"), "--out", str(tmp_path / "football")]
     metrics = ["metrics", "--graph", str(planted), "--communities", str(tmp_path / "planted.txt")]
     found = []

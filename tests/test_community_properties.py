@@ -16,6 +16,7 @@ from commkit import (
     greedy_ids,
     induced_subgraph,
     random_subset_ratio,
+    split,
 )
 from commkit.metrics import CommunityStats
 from graphs import k_set, networkx_graph, p_set, planted_partition, two_clique_graph
@@ -30,16 +31,16 @@ def graphs_with_communities(draw):
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     graph = Graph(edges, extra_nodes=labels)
     members = draw(st.sets(st.sampled_from(labels), min_size=1, max_size=n - 1))
-    return graph, edges, Community("c", frozenset(map(graph.index, members)), graph)
+    return graph, edges, Community("c", frozenset(map(graph.index, members)))
 
 
-def networkx_stats(whole: nx.Graph, community: Community) -> CommunityStats:
-    """The community's statistics, each from networkx on ``whole``, the graph it lives in.
+def networkx_stats(whole: nx.Graph, graph: Graph, community: Community) -> CommunityStats:
+    """The community's statistics, each from networkx on ``whole``, the networkx twin of ``graph``.
 
     Distances come from all-pairs BFS lengths, summed as integers and divided
     once as ``community_stats`` does; an unreachable pair counts ``|C|``.
     """
-    members = community.member_labels()
+    members = sorted(map(graph.label, community.members))
     sub = whole.subgraph(members)
     n = len(members)
     lengths = dict(nx.all_pairs_shortest_path_length(sub))
@@ -62,8 +63,8 @@ def networkx_stats(whole: nx.Graph, community: Community) -> CommunityStats:
     )
 
 
-def assert_stats_match_networkx(whole: nx.Graph, community: Community) -> None:
-    stats, expected = community_stats(community.split()), networkx_stats(whole, community)
+def assert_stats_match_networkx(whole: nx.Graph, graph: Graph, community: Community) -> None:
+    stats, expected = community_stats(split(community, graph)), networkx_stats(whole, graph, community)
     assert stats._replace(ccc=0.0) == expected._replace(ccc=0.0)
     assert stats.ccc == pytest.approx(expected.ccc)
 
@@ -73,24 +74,24 @@ def assert_stats_match_networkx(whole: nx.Graph, community: Community) -> None:
 def test_community_stats_match_networkx(case):
     graph, edges, community = case
     whole = networkx_graph(graph, edges)
-    assert_stats_match_networkx(whole, community)
+    assert_stats_match_networkx(whole, graph, community)
 
-    member_labels = community.member_labels()
+    member_labels = sorted(map(graph.label, community.members))
     sub = whole.subgraph(member_labels)
     components = [sub.subgraph(nodes) for nodes in nx.connected_components(sub)]
     pairs = sum(math.comb(len(c), 2) for c in components)
     total = sum(nx.average_shortest_path_length(c) * math.comb(len(c), 2) for c in components)
-    assert community_stats(community.split()).apl == pytest.approx(total / pairs if pairs else 0.0)
-    assert induced_subgraph(community) == Graph(sub.edges(), extra_nodes=member_labels)
+    assert community_stats(split(community, graph)).apl == pytest.approx(total / pairs if pairs else 0.0)
+    assert induced_subgraph(community, graph) == Graph(sub.edges(), extra_nodes=member_labels)
 
 
 def test_community_stats_match_networkx_on_the_planted_groups():
     # 100-member masks span four 30-bit int digits, which the small graphs above never reach
-    edges, groups = planted_partition(seed=1)
-    whole = networkx_graph(groups[0].graph, edges)
+    edges, graph, groups = planted_partition(seed=1)
+    whole = networkx_graph(graph, edges)
     assert [c.size for c in groups] == [100] * 20
     for community in groups:
-        assert_stats_match_networkx(whole, community)
+        assert_stats_match_networkx(whole, graph, community)
 
 
 def shape_edges(shape: str, labels: list[str]) -> list[tuple[str, str]]:
@@ -115,15 +116,15 @@ def test_community_stats_match_networkx_on_edge_shapes(shape, size):
     edges = shape_edges(shape, members) + [(m, outside[i % 5]) for i, m in enumerate(members) if i % 4 == 0]
     edges.append(("o0", "o1"))
     graph = Graph(edges, extra_nodes=members)
-    community = Community(shape, frozenset(map(graph.index, members)), graph)
-    assert_stats_match_networkx(networkx_graph(graph, edges), community)
+    community = Community(shape, frozenset(map(graph.index, members)))
+    assert_stats_match_networkx(networkx_graph(graph, edges), graph, community)
 
 
 def test_community_stats_match_networkx_on_a_single_member():
     edges = [("m", "o0"), ("m", "o1"), ("o0", "o1")]
     graph = Graph(edges)
-    community = Community("one", frozenset({graph.index("m")}), graph)
-    assert_stats_match_networkx(networkx_graph(graph, edges), community)
+    community = Community("one", frozenset({graph.index("m")}))
+    assert_stats_match_networkx(networkx_graph(graph, edges), graph, community)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -131,8 +132,8 @@ def test_community_stats_match_networkx_on_a_single_member():
 def test_split_matches_neighbor_queries(case):
     graph, edges, community = case
     whole = networkx_graph(graph, edges)
-    member_labels = set(community.member_labels())
-    community_id, nodes, inside, masks, outside = community.split()
+    member_labels = set(map(graph.label, community.members))
+    community_id, nodes, inside, masks, outside = split(community, graph)
     assert community_id == community.id
     assert nodes == sorted(community.members)
     for i, v in enumerate(nodes):
@@ -144,7 +145,7 @@ def test_split_matches_neighbor_queries(case):
 
 def test_per_community_paths_never_scan_the_whole_graph(monkeypatch):
     graph = two_clique_graph()
-    community = Community("a", frozenset(graph.index(f"a{i}") for i in range(5)), graph)
+    community = Community("a", frozenset(graph.index(f"a{i}") for i in range(5)))
     rows = graph.adjacency
 
     class MemberRows:
@@ -164,9 +165,9 @@ def test_per_community_paths_never_scan_the_whole_graph(monkeypatch):
     monkeypatch.setattr(Graph, "degrees", property(scan))
     with monkeypatch.context() as patch:
         patch.setattr(Graph, "__init__", build)
-        stats = community_stats(community.split())
+        stats = community_stats(split(community, graph))
     assert (stats.triangles, stats.boundary_size) == (10, 1)
-    assert k_set(greedy_ids, community, 1).achieved_ratio == 1.0
-    assert p_set(greedy_eds, community, 0.8).members == {graph.index("a0")}
-    assert random_subset_ratio(community.split(), 1, "internal") == 1.0
-    assert random_subset_ratio(community.split(), 1, "external") == pytest.approx(0.2)
+    assert k_set(greedy_ids, community, graph, 1).achieved_ratio == 1.0
+    assert p_set(greedy_eds, community, graph, 0.8).members == {graph.index("a0")}
+    assert random_subset_ratio(split(community, graph), 1, "internal") == 1.0
+    assert random_subset_ratio(split(community, graph), 1, "external") == pytest.approx(0.2)

@@ -175,7 +175,7 @@ def test_conductance_matches_networkx(case, alpha, epsilon):
     whole = networkx_graph(graph, edges)
     params = DetectParams(alpha=alpha, epsilon=epsilon, min_size=1, max_size=graph.node_count)
     for found in detect_communities(graph, params):
-        assert found.conductance == nx.conductance(whole, found.community.member_labels())
+        assert found.conductance == nx.conductance(whole, [graph.label(v) for v in found.community.members])
 
 
 def reference_detect(graph: Graph, params: DetectParams) -> list[tuple[list[int], str, int]]:
@@ -240,7 +240,7 @@ def test_detection_matches_the_pairwise_reduction(case):
     whole = networkx_graph(graph, edges)
     for d in found:
         assert params.min_size <= len(d.community.members) <= params.max_size
-        assert d.connected == nx.is_connected(whole.subgraph(d.community.member_labels()))
+        assert d.connected == nx.is_connected(whole.subgraph(map(graph.label, d.community.members)))
 
 
 @st.composite

@@ -72,7 +72,7 @@ def fixture_graph():
 @pytest.fixture
 def fixture_community(fixture_graph):
     members = frozenset(fixture_graph.index(f"n{i:02d}") for i in range(1, 21))
-    return Community("hep", members, fixture_graph)
+    return Community("hep", members)
 
 
 @pytest.fixture
@@ -81,13 +81,13 @@ def fixture_metadata(tmp_path):
 
 
 @pytest.fixture
-def fixture_candidates(fixture_community, fixture_metadata):
-    return candidates_of(fixture_community, fixture_metadata)
+def fixture_candidates(fixture_graph, fixture_community, fixture_metadata):
+    return candidates_of(fixture_community, fixture_graph, fixture_metadata)
 
 
-def candidates_of(community, metadata):
+def candidates_of(community, graph, metadata):
     """The candidate list the pipeline builds: keywords of the community's p-IDS."""
-    return build_keyword_list(community, metadata, p_ids(community))
+    return build_keyword_list(community, graph, metadata, p_ids(community, graph))
 
 
 def test_normalize_keyword():
@@ -108,17 +108,18 @@ def test_a_candidate_matches_contiguous_whole_tokens_only():
         "p5": ("--", " "),  # no tokens in either field
     }
     g = Graph([("hub", label) for label in papers])
-    community = Community("c", frozenset(range(g.node_count)), g)
+    community = Community("c", frozenset(range(g.node_count)))
     metadata = {label: NodeMetadata(label, title, abstract, ()) for label, (title, abstract) in papers.items()}
     # a hand-built keyword without tokens keeps its place in the list and never matches
     keywords = ["--", "a c", "a b", "b c", "b"]
-    got = {p.label: dict(zip(p.predicted, p.matched_fields)) for p in predict_keywords(community, metadata, keywords)}
+    predictions = predict_keywords(community, g, metadata, keywords)
+    got = {p.label: dict(zip(p.predicted, p.matched_fields)) for p in predictions}
     assert got == {
         "p1": {"a b": "title", "b c": "title", "b": "title"},
         "p3": {"a b": "abstract", "b": "abstract"},
         "p4": {"a b": "title", "b": "title"},
     }
-    assert predict_keywords(community, metadata, keywords[:2]) == []
+    assert predict_keywords(community, g, metadata, keywords[:2]) == []
 
 
 def test_load_metadata_normalizes_and_dedupes(tmp_path):
@@ -170,7 +171,7 @@ def test_load_metadata_strips_a_byte_order_mark(tmp_path):
 
 
 def test_build_keyword_list_order(fixture_graph, fixture_community, fixture_metadata):
-    assert candidates_of(fixture_community, fixture_metadata) == [
+    assert candidates_of(fixture_community, fixture_graph, fixture_metadata) == [
         "black holes",
         "gauge theory",
         "string theory",
@@ -180,40 +181,40 @@ def test_build_keyword_list_order(fixture_graph, fixture_community, fixture_meta
 def test_build_keyword_list_ranks_by_community_count_not_set_count():
     # the set {h1, h2} lists x twice and y once, but the community lists y four times and x twice
     g = Graph([("h1", "a"), ("h1", "b"), ("h2", "c"), ("h1", "h2")])
-    community = Community("c", frozenset(range(g.node_count)), g)
+    community = Community("c", frozenset(range(g.node_count)))
     domset = DomSetResult("c", "internal", "p", 0.8, frozenset({g.index("h1"), g.index("h2")}), 1.0)
     listed = {"h1": ("x", "y"), "h2": ("x",), "a": ("y",), "b": ("y",), "c": ("y",)}
     metadata = {label: NodeMetadata(label, "", "", keywords) for label, keywords in listed.items()}
-    assert build_keyword_list(community, metadata, domset) == ["y", "x"]
+    assert build_keyword_list(community, g, metadata, domset) == ["y", "x"]
 
 
 def test_build_keyword_list_excludes_non_ids_keywords(
-    fixture_community, fixture_metadata
+    fixture_graph, fixture_community, fixture_metadata
 ):
     # n05 lists "cosmology" but no dominating-set member does
-    candidates = candidates_of(fixture_community, fixture_metadata)
+    candidates = candidates_of(fixture_community, fixture_graph, fixture_metadata)
     assert "cosmology" not in candidates
 
 
-def test_build_keyword_list_empty_without_metadata(fixture_community):
-    assert candidates_of(fixture_community, {}) == []
+def test_build_keyword_list_empty_without_metadata(fixture_graph, fixture_community):
+    assert candidates_of(fixture_community, fixture_graph, {}) == []
 
 
 def test_tie_breaks_lexicographically(tmp_path):
     g = Graph([("hub", "a"), ("hub", "b")])
-    c = Community("c", frozenset(range(g.node_count)), g)
+    c = Community("c", frozenset(range(g.node_count)))
     metadata = load_metadata(write_input(tmp_path, "hub\tT\tA\tzeta; alpha\n"))
-    assert candidates_of(c, metadata) == ["alpha", "zeta"]
+    assert candidates_of(c, g, metadata) == ["alpha", "zeta"]
 
 
-def test_predict_prefix_one(fixture_community, fixture_metadata, fixture_candidates):
-    predictions = predict_keywords(fixture_community, fixture_metadata, fixture_candidates[:1])
+def test_predict_prefix_one(fixture_graph, fixture_community, fixture_metadata, fixture_candidates):
+    predictions = predict_keywords(fixture_community, fixture_graph, fixture_metadata, fixture_candidates[:1])
     assert len(predictions) == 4
     assert {p.label for p in predictions} == {"n06", "n14", "n15", "n18"}
 
 
-def test_predict_prefix_two(fixture_community, fixture_metadata, fixture_candidates):
-    predictions = predict_keywords(fixture_community, fixture_metadata, fixture_candidates[:2])
+def test_predict_prefix_two(fixture_graph, fixture_community, fixture_metadata, fixture_candidates):
+    predictions = predict_keywords(fixture_community, fixture_graph, fixture_metadata, fixture_candidates[:2])
     assert {p.label for p in predictions} == {
         "n06",
         "n07",
@@ -224,8 +225,8 @@ def test_predict_prefix_two(fixture_community, fixture_metadata, fixture_candida
     }
 
 
-def test_predict_prefix_three_full_oracle(fixture_community, fixture_metadata, fixture_candidates):
-    predictions = predict_keywords(fixture_community, fixture_metadata, fixture_candidates[:3])
+def test_predict_prefix_three_full_oracle(fixture_graph, fixture_community, fixture_metadata, fixture_candidates):
+    predictions = predict_keywords(fixture_community, fixture_graph, fixture_metadata, fixture_candidates[:3])
     expected = {
         "n06": (("black holes",), ("title",)),
         "n07": (("gauge theory",), ("title",)),
@@ -241,62 +242,64 @@ def test_predict_prefix_three_full_oracle(fixture_community, fixture_metadata, f
     assert len(predictions) == 8
 
 
-def test_labeled_papers_never_predicted(fixture_community, fixture_metadata, fixture_candidates):
+def test_labeled_papers_never_predicted(fixture_graph, fixture_community, fixture_metadata, fixture_candidates):
     # n03's title matches "gauge theory" but its authors listed keywords
-    predictions = predict_keywords(fixture_community, fixture_metadata, fixture_candidates[:3])
+    predictions = predict_keywords(fixture_community, fixture_graph, fixture_metadata, fixture_candidates[:3])
     assert "n03" not in {p.label for p in predictions}
 
 
-def test_predictions_only_from_candidate_prefix(fixture_community, fixture_metadata, fixture_candidates):
-    for prediction in predict_keywords(fixture_community, fixture_metadata, fixture_candidates[:1]):
+def test_predictions_only_from_candidate_prefix(fixture_graph, fixture_community, fixture_metadata, fixture_candidates):
+    for prediction in predict_keywords(fixture_community, fixture_graph, fixture_metadata, fixture_candidates[:1]):
         assert set(prediction.predicted) <= {"black holes"}
 
 
-def _curve(communities, metadata, lengths):
+def _curve(communities, graph, metadata, lengths):
     # as the pipeline does: each keyword list cut to the longest length
     scored = []
     for community in communities:
-        keywords = candidates_of(community, metadata)[: max(lengths)]
-        scored.append((keywords, predict_keywords(community, metadata, keywords)))
+        keywords = candidates_of(community, graph, metadata)[: max(lengths)]
+        scored.append((keywords, predict_keywords(community, graph, metadata, keywords)))
     return prediction_curve(scored, lengths)
 
 
-def test_prediction_curve_matches_oracle(fixture_community, fixture_metadata):
-    curve = _curve([fixture_community], fixture_metadata, [1, 2, 3, 4, 10])
+def test_prediction_curve_matches_oracle(fixture_graph, fixture_community, fixture_metadata):
+    curve = _curve([fixture_community], fixture_graph, fixture_metadata, [1, 2, 3, 4, 10])
     assert curve == [(1, 4), (2, 6), (3, 8), (4, 8), (10, 8)]
 
 
 def test_prediction_curve_equals_predictions_per_length(fixture_graph, fixture_metadata):
     # overlapping communities whose candidate lists start with different keywords
-    a = Community("a", frozenset(fixture_graph.index(f"n{i:02d}") for i in range(1, 21)), fixture_graph)
-    b = Community("b", frozenset(fixture_graph.index(f"n{i:02d}") for i in range(3, 21)), fixture_graph)
+    g = fixture_graph
+    a = Community("a", frozenset(g.index(f"n{i:02d}") for i in range(1, 21)))
+    b = Community("b", frozenset(g.index(f"n{i:02d}") for i in range(3, 21)))
     lengths = [1, 2, 3, 4]
-    candidates = {c: candidates_of(c, fixture_metadata) for c in (a, b)}
-    per_length = [
-        (length, len({p.label for c in (a, b) for p in predict_keywords(c, fixture_metadata, candidates[c][:length])}))
-        for length in lengths
-    ]
+    candidates = {c: candidates_of(c, g, fixture_metadata) for c in (a, b)}
+
+    def confirmed(length):
+        return {p.label for c in (a, b) for p in predict_keywords(c, g, fixture_metadata, candidates[c][:length])}
+
+    per_length = [(length, len(confirmed(length))) for length in lengths]
     assert per_length[0] == (1, 6)
-    assert _curve([a, b], fixture_metadata, lengths) == per_length
+    assert _curve([a, b], g, fixture_metadata, lengths) == per_length
 
 
-def test_prediction_curve_is_monotone(fixture_community, fixture_metadata):
-    curve = _curve([fixture_community], fixture_metadata, list(range(1, 8)))
+def test_prediction_curve_is_monotone(fixture_graph, fixture_community, fixture_metadata):
+    curve = _curve([fixture_community], fixture_graph, fixture_metadata, list(range(1, 8)))
     counts = [count for _, count in curve]
     assert counts == sorted(counts)
 
 
-def test_prediction_curve_rejects_unsorted_lengths(fixture_community, fixture_metadata):
+def test_prediction_curve_rejects_unsorted_lengths(fixture_graph, fixture_community, fixture_metadata):
     with pytest.raises(ConfigError):
-        _curve([fixture_community], fixture_metadata, [3, 1])
+        _curve([fixture_community], fixture_graph, fixture_metadata, [3, 1])
 
 
 def test_prediction_curve_counts_overlapping_paper_once(fixture_graph, fixture_metadata):
     members = frozenset(fixture_graph.index(f"n{i:02d}") for i in range(1, 21))
-    a = Community("a", members, fixture_graph)
-    b = Community("b", members, fixture_graph)
-    single = _curve([a], fixture_metadata, [3])
-    double = _curve([a, b], fixture_metadata, [3])
+    a = Community("a", members)
+    b = Community("b", members)
+    single = _curve([a], fixture_graph, fixture_metadata, [3])
+    double = _curve([a, b], fixture_graph, fixture_metadata, [3])
     assert single == double
 
 

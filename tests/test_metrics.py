@@ -11,43 +11,44 @@ from commkit import (
     clustering_coefficient,
     community_stats,
     run_pipeline,
+    split,
     triangle_split_analysis,
 )
 from commkit.errors import ConfigError
 from commkit.metrics import CommunityStats
 from commkit.slopes import SlopeResult
 from commkit.domsets import DomSetResult
-from graphs import DATA_DIR, clique_graph, fastest, path_graph, star_graph, whole_community
+from graphs import DATA_DIR, clique_graph, fastest, path_graph, star_graph, whole_community, whole_split
 
 
 def test_apl_path_of_three():
-    stats = community_stats(whole_community(path_graph(3)).split())
+    stats = community_stats(whole_split(path_graph(3)))
     assert stats.apl == pytest.approx(4 / 3)
     assert stats.component_count == 1
 
 
 def test_apl_clique_is_one():
-    assert community_stats(whole_community(clique_graph(5)).split()).apl == 1.0
+    assert community_stats(whole_split(clique_graph(5))).apl == 1.0
 
 
 def test_apl_singleton_is_zero():
     g = Graph([("a", "b")])
-    stats = community_stats(Community("one", frozenset({g.index("a")}), g).split())
+    stats = community_stats(split(Community("one", frozenset({g.index("a")})), g))
     assert (stats.apl, stats.component_count) == (0.0, 1)
 
 
 def test_apl_two_disjoint_edges():
     g = Graph([("a", "b"), ("c", "d")])
-    stats = community_stats(Community("both", frozenset(range(g.node_count)), g).split())
+    stats = community_stats(whole_split(g))
     assert stats.apl == 1.0  # reachable pairs only
     assert stats.component_count == 2
 
 
 def test_diameter_cases():
-    assert community_stats(whole_community(path_graph(4)).split()).diameter == 3
-    assert community_stats(whole_community(clique_graph(5)).split()).diameter == 1
+    assert community_stats(whole_split(path_graph(4))).diameter == 3
+    assert community_stats(whole_split(clique_graph(5))).diameter == 1
     g = Graph([("a", "b")])
-    assert community_stats(Community("one", frozenset({0}), g).split()).diameter == 0
+    assert community_stats(split(Community("one", frozenset({0})), g)).diameter == 0
 
 
 def test_clustering_coefficient_cases():
@@ -59,8 +60,7 @@ def test_community_stats_penalized_distances():
     # two disjoint edges: 2 reachable pairs at distance 1, 4 unreachable
     # pairs charged |C| = 4 each
     g = Graph([("a", "b"), ("c", "d")])
-    c = Community("both", frozenset(range(g.node_count)), g)
-    stats = community_stats(c.split())
+    stats = community_stats(whole_split(g))
     assert stats.apl == 1.0
     assert stats.diameter == 1
     assert stats.apl_penalized == pytest.approx((2 * 1 + 4 * 4) / 6)
@@ -70,7 +70,7 @@ def test_community_stats_penalized_distances():
 
 def test_community_stats_connected_community():
     g = path_graph(4)
-    stats = community_stats(whole_community(g).split())
+    stats = community_stats(whole_split(g))
     assert stats.apl == stats.apl_penalized
     assert stats.diameter == stats.diameter_penalized == 3
     assert stats.component_count == 1
@@ -78,8 +78,8 @@ def test_community_stats_connected_community():
     assert stats.boundary_size == 0
 
 
-def test_community_stats_boundary_size(core_community):
-    assert community_stats(core_community.split()).boundary_size == 3
+def test_community_stats_boundary_size(core_graph, core_community):
+    assert community_stats(split(core_community, core_graph)).boundary_size == 3
 
 
 def test_community_stats_caches_no_split(tmp_path, monkeypatch):
@@ -100,7 +100,7 @@ def test_community_stats_caches_no_split(tmp_path, monkeypatch):
     assert run_pipeline(config, "all") is not None
     assert len(loaded) == 12
     for community in loaded:
-        assert set(vars(community)) == {"id", "members", "graph"}
+        assert community._fields == ("id", "members") and not hasattr(community, "__dict__")
 
 
 def test_stats_invariants_on_random_communities():
@@ -116,7 +116,7 @@ def test_stats_invariants_on_random_communities():
         if not edges:
             continue
         g = Graph(edges)
-        stats = community_stats(whole_community(g).split())
+        stats = community_stats(whole_split(g))
         assert 0.0 <= stats.ccc <= 1.0
         assert stats.diameter <= stats.size - 1
         if stats.component_count == 1 and stats.size > 1:
@@ -130,15 +130,15 @@ def test_transitivity_of_induced_whole_graph_matches():
     labels = [f"v{i}" for i in range(12)]
     sparse = Graph([(a, b) for i, a in enumerate(labels) for b in labels[i + 1 :] if rng.random() < 0.3])
     for g in (clique_graph(4), star_graph(5), path_graph(4), sparse):
-        assert community_stats(whole_community(g).split()).ccc == clustering_coefficient(g)
+        assert community_stats(whole_split(g)).ccc == clustering_coefficient(g)
 
 
 def test_community_stats_on_a_long_path_grows_below_the_cubic_rate():
     # a path's reach sets take |C| - 1 rounds of ORs over |C|-bit ints, about |C|^2.5 work:
     # doubling the path costs about 5 times, and a cubic cliff would cost 8
-    short, long = (whole_community(path_graph(n)) for n in (500, 1000))
-    assert community_stats(long.split()).diameter == 999
-    assert fastest(lambda: community_stats(long.split())) < 8 * fastest(lambda: community_stats(short.split()))
+    short, long = ((whole_community(g), g) for g in map(path_graph, (500, 1000)))
+    assert community_stats(split(*long)).diameter == 999
+    assert fastest(lambda: community_stats(split(*long))) < 8 * fastest(lambda: community_stats(split(*short)))
 
 
 def _stats(community_id, ccc, triangles, apl=1.0, size=5):
@@ -225,7 +225,7 @@ def _domset_pairs(rows):
 
 def test_aggregate_single_community_equals_its_stats():
     g = clique_graph(4)
-    stats = [community_stats(whole_community(g).split())]
+    stats = [community_stats(whole_split(g))]
     internal, external = _domset_pairs([("all", 1.0, None, True)])
     slope_pairs = [(_slope("all", "internal", 0.0), _slope("all", "external", None, closed=True))]
     summary = aggregate_stats(g, stats, internal, external, slope_pairs)

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from commkit import Community, DomSetResult, Graph, RunConfig, run_pipeline
+import commkit.community
+from commkit import Community, DomSetResult, RunConfig, run_pipeline
 from commkit.detect import DetectParams
 from commkit.errors import ConfigError
 from commkit.cli import EXIT_OK, main
@@ -66,7 +67,7 @@ def test_a_replaced_field_is_checked():
 @pytest.mark.parametrize(
     "record, names",
     [
-        (Community("c", frozenset({0}), Graph([("a", "b")])), ("id", "members", "graph")),
+        (Community("c", frozenset({0})), ("id", "members")),
         (DetectParams(), ("alpha", "epsilon", "min_size", "max_size")),
         (RunConfig(graph_path="g"), ("graph_path", "k", "p", "detect", "fmt")),
         (DomSetResult("c", "internal", "k", 1, frozenset({0}), 0.5), ("community_id", "members", "closed")),
@@ -82,11 +83,12 @@ def test_records_are_read_only(record, names):
 
 
 def test_communities_compare_and_hash_by_id_and_members():
-    community = Community("c", frozenset({0}), Graph([("a", "b")]))
-    twin = Community("c", frozenset({0}), Graph([("x", "y"), ("y", "z")]))
+    community = Community("c", frozenset({0}))
+    twin = Community("c", frozenset({0}))
     assert community == twin and hash(community) == hash(twin)
-    assert community != Community("d", frozenset({0}), community.graph)
-    assert community != ("c", frozenset({0}))
+    assert community != Community("d", frozenset({0}))
+    assert community != Community("c", frozenset({0, 1}))
+    assert repr(community) == "Community(id='c', members=frozenset({0}))"
 
 
 def test_write_read_table_round_trip_csv(inputs):
@@ -211,13 +213,13 @@ def test_a_process_splits_each_community_at_most_once(inputs, monkeypatch, comma
     graph_path, communities_path, tmp_path = inputs
     metadata = tmp_path / "meta.tsv"
     metadata.write_text("a0\tA paper\tAn abstract\tspin glasses\n")
-    split, splits = Community.split, []
+    split, splits = commkit.community.split, []
 
-    def counted(community):
+    def counted(community, graph):
         splits.append(community.id)
-        return split(community)
+        return split(community, graph)
 
-    monkeypatch.setattr(Community, "split", counted)
+    monkeypatch.setattr(commkit.community, "split", counted)
     out = tmp_path / "out"
     argv = ["--graph", str(graph_path), "--metadata", str(metadata), "--out", str(out)]
     if command != "detect":
